@@ -12,10 +12,11 @@ analytic f; the cross and weight terms follow from the product rule with
 grad(1-|z|^2)^q = -2 q (1-|z|^2)^{q-1} (x, y).
 
 Array entry points (`*_values`) evaluate on numpy arrays of complex points
-and are what the quadrature nodes call; the scalar wrappers add domain checks
-and singularity flagging near zeros of f (guard radius 1e-10).  Near a zero
-of order k the gradient scales like |z-z0|^{kp-1} and G like |z-z0|^{kp-2},
-so the flags are order-aware.
+and are what the quadrature nodes call.  Each makes one pass over f: W uses
+`_val`, and the fields that need f' get f and f' together from `_val_dval`.
+The scalar wrappers add domain checks and singularity flagging near zeros
+of f (guard radius 1e-10).  Near a zero of order k the gradient scales like
+|z-z0|^{kp-1} and G like |z-z0|^{kp-2}, so the flags are order-aware.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ def grad_w_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
-    fv = f._val(z)
-    dv = f._dval(z)
+    fv, dv = f._val_dval(z)
     m = np.abs(fv)
     s2 = np.abs(z) ** 2
     rho = 1.0 - s2
@@ -117,8 +117,7 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     non-finite node as a cell collision and subdivides."""
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
-    fv = f._val(z)
-    dv = f._dval(z)
+    fv, dv = f._val_dval(z)
     m = np.abs(fv)
     s2 = np.abs(z) ** 2
     rho = 1.0 - s2
@@ -134,22 +133,13 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     return g
 
 
-def hs_density_values(f: AnalyticFunction, p: float, z: np.ndarray) -> np.ndarray:
-    """|f|^{p-2} |f'|^2, the q = 0 Laplacian density divided by p^2."""
-    z = np.asarray(z, dtype=complex)
-    m = np.abs(f._val(z))
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _abs_pow(m, p - 2.0) * np.abs(f._dval(z)) ** 2
-
-
 def radial_deriv_w_values(
     f: AnalyticFunction, params: MeanParams, z: np.ndarray
 ) -> np.ndarray:
     """dW/dr at z = r e^{i theta}, requires z != 0."""
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
-    fv = f._val(z)
-    dv = f._dval(z)
+    fv, dv = f._val_dval(z)
     m = np.abs(fv)
     s = np.abs(z)
     rho = 1.0 - s * s

@@ -3,9 +3,12 @@
 Five closed-form families: polynomials, rational functions with poles outside
 the closed disk, finite Blaschke products, the binomial family (1-z)^(-alpha),
 and a scale/rotate wrapper c*f(e^{i phi} z).  Every family evaluates itself
-and its first derivative exactly (no numerical differencing) and can
-enumerate its zeros inside |z| < r, so the quadrature layer always knows
-where the integrands degenerate.
+(`_val`) and, jointly, itself and its first derivative (`_val_dval`) exactly,
+with no numerical differencing.  The joint evaluation shares its work: one
+complex power for the binomial (f' = alpha f / (1-z)), one product-rule pass
+for a Blaschke product, one Horner pass for a polynomial; its value is
+bit-identical to `_val`.  Every family can enumerate its zeros inside
+|z| < r, so the quadrature layer always knows where the integrands degenerate.
 
 All values are immutable after construction and safe to share across workers.
 """
@@ -73,6 +76,18 @@ def _poly_val(coeffs: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _poly_val_dval(
+    coeffs: tuple[complex, ...], z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint Horner evaluation of the polynomial and its derivative."""
+    val = np.zeros_like(z)
+    der = np.zeros_like(z)
+    for c in reversed(coeffs):
+        der = der * z + val
+        val = val * z + c
+    return val, der
+
+
 def _poly_deriv_coeffs(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     if len(coeffs) <= 1:
         return (0j,)
@@ -107,8 +122,8 @@ class Polynomial:
     def _val(self, z: np.ndarray) -> np.ndarray:
         return _poly_val(self.coeffs, z)
 
-    def _dval(self, z: np.ndarray) -> np.ndarray:
-        return _poly_val(_poly_deriv_coeffs(self.coeffs), z)
+    def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _poly_val_dval(self.coeffs, z)
 
 
 @dataclass(frozen=True)
@@ -128,9 +143,10 @@ class Rational:
     def _val(self, z: np.ndarray) -> np.ndarray:
         return self.num._val(z) / self.den._val(z)
 
-    def _dval(self, z: np.ndarray) -> np.ndarray:
-        dv = self.den._val(z)
-        return (self.num._dval(z) * dv - self.num._val(z) * self.den._dval(z)) / (dv * dv)
+    def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nv, nd = self.num._val_dval(z)
+        dv, dd = self.den._val_dval(z)
+        return nv / dv, (nd * dv - nv * dd) / (dv * dv)
 
 
 @dataclass(frozen=True)
@@ -163,7 +179,7 @@ class BlaschkeProduct:
             val = val * ((a - z) / (1.0 - np.conj(a) * z)) ** m
         return val
 
-    def _dval(self, z: np.ndarray) -> np.ndarray:
+    def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         val = np.full_like(z, self.prefactor)
         der = np.zeros_like(z)
         for a, m in zip(self.zeros, self.multiplicities):
@@ -174,7 +190,7 @@ class BlaschkeProduct:
             pd = m * b ** (m - 1) * db
             der = der * pv + val * pd
             val = val * pv
-        return der
+        return val, der
 
 
 @dataclass(frozen=True)
@@ -193,8 +209,13 @@ class Binomial:
         # single-valued there.
         return (1.0 - z) ** (-self.alpha)
 
-    def _dval(self, z: np.ndarray) -> np.ndarray:
-        return self.alpha * (1.0 - z) ** (-self.alpha - 1.0)
+    def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # f' = alpha f / (1 - z): the one complex power serves both
+        u = 1.0 - z
+        val = u ** (-self.alpha)
+        der = val / u
+        der *= self.alpha
+        return val, der
 
 
 @dataclass(frozen=True)
@@ -218,8 +239,10 @@ class ScaledRotation:
     def _val(self, z: np.ndarray) -> np.ndarray:
         return self.scale * self.inner._val(self.phase * z)
 
-    def _dval(self, z: np.ndarray) -> np.ndarray:
-        return self.scale * self.phase * self.inner._dval(self.phase * z)
+    def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phase = self.phase
+        val, der = self.inner._val_dval(phase * z)
+        return self.scale * val, self.scale * phase * der
 
 
 AnalyticFunction = Union[Polynomial, Rational, BlaschkeProduct, Binomial, ScaledRotation]
@@ -250,7 +273,7 @@ def eval_at(f: AnalyticFunction, z: complex) -> complex:
 def deriv_at(f: AnalyticFunction, z: complex) -> complex:
     """f'(z) from the closed-form derivative of the variant."""
     _check_domain(f, z)
-    return complex(f._dval(np.asarray(complex(z))))
+    return complex(f._val_dval(np.asarray(complex(z)))[1])
 
 
 # --------------------------------------------------------------------------

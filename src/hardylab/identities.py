@@ -376,8 +376,13 @@ def ring_limit_probe(
     """Ring integrals on a shrinking epsilon schedule around z0.
 
     z0 must be the origin or a zero of f.  The limit target is
-    2 pi |f(0)|^p at the origin and 0 at an off-origin zero; the measured
-    log-log decay slope of the residual is reported alongside.
+    2 pi |f(0)|^p at the origin under a log kernel (whose -W dK/dn term
+    carries that point mass) and 0 otherwise: at an off-origin zero, and at
+    the origin under the smooth kernel 1 - |z|^2.  The measured log-log
+    decay slope of the residual is reported alongside.  The probe is
+    consistent when the residual halves over the schedule with a positive
+    slope, or when every residual already sits within rel_tol of the target
+    (exact ring values, as for a constant at q = 0).
     """
     z0 = complex(z0)
     if z0 != 0:
@@ -390,7 +395,10 @@ def ring_limit_probe(
     values = tuple(
         ring_integral(f, params, z0, e, kernel, r, spec) for e in eps
     )
-    target = TWO_PI * abs(eval_at(f, 0.0)) ** params.p if z0 == 0 else 0.0
+    if z0 == 0 and kernel.singular_at_origin:
+        target = TWO_PI * abs(eval_at(f, 0.0)) ** params.p
+    else:
+        target = 0.0
     residuals = tuple(abs(v - target) for v in values)
     floor = 1e-13 * max(max(residuals), 1e-300)
     pts = [(math.log(e), math.log(res)) for e, res in zip(eps, residuals) if res > floor]
@@ -399,7 +407,9 @@ def ring_limit_probe(
         slope = float(np.polyfit(xs, ys, 1)[0])
     else:
         slope = math.inf  # residuals at the noise floor everywhere
-    consistent = residuals[-1] < 0.5 * residuals[0] and (slope > 0.05 or slope == math.inf)
+    exact = max(residuals) <= spec.rel_tol * max(1.0, abs(target))
+    decaying = residuals[-1] < 0.5 * residuals[0] and (slope > 0.05 or slope == math.inf)
+    consistent = exact or decaying
     return RingLimitReport(
         fn=render_function(f),
         p=params.p,

@@ -19,7 +19,9 @@ Angular node floors scale like coeff * s / dist(feature) so that boundary
 peaks of width (1-r) start out sampled, and the doubling rule does the rest.
 Radial cells that pass close to an off-origin zero with kp < 2 switch to an
 angular rule on arcs graded toward the zero's angle, which converges
-exponentially where the uniform rule would need O(s/dist) nodes.
+exponentially where the uniform rule would need O(s/dist) nodes.  Such a
+banded cell gathers the Gauss nodes of all its arcs into one angle array
+and makes a single field call, so its cost is per point, not per arc.
 
 Within a cell, node contributions are combined by compensated summation and
 cells are combined with a fixed binary reduction tree, so results are
@@ -36,13 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .accum import kahan_sum, tree_sum
-from .fields import (
-    MeanParams,
-    g_values,
-    hs_density_values,
-    radial_deriv_w_values,
-    w_values,
-)
+from .fields import MeanParams, g_values, radial_deriv_w_values, w_values
 from .functions import (
     AnalyticFunction,
     Zero,
@@ -446,9 +442,9 @@ def _cell_theta_banded(
     """
     glx, glw = _gauss_rule(n_gauss)
     angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
-    h_acc = np.zeros_like(s_nodes)
-    nodes = 0
     splits = 1 << min(level, 1)
+    mids: list[float] = []
+    halves: list[float] = []
     for j, (a_j, sc_j) in enumerate(angles):
         if j + 1 < len(angles):
             b_j, sc_b = angles[j + 1]
@@ -459,16 +455,17 @@ def _cell_theta_banded(
             step = (t2 - t1) / splits
             for i in range(splits):
                 lo_t, hi_t = t1 + i * step, t1 + (i + 1) * step
-                mid_t, half_t = 0.5 * (lo_t + hi_t), 0.5 * (hi_t - lo_t)
-                th = mid_t + half_t * glx
-                mat = np.asarray(
-                    gfun(s_nodes[:, None] * np.exp(1j * th)[None, :]), dtype=float
-                )
-                if not np.all(np.isfinite(mat)):
-                    raise _CellCollision
-                h_acc = h_acc + half_t * (mat @ glw)
-                nodes += mat.size
-    return kahan_sum(weights * h_acc), nodes
+                mids.append(0.5 * (lo_t + hi_t))
+                halves.append(0.5 * (hi_t - lo_t))
+    half = np.array(halves)
+    th = np.array(mids)[:, None] + half[:, None] * glx[None, :]
+    mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * th.ravel())[None, :]), dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise _CellCollision
+    # (n_s, n_arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
+    arc_sums = mat.reshape(len(s_nodes), len(halves), n_gauss) @ glw
+    h = (arc_sums * half).sum(axis=1)
+    return kahan_sum(weights * h), mat.size
 
 
 def _disk_once(
@@ -689,33 +686,6 @@ def disk_integral_W(
         feature_moduli(f),
         s_lo=s_lo,
         force_level=force_level,
-    )
-
-
-def disk_integral_hs_density(
-    f: AnalyticFunction,
-    p: float,
-    r: float,
-    kernel: Kernel,
-    spec: QuadratureSpec,
-) -> IntegralResult:
-    """Integral of kernel * |f|^{p-2} |f'|^2 over the disk of radius r."""
-    r = _check_radius(r)
-    zeros = zeros_in_disk(f, r)
-
-    def gfun(z):
-        return hs_density_values(f, p, z)
-
-    params = MeanParams(p, 0.0)
-    return _disk_quad(
-        gfun,
-        kernel,
-        r,
-        spec,
-        _zero_singularities(zeros, p, 0.0, kernel),
-        _boundary_scale(f, params, r, _outside_zeros(f, r)),
-        feature_moduli(f),
-        sharp_zeros=_sharp_zero_angles(zeros, p),
     )
 
 

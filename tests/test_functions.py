@@ -142,6 +142,64 @@ def test_blaschke_unimodular_on_circle(theta):
     assert abs(eval_at(f, z)) == pytest.approx(1.0, abs=1e-12)
 
 
+# --------------------------------------------------------- joint evaluation
+
+def reference_dval(f, z):
+    """The closed-form derivative of each family, one formula per family."""
+    if isinstance(f, Polynomial):
+        acc = np.zeros_like(z)
+        for c in reversed([k * c for k, c in enumerate(f.coeffs) if k >= 1] or [0j]):
+            acc = acc * z + c
+        return acc
+    if isinstance(f, Rational):
+        dv = f.den._val(z)
+        return (reference_dval(f.num, z) * dv - f.num._val(z) * reference_dval(f.den, z)) / (
+            dv * dv
+        )
+    if isinstance(f, BlaschkeProduct):
+        val = np.full_like(z, f.prefactor)
+        der = np.zeros_like(z)
+        for a, m in zip(f.zeros, f.multiplicities):
+            den = 1.0 - np.conj(a) * z
+            b = (a - z) / den
+            pd = m * b ** (m - 1) * (abs(a) ** 2 - 1.0) / (den * den)
+            der = der * b**m + val * pd
+            val = val * b**m
+        return der
+    if isinstance(f, Binomial):
+        return f.alpha * (1.0 - z) ** (-f.alpha - 1.0)
+    if isinstance(f, ScaledRotation):
+        return f.scale * f.phase * reference_dval(f.inner, f.phase * z)
+    raise TypeError(type(f).__name__)
+
+
+JOINT_POOL = [
+    Polynomial((2.5 - 1j,)),
+    Polynomial((1, 0.5, -0.25)),
+    Polynomial((2 + 1j, -0.3j, 0, 0.7, 0.1 - 0.2j)),
+    Rational(Polynomial((1, 1)), Polynomial((2, 0, 1))),
+    BlaschkeProduct((0.5, -0.2 + 0.3j), prefactor=cmath.exp(0.4j)),
+    BlaschkeProduct((0.5, 0.1j, -0.6), multiplicities=(2, 1, 3)),
+    Binomial(0.8),
+    Binomial(2.5),
+    ScaledRotation(Polynomial((1, 1)), 1.5 - 0.5j, 1.1),
+    ScaledRotation(Rational(Polynomial((0.3, -1, 0.5)), Polynomial((3, 1j, 1))), 0.5j, -2.0),
+]
+
+
+@pytest.mark.parametrize("f", JOINT_POOL, ids=lambda f: type(f).__name__)
+def test_joint_value_and_derivative(f):
+    rng = np.random.default_rng(5)
+    rad = 0.97 * np.sqrt(rng.uniform(0, 1, 200))
+    z = rad * np.exp(2j * math.pi * rng.uniform(0, 1, 200))
+    for pts in (z, np.asarray(z[0]), np.asarray(0j)):
+        val, der = f._val_dval(pts)
+        # the value is the very same number _val gives, bit for bit
+        assert np.array_equal(val, f._val(pts))
+        ref = reference_dval(f, pts)
+        assert np.all(np.abs(der - ref) <= 1e-13 * np.max(np.abs(ref)))
+
+
 # --------------------------------------------------------------------- zeros
 
 def test_zeros_factored_polynomial():

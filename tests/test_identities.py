@@ -259,6 +259,40 @@ def test_ring_limit_origin_zero_small_p():
     assert rep.consistent
 
 
+def test_ring_limit_smooth_kernel_origin_target_is_zero():
+    # 1 - |z|^2 carries no point mass at the origin: the ring values fall to 0
+    rep = ring_limit_probe(
+        Polynomial((1, 1)),
+        MeanParams(2, 0),
+        0.0,
+        KERNEL_ONE_MINUS_ABS_SQ,
+        0.75,
+        SPEC,
+        tuple(2.0**-j for j in range(4, 9)),
+    )
+    assert rep.target == 0.0
+    assert rep.residuals == rep.values
+    assert rep.slope == pytest.approx(2.0, abs=0.05)
+    assert rep.consistent
+
+
+def test_ring_limit_exact_values_are_consistent():
+    # a constant at q = 0: every ring value equals 2 pi |c|^p, residuals all 0
+    c = 0.4992 - 0.5448j
+    rep = ring_limit_probe(
+        Polynomial((c,)),
+        MeanParams(0.5, 0),
+        0.0,
+        kernel_log_r_over_abs(0.75),
+        0.75,
+        SPEC,
+        tuple(2.0**-j for j in range(4, 13)),
+    )
+    assert rep.target == pytest.approx(TWO_PI * abs(c) ** 0.5)
+    assert max(rep.residuals) <= SPEC.rel_tol * rep.target
+    assert rep.consistent
+
+
 def test_ring_limit_rejects_non_zero_centre():
     with pytest.raises(ValueError):
         ring_limit_probe(

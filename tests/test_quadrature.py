@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hardylab.fields import MeanParams
+from hardylab.accum import kahan_sum
+from hardylab.fields import MeanParams, g_values
 from hardylab.functions import (
     Binomial,
     BlaschkeProduct,
@@ -12,6 +13,10 @@ from hardylab.functions import (
     ScaledRotation,
 )
 from hardylab.quadrature import (
+    _CellCollision,
+    _cell_theta_banded,
+    _gauss_rule,
+    _graded_segment,
     GeometryError,
     KERNEL_LOG_ONE_OVER_ABS,
     KERNEL_ONE,
@@ -204,6 +209,90 @@ def test_circle_mean_nondecreasing_in_r(r):
     lo = circle_mean(f, params, r, SPEC).value
     hi = circle_mean(f, params, min(r + 0.05, 0.95), SPEC).value
     assert hi >= lo - 1e-10
+
+
+# ---------------------------------------------------------- banded cell rule
+
+def banded_reference(gfun, s_nodes, weights, angle_scales, n_gauss, level):
+    """The banded rule arc by arc: one field call per graded arc.
+
+    Returns the cell value, the node count and sum |weights * h|, the scale
+    the one-call-per-cell rule is compared on.
+    """
+    glx, glw = _gauss_rule(n_gauss)
+    angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
+    h_acc = np.zeros_like(s_nodes)
+    nodes = 0
+    splits = 1 << min(level, 1)
+    for j, (a_j, sc_j) in enumerate(angles):
+        if j + 1 < len(angles):
+            b_j, sc_b = angles[j + 1]
+        else:
+            b_j, sc_b = angles[0][0] + TWO_PI, angles[0][1]
+        pts = _graded_segment(a_j, b_j, sc_j, sc_b)
+        for t1, t2 in zip(pts[:-1], pts[1:]):
+            step = (t2 - t1) / splits
+            for i in range(splits):
+                lo_t, hi_t = t1 + i * step, t1 + (i + 1) * step
+                mid_t, half_t = 0.5 * (lo_t + hi_t), 0.5 * (hi_t - lo_t)
+                th = mid_t + half_t * glx
+                mat = np.asarray(
+                    gfun(s_nodes[:, None] * np.exp(1j * th)[None, :]), dtype=float
+                )
+                if not np.all(np.isfinite(mat)):
+                    raise _CellCollision
+                h_acc = h_acc + half_t * (mat @ glw)
+                nodes += mat.size
+    return kahan_sum(weights * h_acc), nodes, float(np.sum(np.abs(weights * h_acc)))
+
+
+def banded_cell(zeros, a, b):
+    """Radial nodes, weights and angle scales of the cell [a, b], built as
+    the disk rule builds them for sharp zeros at the given points."""
+    glx, glw = _gauss_rule(SPEC.n_gauss)
+    s = 0.5 * (a + b) + 0.5 * (b - a) * glx
+    weights = glw * 0.5 * (b - a) * s
+    scales = []
+    for z0 in zeros:
+        s0 = abs(z0)
+        d = float(np.min(np.abs(s - s0)))
+        scales.append((math.atan2(z0.imag, z0.real), max(d / s0, 1e-15)))
+    return s, weights, scales
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize(
+    "zeros,p,q",
+    [((0.5 + 0j,), 1.0, 0.0), ((0.5 + 0j, 0.5 * np.exp(2.2j)), 1.5, 0.5)],
+    ids=["one-zero", "two-zeros"],
+)
+def test_banded_rule_matches_per_arc_reference(zeros, p, q, level):
+    f = BlaschkeProduct(zeros)
+    params = MeanParams(p, q)
+
+    def gfun(z):
+        return g_values(f, params, z)
+
+    for a, b in ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4)):
+        s, weights, scales = banded_cell(zeros, a, b)
+        value, nodes = _cell_theta_banded(gfun, s, weights, scales, SPEC.n_gauss, level)
+        ref, ref_nodes, mass = banded_reference(gfun, s, weights, scales, SPEC.n_gauss, level)
+        assert nodes == ref_nodes
+        assert abs(value - ref) <= 1e-13 * mass
+
+
+def test_banded_rule_non_finite_node_is_a_collision():
+    s, weights, scales = banded_cell((0.5 + 0j,), 0.45, 0.55)
+
+    def gfun(z):
+        g = np.abs(z)
+        g[-1, -1] = np.nan  # the last node of the last arc
+        return g
+
+    with pytest.raises(_CellCollision):
+        _cell_theta_banded(gfun, s, weights, scales, SPEC.n_gauss, 0)
+    with pytest.raises(_CellCollision):
+        banded_reference(gfun, s, weights, scales, SPEC.n_gauss, 0)
 
 
 # ------------------------------------------------------------- ring integrals
