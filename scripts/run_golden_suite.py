@@ -3,8 +3,6 @@
 
 Usage:
     python scripts/run_golden_suite.py [--tol 1e-7] [--outdir reports/]
-
-HML_THREADS caps the worker count.
 """
 
 import argparse
@@ -12,7 +10,7 @@ import sys
 import time
 from pathlib import Path
 
-from hardylab.golden import golden_suite, worker_count
+from hardylab.golden import golden_suite
 from hardylab.quadrature import QuadratureSpec
 from hardylab.report import entry_passed, write_report
 
@@ -28,7 +26,7 @@ def main() -> int:
     spec = QuadratureSpec(rel_tol=args.tol)
 
     t0 = time.monotonic()
-    report = golden_suite(spec, jobs=worker_count())
+    report = golden_suite(spec)
     elapsed = time.monotonic() - t0
 
     write_report(report, "json", str(outdir / "golden.jsonl"))

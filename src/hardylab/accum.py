@@ -2,8 +2,8 @@
 
 Quadrature results must be bit-identical across runs, so node contributions
 inside a cell are combined with compensated (Kahan) summation and cell values
-are combined across the mesh with a fixed pairwise binary tree.  Neither
-routine depends on worker scheduling.
+are combined across the mesh with a fixed pairwise binary tree, so the
+rounding path depends only on the mesh.
 """
 
 from __future__ import annotations

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import MeanParams
-from .functions import AnalyticFunction, MembershipHint, membership_hint
+from .functions import (
+    AnalyticFunction,
+    MembershipHint,
+    MembershipRequiredError,
+    membership_hint,
+)
 from .parsing import render_function
 from .quadrature import QuadratureSpec, circle_mean, circle_mean_deriv
 
@@ -28,10 +33,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 DEFAULT_RATE_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(2, 11))
 DEFAULT_SCAN_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(1, 13))
-
-
-class MembershipRequiredError(ValueError):
-    """rate_probe is gated on membership_hint(f, p, q) = member."""
 
 
 @dataclass(frozen=True)

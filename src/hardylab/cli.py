@@ -21,7 +21,7 @@ from .identities import (
     ring_limit_probe,
     run_identity_check,
 )
-from .golden import golden_suite, worker_count
+from .golden import golden_suite
 from .parsing import FunctionParseError, parse_complex, parse_function
 from .quadrature import (
     QuadratureError,
@@ -151,8 +151,7 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
     if args.command == "suite":
         if not args.golden:
             raise ConfigError("suite: only --golden is available")
-        report = golden_suite(spec, jobs=worker_count())
-        return report
+        return golden_suite(spec)
 
     f = parse_function(args.fn)
     params = _mean_params(args)

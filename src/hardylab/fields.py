@@ -37,11 +37,10 @@ class SingularPointError(ValueError):
 
 @dataclass(frozen=True)
 class MeanParams:
-    """Exponent pair (p, q) of the weighted mean, with an optional radius."""
+    """Exponent pair (p, q) of the weighted mean."""
 
     p: float
     q: float
-    r: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", float(self.p))
@@ -50,10 +49,6 @@ class MeanParams:
             raise ValueError(f"p must satisfy 0 < p < inf, got {self.p}")
         if not (0.0 <= self.q < math.inf):
             raise ValueError(f"q must satisfy 0 <= q < inf, got {self.q}")
-        if self.r is not None:
-            object.__setattr__(self, "r", float(self.r))
-            if not (0.0 < self.r < 1.0):
-                raise ValueError(f"r must satisfy 0 < r < 1, got {self.r}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ for a Blaschke product, one Horner pass for a polynomial; its value is
 bit-identical to `_val`.  Every family can enumerate its zeros inside
 |z| < r, so the quadrature layer always knows where the integrands degenerate.
 
-All values are immutable after construction and safe to share across workers.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ class CircleProximityError(FunctionModelError):
 
 class RootFindingError(FunctionModelError):
     """Polynomial root finding failed or the degree cap was exceeded."""
+
+
+class MembershipRequiredError(ValueError):
+    """The requested check needs f inside the space (p, q), as judged by
+    membership_hint."""
 
 
 class MembershipHint(str, Enum):

@@ -3,14 +3,12 @@
 Families: monomials z^n over a full (p, q) matrix, constants, 1 + z, a
 seeded degree-5 polynomial, a Blaschke factor at 0.5 (run at p = 1.5 so the
 kp < 2 singular grading is exercised), and the binomial family at
-alpha = 0.5 and 0.9.  Output order is fixed; two runs produce byte-identical
-report bodies.
+alpha = 0.5 and 0.9.  The entries run in a fixed order; two runs produce
+byte-identical report bodies.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from typing import Any, Callable
 
@@ -62,24 +60,6 @@ GOLDEN_ONE_PLUS_Z = Polynomial((1, 1))
 GOLDEN_BLASCHKE = BlaschkeProduct((0.5,))
 GOLDEN_BINOM_05 = Binomial(0.5)
 GOLDEN_BINOM_09 = Binomial(0.9)
-
-
-def worker_count() -> int:
-    """Worker cap from HML_THREADS (default: hardware parallelism)."""
-    raw = os.environ.get("HML_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
-
-
-def _run_ordered(thunks: list[Callable[[], Any]], jobs: int) -> list[Any]:
-    """Evaluate independent pure thunks, preserving submission order."""
-    if jobs <= 1:
-        return [t() for t in thunks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
 
 
 def golden_entries(spec: QuadratureSpec) -> list[Callable[[], Any]]:
@@ -211,15 +191,11 @@ def golden_entries(spec: QuadratureSpec) -> list[Callable[[], Any]]:
     return thunks
 
 
-def golden_suite(
-    spec: QuadratureSpec | None = None, jobs: int | None = None
-) -> SuiteReport:
-    """Run every golden check; deterministic entry order regardless of jobs."""
+def golden_suite(spec: QuadratureSpec | None = None) -> SuiteReport:
+    """Run every golden check, one after another in entry order."""
     spec = spec or QuadratureSpec()
-    jobs = worker_count() if jobs is None else jobs
-    entries = _run_ordered(golden_entries(spec), jobs)
     return SuiteReport(
         timestamp=datetime.now(timezone.utc).isoformat(),
-        config={"suite": "golden", "rel_tol": spec.rel_tol, "jobs": jobs},
-        entries=entries,
+        config={"suite": "golden", "rel_tol": spec.rel_tol},
+        entries=[thunk() for thunk in golden_entries(spec)],
     )

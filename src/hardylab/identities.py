@@ -20,8 +20,11 @@ from .functions import (
     AnalyticFunction,
     CircleProximityError,
     MembershipHint,
+    MembershipRequiredError,
+    _unit_disk_zeros,
     eval_at,
     membership_hint,
+    nearest_zero,
     zeros_in_disk,
 )
 from .parsing import render_function
@@ -30,6 +33,7 @@ from .quadrature import (
     KERNEL_ONE,
     KERNEL_ONE_MINUS_ABS_SQ,
     Kernel,
+    TWO_PI,
     QuadratureSpec,
     circle_mean,
     circle_mean_deriv,
@@ -38,8 +42,6 @@ from .quadrature import (
     kernel_log_r_over_abs,
     ring_integral,
 )
-
-TWO_PI = 2.0 * math.pi
 
 IDENTITY_TAGS = (
     "growth",
@@ -51,10 +53,6 @@ IDENTITY_TAGS = (
 )
 
 DEFAULT_R_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(1, 11))
-
-
-class MembershipRequiredError(ValueError):
-    """The requested check needs a function inside the space (p, q)."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,6 @@ def usable_radius(f: AnalyticFunction, r: float, p: float | None = None) -> floa
 
     Covers both the zero-enumeration guard (1e-8) and, when p < 1, the wider
     ring the mean-derivative integrand needs (1e-6)."""
-    from .functions import _unit_disk_zeros
-
     for _ in range(8):
         clear = True
         try:
@@ -281,7 +277,11 @@ def check_area_limit_identity(
 ) -> IdentityReport:
     """r -> 1 limit form: twice the circle integral of W against the
     (1-|z|^2)-kernel G integral plus 4x the W integral, both extrapolated
-    along the radius schedule."""
+    along the radius schedule, which needs at least three radii."""
+    if len(radii) < 3:
+        raise ValueError(
+            f"area-limit check needs at least 3 radii to extrapolate, got {len(radii)}"
+        )
     if membership_hint(f, params.p, params.q) == MembershipHint.NON_MEMBER:
         raise MembershipRequiredError(
             "area-limit check requires membership_hint != non-member"
@@ -386,8 +386,6 @@ def ring_limit_probe(
     """
     z0 = complex(z0)
     if z0 != 0:
-        from .functions import nearest_zero
-
         dist, _ = nearest_zero(f, z0)
         if dist > 1e-8:
             raise ValueError(f"z0 = {z0} is neither the origin nor a zero of f")

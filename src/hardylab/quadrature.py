@@ -25,7 +25,7 @@ and makes a single field call, so its cost is per point, not per arc.
 
 Within a cell, node contributions are combined by compensated summation and
 cells are combined with a fixed binary reduction tree, so results are
-bit-identical between runs regardless of worker count.
+bit-identical between runs.
 """
 
 from __future__ import annotations
@@ -38,16 +38,31 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .accum import kahan_sum, tree_sum
-from .fields import MeanParams, g_values, radial_deriv_w_values, w_values
+from .fields import (
+    GUARD_RADIUS,
+    MeanParams,
+    g_values,
+    grad_w_values,
+    radial_deriv_w_values,
+    w_values,
+)
 from .functions import (
     AnalyticFunction,
     Zero,
+    _unit_disk_zeros,
     feature_moduli,
     is_boundary_singular,
     zeros_in_disk,
 )
 
 TWO_PI = 2.0 * math.pi
+
+# fixed mesh policy: angular doubling cap, uniform radial cells, Gauss nodes
+# per radial cell (and per angular arc), disk refinement levels
+N_THETA_MAX = 1 << 20
+N_RADIAL_BASE = 8
+N_GAUSS = 10
+MAX_LEVELS = 5
 
 
 class QuadratureError(RuntimeError):
@@ -71,18 +86,12 @@ class QuadratureSpec:
     """Mesh and tolerance policy for circle, ring, and disk integrals.
 
     Singular radii (zero locations, the origin under log kernels, rim
-    proximity) are derived from the integrand automatically;
-    extra_singular_radii forces additional radial grading points.
+    proximity) are derived from the integrand automatically.
     """
 
     rel_tol: float = 1e-7
     n_theta_init: int = 32
-    n_theta_max: int = 1 << 20
-    n_radial_base: int = 8
-    n_gauss: int = 10
     max_grade_depth: int = 40
-    max_levels: int = 5
-    extra_singular_radii: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
@@ -91,13 +100,6 @@ class QuadratureSpec:
             raise ValueError("n_theta_init must be a power of two >= 16")
         if not 1 <= self.max_grade_depth <= 40:
             raise ValueError("grading depth must lie in [1, 40]")
-        if self.n_gauss < 2 or self.n_radial_base < 1 or self.max_levels < 2:
-            raise ValueError("degenerate mesh policy")
-        object.__setattr__(
-            self, "extra_singular_radii", tuple(float(s) for s in self.extra_singular_radii)
-        )
-        if any(not 0.0 <= s < 1.0 for s in self.extra_singular_radii):
-            raise ValueError("extra singular radii must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,6 @@ def _circle_quad(
     n0: int,
     rel_tol: float,
     abs_tol: float,
-    n_max: int,
     ref_floor: float = 1.0,
 ) -> tuple[float, float, int, int, bool]:
     """Integral of fn over [0, 2pi) by the equispaced rule with doubling.
@@ -228,18 +229,16 @@ def _circle_quad(
         doublings += 1
         if delta <= max(abs_tol, rel_tol * max(ref_floor, abs(total), 1e-6 * l1)):
             return total, delta, nodes, doublings, True
-        if n >= n_max:
+        if n >= N_THETA_MAX:
             return total, delta, nodes, doublings, False
 
 
-def _circle_floor(
-    s: float, features: Sequence[tuple[float, float]], n_init: int, cap: int = 1 << 18
-) -> int:
+def _circle_floor(s: float, features: Sequence[tuple[float, float]], n_init: int) -> int:
     demand = float(n_init)
     for mod, coeff in features:
         d = max(abs(s - mod), 1e-6)
         demand = max(demand, coeff * s / d)
-    return min(cap, _next_pow2(demand))
+    return min(1 << 18, _next_pow2(demand))
 
 
 # --------------------------------------------------------------------------
@@ -253,20 +252,28 @@ def _check_radius(r: float) -> float:
     return r
 
 
+def _circle_mean(
+    field: Callable[[AnalyticFunction, MeanParams, np.ndarray], np.ndarray],
+    f: AnalyticFunction,
+    params: MeanParams,
+    r: float,
+    spec: QuadratureSpec,
+) -> IntegralResult:
+    """(1/2pi) * integral of field(r e^{i theta}) d theta."""
+
+    def fn(theta):
+        return field(f, params, r * np.exp(1j * theta))
+
+    n0 = _circle_floor(r, feature_moduli(f), spec.n_theta_init)
+    total, delta, nodes, doublings, conv = _circle_quad(fn, n0, 0.5 * spec.rel_tol, 0.0)
+    return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+
+
 def circle_mean(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """(1/2pi) * integral of W(r e^{i theta}) d theta."""
-    r = _check_radius(r)
-
-    def fn(theta):
-        return w_values(f, params, r * np.exp(1j * theta))
-
-    n0 = _circle_floor(r, feature_moduli(f), spec.n_theta_init)
-    total, delta, nodes, doublings, conv = _circle_quad(
-        fn, n0, 0.5 * spec.rel_tol, 0.0, spec.n_theta_max
-    )
-    return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+    return _circle_mean(w_values, f, params, _check_radius(r), spec)
 
 
 def circle_mean_deriv(
@@ -280,15 +287,7 @@ def circle_mean_deriv(
                 raise RadiusNearZeroError(
                     f"zero at {zero.location} within 1e-6 of |z| = {r} with p < 1"
                 )
-
-    def fn(theta):
-        return radial_deriv_w_values(f, params, r * np.exp(1j * theta))
-
-    n0 = _circle_floor(r, feature_moduli(f), spec.n_theta_init)
-    total, delta, nodes, doublings, conv = _circle_quad(
-        fn, n0, 0.5 * spec.rel_tol, 0.0, spec.n_theta_max
-    )
-    return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+    return _circle_mean(radial_deriv_w_values, f, params, r, spec)
 
 
 # --------------------------------------------------------------------------
@@ -326,8 +325,8 @@ def _radial_partition(
     each singular radius, geometric approach to an endpoint whose nearest
     singularity sits just outside.  `level` splits every cell 2^level-fold."""
     pts = {lo, hi}
-    for k in range(1, spec.n_radial_base):
-        pts.add(lo + (hi - lo) * k / spec.n_radial_base)
+    for k in range(1, N_RADIAL_BASE):
+        pts.add(lo + (hi - lo) * k / N_RADIAL_BASE)
     for s0, mass_exp, log_bump in sings:
         if not lo <= s0 <= hi:
             continue
@@ -380,7 +379,6 @@ def _cell_theta(
     weights: np.ndarray,
     n0: int,
     tol_abs: float,
-    n_max: int,
 ) -> tuple[float, float, int, bool]:
     """Cell value sum_i weights_i * (theta-integral of g on circle s_i)."""
     n = n0
@@ -404,7 +402,7 @@ def _cell_theta(
         n *= 2
         if delta <= tol_abs:
             return value, delta, nodes, True
-        if n >= n_max:
+        if n >= N_THETA_MAX:
             return value, delta, nodes, False
 
 
@@ -481,7 +479,7 @@ def _disk_once(
     level: int,
     theta_tol_cell: float,
 ) -> tuple[float, float, int, bool]:
-    glx, glw = _gauss_rule(spec.n_gauss)
+    glx, glw = _gauss_rule(N_GAUSS)
     work = [(a, b, 0) for a, b in _radial_partition(lo, hi, sings, end_scales, spec, level)]
     cell_values: list[float] = []
     theta_err = 0.0
@@ -508,14 +506,12 @@ def _disk_once(
         try:
             if band_scales:
                 val, used = _cell_theta_banded(
-                    gfun, s, weights, band_scales, spec.n_gauss, level
+                    gfun, s, weights, band_scales, N_GAUSS, level
                 )
                 derr, conv = 0.0, True
             else:
                 n0 = _circle_floor(mid, rim_features, spec.n_theta_init * floor_boost)
-                val, derr, used, conv = _cell_theta(
-                    gfun, s, weights, n0, theta_tol_cell, spec.n_theta_max
-                )
+                val, derr, used, conv = _cell_theta(gfun, s, weights, n0, theta_tol_cell)
         except _CellCollision:
             # a node landed on a singular point: subdivide and retry
             if depth >= spec.max_grade_depth:
@@ -530,54 +526,6 @@ def _disk_once(
         nodes += used
         all_conv = all_conv and conv
     return tree_sum(cell_values), theta_err, nodes, all_conv
-
-
-def _disk_quad(
-    gfun: Callable[[np.ndarray], np.ndarray],
-    kernel: Kernel,
-    r: float,
-    spec: QuadratureSpec,
-    sings: Sequence[tuple[float, float, bool]],
-    boundary_scale: float | None,
-    features: Sequence[tuple[float, float]],
-    sharp_zeros: Sequence[tuple[float, float]] = (),
-    s_lo: float = 0.0,
-    force_level: int | None = None,
-) -> IntegralResult:
-    sings = list(sings) + [(s0, 2.0, False) for s0 in spec.extra_singular_radii]
-    lo_scale = None
-    if s_lo > 0.0:
-        below = [s_lo - s0 for s0, _, _ in sings if s0 < s_lo]
-        if below:
-            lo_scale = min(below)
-    end_scales = (lo_scale, boundary_scale)
-    if force_level is not None:
-        theta_tol = 0.125 * 0.25 * spec.rel_tol
-        value, terr, nodes, conv = _disk_once(
-            gfun, kernel, s_lo, r, sings, end_scales, features, sharp_zeros,
-            spec, force_level, theta_tol,
-        )
-        return IntegralResult(value, terr, nodes, force_level, conv)
-    prev = None
-    nodes_total = 0
-    err = math.inf
-    value = math.nan
-    conv_level = False
-    for level in range(spec.max_levels):
-        hint = max(1.0, abs(prev)) if prev is not None else 1.0
-        theta_tol = 0.125 * 0.25 * spec.rel_tol * hint
-        value, terr, nodes, cells_conv = _disk_once(
-            gfun, kernel, s_lo, r, sings, end_scales, features, sharp_zeros,
-            spec, level, theta_tol,
-        )
-        nodes_total += nodes
-        if prev is not None:
-            err = abs(value - prev) + terr
-            if err <= spec.rel_tol * max(1.0, abs(value)) and cells_conv:
-                conv_level = True
-                return IntegralResult(value, err, nodes_total, level, True)
-        prev = value
-    return IntegralResult(value, err, nodes_total, spec.max_levels - 1, conv_level)
 
 
 def _zero_singularities(
@@ -614,8 +562,6 @@ def _boundary_scale(
 
 
 def _outside_zeros(f: AnalyticFunction, r: float) -> list[Zero]:
-    from .functions import _unit_disk_zeros
-
     return [z for z in _unit_disk_zeros(f) if abs(z.location) >= r]
 
 
@@ -628,6 +574,66 @@ def _sharp_zero_angles(zeros: Sequence[Zero], p: float) -> tuple[tuple[float, fl
     )
 
 
+def _disk_integral(
+    field: Callable[[AnalyticFunction, MeanParams, np.ndarray], np.ndarray],
+    mass_shift: float,
+    banded: bool,
+    f: AnalyticFunction,
+    params: MeanParams,
+    r: float,
+    kernel: Kernel,
+    spec: QuadratureSpec,
+    s_lo: float,
+    force_level: int | None,
+) -> IntegralResult:
+    """Integral of kernel(|z|) * field(z) over the disk (or annulus) of radius r.
+
+    mass_shift is the field's extra local mass exponent at a zero (0 for G,
+    2 for W); banded sends cells near sharp zeros to the graded-arc rule.
+    """
+    r = _check_radius(r)
+    zeros = zeros_in_disk(f, r)
+    sings = _zero_singularities(zeros, params.p, mass_shift, kernel)
+    boundary_scale = _boundary_scale(f, params, r, _outside_zeros(f, r))
+    features = feature_moduli(f)
+    sharp_zeros = _sharp_zero_angles(zeros, params.p) if banded else ()
+
+    def gfun(z):
+        return field(f, params, z)
+
+    lo_scale = None
+    if s_lo > 0.0:
+        below = [s_lo - s0 for s0, _, _ in sings if s0 < s_lo]
+        if below:
+            lo_scale = min(below)
+    end_scales = (lo_scale, boundary_scale)
+    if force_level is not None:
+        theta_tol = 0.125 * 0.25 * spec.rel_tol
+        value, terr, nodes, conv = _disk_once(
+            gfun, kernel, s_lo, r, sings, end_scales, features, sharp_zeros,
+            spec, force_level, theta_tol,
+        )
+        return IntegralResult(value, terr, nodes, force_level, conv)
+    prev = None
+    nodes_total = 0
+    err = math.inf
+    value = math.nan
+    for level in range(MAX_LEVELS):
+        hint = max(1.0, abs(prev)) if prev is not None else 1.0
+        theta_tol = 0.125 * 0.25 * spec.rel_tol * hint
+        value, terr, nodes, cells_conv = _disk_once(
+            gfun, kernel, s_lo, r, sings, end_scales, features, sharp_zeros,
+            spec, level, theta_tol,
+        )
+        nodes_total += nodes
+        if prev is not None:
+            err = abs(value - prev) + terr
+            if err <= spec.rel_tol * max(1.0, abs(value)) and cells_conv:
+                return IntegralResult(value, err, nodes_total, level, True)
+        prev = value
+    return IntegralResult(value, err, nodes_total, MAX_LEVELS - 1, False)
+
+
 def disk_integral_G(
     f: AnalyticFunction,
     params: MeanParams,
@@ -638,24 +644,7 @@ def disk_integral_G(
     force_level: int | None = None,
 ) -> IntegralResult:
     """Integral of kernel(|z|) * G(z) over the disk (or annulus) of radius r."""
-    r = _check_radius(r)
-    zeros = zeros_in_disk(f, r)
-
-    def gfun(z):
-        return g_values(f, params, z)
-
-    return _disk_quad(
-        gfun,
-        kernel,
-        r,
-        spec,
-        _zero_singularities(zeros, params.p, 0.0, kernel),
-        _boundary_scale(f, params, r, _outside_zeros(f, r)),
-        feature_moduli(f),
-        sharp_zeros=_sharp_zero_angles(zeros, params.p),
-        s_lo=s_lo,
-        force_level=force_level,
-    )
+    return _disk_integral(g_values, 0.0, True, f, params, r, kernel, spec, s_lo, force_level)
 
 
 def disk_integral_W(
@@ -670,23 +659,7 @@ def disk_integral_W(
     """Integral of weight(|z|) * W(z); weight is ONE or ONE_MINUS_ABS_SQ."""
     if weight.name not in ("one", "one-minus-abs-sq"):
         raise ValueError("disk_integral_W supports weights ONE and ONE_MINUS_ABS_SQ")
-    r = _check_radius(r)
-    zeros = zeros_in_disk(f, r)
-
-    def gfun(z):
-        return w_values(f, params, z)
-
-    return _disk_quad(
-        gfun,
-        weight,
-        r,
-        spec,
-        _zero_singularities(zeros, params.p, 2.0, weight),
-        _boundary_scale(f, params, r, _outside_zeros(f, r)),
-        feature_moduli(f),
-        s_lo=s_lo,
-        force_level=force_level,
-    )
+    return _disk_integral(w_values, 2.0, False, f, params, r, weight, spec, s_lo, force_level)
 
 
 # --------------------------------------------------------------------------
@@ -706,8 +679,6 @@ def ring_integral(
 
     The normal points away from z0; d ell = eps d psi.
     """
-    from .fields import GUARD_RADIUS, grad_w_values
-
     r = _check_radius(r)
     z0 = complex(z0)
     eps = float(eps)
@@ -733,7 +704,7 @@ def ring_integral(
         return (kernel.radial(s) * dwdn - w * dkdn) * eps
 
     total, _delta, _nodes, _doublings, conv = _circle_quad(
-        fn, spec.n_theta_init, 0.25 * spec.rel_tol, 1e-300, spec.n_theta_max, ref_floor=0.0
+        fn, spec.n_theta_init, 0.25 * spec.rel_tol, 1e-300, ref_floor=0.0
     )
     if not conv:
         raise QuadratureError("ring integral did not converge within the doubling cap")

@@ -2,7 +2,9 @@
 
 Floats are serialised with ``repr`` (shortest round-trip form, at most 17
 significant digits), so identical runs produce byte-identical bodies and a
-parsed report reproduces every value bit-for-bit.  The timestamp lives only
+parsed report reproduces every value bit-for-bit.  A non-finite float (an
+infinite ring-limit slope, a NaN fitted exponent) is written as JSON null and
+as an empty CSV cell, so every line is strict JSON.  The timestamp lives only
 in the meta record; the body is deterministic.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -199,8 +202,19 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON-serialisable: {obj!r}")
 
 
+def _finite_or_none(value: Any) -> Any:
+    """The value with every non-finite float, also inside lists and dicts, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    return value
+
+
 def _dump_record(rec: dict[str, Any]) -> str:
-    return json.dumps(rec, default=_json_default, allow_nan=True)
+    return json.dumps(_finite_or_none(rec), default=_json_default, allow_nan=False)
 
 
 def body_lines(report: SuiteReport) -> list[str]:
@@ -238,7 +252,7 @@ def csv_text(report: SuiteReport) -> str:
     )
     writer.writeheader()
     for entry in report.entries:
-        rec = entry_record(entry)
+        rec = _finite_or_none(entry_record(entry))
         if isinstance(entry, IdentityReport):
             rec.setdefault("value", "")
         if isinstance(entry, MeanEntry):

@@ -266,7 +266,7 @@ def test_criterion_8_numerical_hygiene():
 
 def test_criterion_8b_report_determinism():
     with criterion(8, "two golden-suite runs produce byte-identical bodies"):
-        first = golden_suite(SPEC, jobs=1)
-        second = golden_suite(SPEC, jobs=1)
+        first = golden_suite(SPEC)
+        second = golden_suite(SPEC)
         assert first.overall_pass
         assert body_lines(first) == body_lines(second)

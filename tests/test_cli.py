@@ -97,6 +97,8 @@ def test_rate_subcommand(capsys):
         ("suite", "--golden", "--theta-min", "1"),
         ("suite",),
         ("rate", "--fn", "binom:2", "--p", "1", "--q", "0"),
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--check", "area-limit",
+         "--r-schedule", "5..6"),
     ],
 )
 def test_usage_and_config_errors_exit_2(capsys, argv):
@@ -123,6 +125,29 @@ def test_json_and_csv_carry_identical_numbers(capsys, tmp_path):
     for jr, cr in zip(jrecs, crecs):
         for col in ("lhs", "rhs", "abs_residual", "rel_residual", "budget"):
             assert float(cr[col]) == jr[col]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("lemma1", "--fn", "const:0.4992-0.5448i", "--p", "0.5", "--q", "0.0",
+          "--r", "0.75", "--z0=0.0+0.0i", "--kernel", "log-r", "--eps-schedule", "4..12"),
+         "slope"),
+        (("rate", "--fn", "binom:0.9", "--p", "2", "--q", "1", "--r-schedule", "2..4"),
+         "beta"),
+    ],
+    ids=["infinite-slope", "nan-beta"],
+)
+def test_non_finite_values_are_null_in_json_and_empty_in_csv(capsys, argv, key):
+    _, out, _ = run_cli(capsys, *argv)
+    recs = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert recs[1][key] is None
+    _, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert next(csv.DictReader(io.StringIO(out_csv)))[key] == ""
 
 
 def test_out_file(capsys, tmp_path):

@@ -44,8 +44,6 @@ def test_mean_params_validation():
         MeanParams(0.0, 1.0)
     with pytest.raises(ValueError):
         MeanParams(1.0, -0.5)
-    with pytest.raises(ValueError):
-        MeanParams(1.0, 0.0, 1.0)
 
 
 # ------------------------------------------------------------------- eval_W

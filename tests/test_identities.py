@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hardylab import asymptotics, identities
 from hardylab.fields import MeanParams
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, ScaledRotation
 from hardylab.quadrature import (
@@ -192,6 +193,10 @@ def test_area_limit_constant():
 def test_area_limit_refuses_non_member():
     with pytest.raises(MembershipRequiredError):
         check_area_limit_identity(Binomial(2.0), MeanParams(1, 0), SPEC)
+
+
+def test_one_membership_error_class_for_all_checks():
+    assert identities.MembershipRequiredError is asymptotics.MembershipRequiredError
 
 
 def test_area_limit_weighted_polynomial():

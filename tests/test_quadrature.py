@@ -21,6 +21,7 @@ from hardylab.quadrature import (
     KERNEL_LOG_ONE_OVER_ABS,
     KERNEL_ONE,
     KERNEL_ONE_MINUS_ABS_SQ,
+    N_GAUSS,
     QuadratureSpec,
     RadiusNearZeroError,
     circle_mean,
@@ -249,7 +250,7 @@ def banded_reference(gfun, s_nodes, weights, angle_scales, n_gauss, level):
 def banded_cell(zeros, a, b):
     """Radial nodes, weights and angle scales of the cell [a, b], built as
     the disk rule builds them for sharp zeros at the given points."""
-    glx, glw = _gauss_rule(SPEC.n_gauss)
+    glx, glw = _gauss_rule(N_GAUSS)
     s = 0.5 * (a + b) + 0.5 * (b - a) * glx
     weights = glw * 0.5 * (b - a) * s
     scales = []
@@ -275,8 +276,8 @@ def test_banded_rule_matches_per_arc_reference(zeros, p, q, level):
 
     for a, b in ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4)):
         s, weights, scales = banded_cell(zeros, a, b)
-        value, nodes = _cell_theta_banded(gfun, s, weights, scales, SPEC.n_gauss, level)
-        ref, ref_nodes, mass = banded_reference(gfun, s, weights, scales, SPEC.n_gauss, level)
+        value, nodes = _cell_theta_banded(gfun, s, weights, scales, N_GAUSS, level)
+        ref, ref_nodes, mass = banded_reference(gfun, s, weights, scales, N_GAUSS, level)
         assert nodes == ref_nodes
         assert abs(value - ref) <= 1e-13 * mass
 
@@ -290,9 +291,9 @@ def test_banded_rule_non_finite_node_is_a_collision():
         return g
 
     with pytest.raises(_CellCollision):
-        _cell_theta_banded(gfun, s, weights, scales, SPEC.n_gauss, 0)
+        _cell_theta_banded(gfun, s, weights, scales, N_GAUSS, 0)
     with pytest.raises(_CellCollision):
-        banded_reference(gfun, s, weights, scales, SPEC.n_gauss, 0)
+        banded_reference(gfun, s, weights, scales, N_GAUSS, 0)
 
 
 # ------------------------------------------------------------- ring integrals
