@@ -12,16 +12,19 @@ Radial cells are graded geometrically
   * toward the modulus of every zero of f whose local mass exponent makes the
     integrand non-smooth there (G scales like |z-z0|^{kp-2} at a zero of
     order k, which is 2D-integrable but pointwise unbounded when kp < 2),
-  * toward the outer rim when the weight (1-|z|^2)^q or a boundary
-    singularity of f lives just outside the domain.
+  * toward the outer rim when the weight (1-|z|^2)^q, or a zero, pole or
+    boundary singularity of f, lives just outside the domain.
 
-Angular node floors scale like coeff * s / dist(feature) so that boundary
-peaks of width (1-r) start out sampled, and the doubling rule does the rest.
-Radial cells that pass close to an off-origin zero with kp < 2 switch to an
-angular rule on arcs graded toward the zero's angle, which converges
-exponentially where the uniform rule would need O(s/dist) nodes.  Such a
-banded cell gathers the Gauss nodes of all its arcs into one angle array
-and makes a single field call, so its cost is per point, not per arc.
+Disk cells have one angular rule for every feature whose angle is known in
+closed form: off-origin zeros with kp < 2 (for G), and zeros, poles and the
+binomial singularity on or outside the rim.  A radial cell that passes
+within 0.2 |w| of such a feature w splits its circles at the features'
+angles and grades each arc geometrically toward its ends, down to the
+angular scale dist/|w|; this converges exponentially where the uniform rule
+would need O(s/dist) nodes.  Such a banded cell gathers the Gauss nodes of
+all its arcs into one angle array and makes a single field call, so its
+cost is per point, not per arc.  Every other cell uses the periodic rule.
+Only circle means start from node floors coeff * s / dist(feature).
 
 Within a cell, node contributions are combined by compensated summation and
 cells are combined with a fixed binary reduction tree, so results are
@@ -46,14 +49,7 @@ from .fields import (
     radial_deriv_w_values,
     w_values,
 )
-from .functions import (
-    AnalyticFunction,
-    Zero,
-    _unit_disk_zeros,
-    feature_moduli,
-    is_boundary_singular,
-    zeros_in_disk,
-)
+from .functions import AnalyticFunction, Zero, feature_moduli, zeros_in_disk
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,9 +229,9 @@ def _circle_quad(
             return total, delta, nodes, doublings, False
 
 
-def _circle_floor(s: float, features: Sequence[tuple[float, float]], n_init: int) -> int:
+def _circle_floor(s: float, features: Sequence[tuple[float, float, float]], n_init: int) -> int:
     demand = float(n_init)
-    for mod, coeff in features:
+    for mod, coeff, _angle in features:
         d = max(abs(s - mod), 1e-6)
         demand = max(demand, coeff * s / d)
     return min(1 << 18, _next_pow2(demand))
@@ -431,12 +427,12 @@ def _cell_theta_banded(
     n_gauss: int,
     level: int,
 ) -> tuple[float, int]:
-    """Cell value for a radial cell that passes close to off-origin zeros.
+    """Cell value for a radial cell that passes close to angular features.
 
-    The circle is split into arcs between the zeros' angles and each arc is
-    integrated by composite Gauss-Legendre graded geometrically toward its
-    endpoints (where g grows like dist^{kp-2}); this converges exponentially
-    where the uniform periodic rule would need O(s/d) nodes.
+    The circle is split into arcs between the features' angles and each arc
+    is integrated by composite Gauss-Legendre graded geometrically toward its
+    endpoints, down to each feature's angular scale; this converges
+    exponentially where the uniform periodic rule would need O(s/d) nodes.
     """
     glx, glw = _gauss_rule(n_gauss)
     angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
@@ -473,8 +469,7 @@ def _disk_once(
     hi: float,
     sings: Sequence[tuple[float, float, bool]],
     end_scales: tuple[float | None, float | None],
-    features: Sequence[tuple[float, float]],
-    sharp_zeros: Sequence[tuple[float, float]],
+    peaks: Sequence[tuple[float, float]],
     spec: QuadratureSpec,
     level: int,
     theta_tol_cell: float,
@@ -485,21 +480,17 @@ def _disk_once(
     theta_err = 0.0
     nodes = 0
     all_conv = True
-    floor_boost = 1 << min(level, 3)
-    # interior zeros are resolved by the radial ladders and the banded rule;
-    # node floors only need to track features outside the integration domain
-    # (boundary singularities, poles, zeros just beyond the rim)
-    rim_features = [(m, c) for m, c in features if m >= hi - 1e-12]
+    n0 = spec.n_theta_init << min(level, 3)
     while work:
         a, b, depth = work.pop(0)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         s = mid + half * glx
         w = glw * half
         weights = w * kernel.radial(s) * s
-        # radial cells passing close to an off-origin zero with unbounded
-        # field get the graded-arc angular rule instead of the periodic one
+        # radial cells passing close to a peak (modulus, angle) get the
+        # graded-arc angular rule instead of the periodic one
         band_scales = []
-        for s0, theta0 in sharp_zeros:
+        for s0, theta0 in peaks:
             d = float(np.min(np.abs(s - s0)))
             if d < 0.2 * s0:
                 band_scales.append((theta0, max(d / s0, 1e-15)))
@@ -510,7 +501,6 @@ def _disk_once(
                 )
                 derr, conv = 0.0, True
             else:
-                n0 = _circle_floor(mid, rim_features, spec.n_theta_init * floor_boost)
                 val, derr, used, conv = _cell_theta(gfun, s, weights, n0, theta_tol_cell)
         except _CellCollision:
             # a node landed on a singular point: subdivide and retry
@@ -548,21 +538,13 @@ def _zero_singularities(
 
 
 def _boundary_scale(
-    f: AnalyticFunction, params: MeanParams, r: float, zeros_outside: Sequence[Zero]
+    params: MeanParams, r: float, features: Sequence[tuple[float, float, float]]
 ) -> float | None:
-    """Analyticity scale just outside |z| = r, if the rim needs grading."""
-    scales = []
-    if is_boundary_singular(f) or (params.q > 0.0 and r >= 0.6):
-        scales.append(1.0 - r)
-    for z in zeros_outside:
-        gap = abs(z.location) - r
-        if 0.0 < gap < 0.2:
-            scales.append(gap)
-    return min(scales) if scales else None
-
-
-def _outside_zeros(f: AnalyticFunction, r: float) -> list[Zero]:
-    return [z for z in _unit_disk_zeros(f) if abs(z.location) >= r]
+    """Analyticity scale just outside |z| = r, if the rim needs grading:
+    the gap to the nearest zero, pole or boundary singularity within 0.2."""
+    scales = [1.0 - r] if params.q > 0.0 and r >= 0.6 else []
+    scales += [m - r for m, _c, _a in features if 0.0 < m - r < 0.2]
+    return min(scales, default=None)
 
 
 def _sharp_zero_angles(zeros: Sequence[Zero], p: float) -> tuple[tuple[float, float], ...]:
@@ -589,14 +571,18 @@ def _disk_integral(
     """Integral of kernel(|z|) * field(z) over the disk (or annulus) of radius r.
 
     mass_shift is the field's extra local mass exponent at a zero (0 for G,
-    2 for W); banded sends cells near sharp zeros to the graded-arc rule.
+    2 for W).  Cells near a feature of f on or outside the rim always get
+    the graded-arc angular rule; banded sends cells near interior sharp
+    zeros (kp < 2) to it as well.
     """
     r = _check_radius(r)
     zeros = zeros_in_disk(f, r)
     sings = _zero_singularities(zeros, params.p, mass_shift, kernel)
-    boundary_scale = _boundary_scale(f, params, r, _outside_zeros(f, r))
     features = feature_moduli(f)
-    sharp_zeros = _sharp_zero_angles(zeros, params.p) if banded else ()
+    boundary_scale = _boundary_scale(params, r, features)
+    peaks = [(m, a) for m, _c, a in features if m >= r]
+    if banded:
+        peaks += _sharp_zero_angles(zeros, params.p)
 
     def gfun(z):
         return field(f, params, z)
@@ -610,8 +596,7 @@ def _disk_integral(
     if force_level is not None:
         theta_tol = 0.125 * 0.25 * spec.rel_tol
         value, terr, nodes, conv = _disk_once(
-            gfun, kernel, s_lo, r, sings, end_scales, features, sharp_zeros,
-            spec, force_level, theta_tol,
+            gfun, kernel, s_lo, r, sings, end_scales, peaks, spec, force_level, theta_tol,
         )
         return IntegralResult(value, terr, nodes, force_level, conv)
     prev = None
@@ -622,8 +607,7 @@ def _disk_integral(
         hint = max(1.0, abs(prev)) if prev is not None else 1.0
         theta_tol = 0.125 * 0.25 * spec.rel_tol * hint
         value, terr, nodes, cells_conv = _disk_once(
-            gfun, kernel, s_lo, r, sings, end_scales, features, sharp_zeros,
-            spec, level, theta_tol,
+            gfun, kernel, s_lo, r, sings, end_scales, peaks, spec, level, theta_tol,
         )
         nodes_total += nodes
         if prev is not None:

@@ -5,6 +5,7 @@ import pytest
 from hardylab import asymptotics, identities
 from hardylab.fields import MeanParams
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, ScaledRotation
+from hardylab.parsing import parse_function
 from hardylab.quadrature import (
     KERNEL_ONE_MINUS_ABS_SQ,
     QuadratureSpec,
@@ -208,6 +209,15 @@ def test_area_limit_weighted_polynomial():
 
 
 # ------------------------------------------------------- residual convergence
+
+@pytest.mark.parametrize("check", [check_growth_identity, check_weighted_area_identity])
+def test_pole_just_outside_rim_converges(check):
+    # 1/(z - 1.001) at r = 0.999: the rim is graded toward the pole's gap
+    f = parse_function("rat:1|-1.001,1")
+    report = check(f, MeanParams(2.0, 0.0), 0.999, SPEC)
+    assert report.converged and report.passed
+    assert report.abs_residual <= 1e-10 * abs(report.rhs)
+
 
 def test_residual_shrinks_with_tolerance():
     f, params, r = Binomial(0.9), MeanParams(2, 0.5), 0.9

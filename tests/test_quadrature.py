@@ -10,8 +10,10 @@ from hardylab.functions import (
     Binomial,
     BlaschkeProduct,
     Polynomial,
+    Rational,
     ScaledRotation,
 )
+from hardylab.parsing import parse_function
 from hardylab.quadrature import (
     _CellCollision,
     _cell_theta_banded,
@@ -159,6 +161,61 @@ def test_disk_w_rejects_log_weight():
         )
 
 
+# Features on or just outside the rim: the binomial singularity (rotated by
+# @phi), a pole and a zero.  Each W integral at p = 2 has a closed form.
+
+def binomial_w_series(alpha, p, r, n_terms=60_000):
+    """pi * sum c_n^2 r^{2n+2} / (n+1) with c_n = (beta)_n / n!, beta = alpha p / 2:
+    the area integral of |1 - z|^{-alpha p} over |z| < r."""
+    beta = 0.5 * alpha * p
+    n = np.arange(n_terms, dtype=float)
+    c = np.concatenate(([1.0], np.cumprod((beta + n[:-1]) / (n[:-1] + 1.0))))
+    return math.pi * math.fsum(c * c * r ** (2 * n + 2) / (n + 1))
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999])
+@pytest.mark.parametrize(
+    "text,alpha,scale",
+    [
+        ("binom:0.9", 0.9, 1.0),
+        ("binom:0.9@1.3", 0.9, 1.0),
+        ("binom:0.6*0.5-0.2i@-2.0", 0.6, 0.5 - 0.2j),
+    ],
+    ids=["binom:0.9", "binom:0.9@1.3", "binom:0.6*0.5-0.2i@-2.0"],
+)
+def test_disk_w_binomial_series(text, alpha, scale, r):
+    f = parse_function(text)
+    res = disk_integral_W(f, MeanParams(2, 0), r, KERNEL_ONE, SPEC)
+    exact = abs(scale) ** 2 * binomial_w_series(alpha, 2.0, r)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-10 * exact
+    if r == 0.999:
+        # one graded-arc rule near the rim, not a uniform circle of s/(1-s) nodes
+        assert res.nodes < 500_000
+
+
+@pytest.mark.parametrize("rotation", [0.0, 2.5])
+@pytest.mark.parametrize("modulus", [1.01, 1.001])
+def test_disk_w_pole_outside_rim(modulus, rotation):
+    # 1/(z - w) at p = 2: pi * sum r^{2n+2} / ((n+1)|w|^{2n+2}) = -pi log(1 - r^2/|w|^2)
+    r = 0.999
+    f = ScaledRotation(Rational(Polynomial((1,)), Polynomial((-modulus, 1))), 1.0, rotation)
+    res = disk_integral_W(f, MeanParams(2, 0), r, KERNEL_ONE, SPEC)
+    exact = -math.pi * math.log(1.0 - r * r / modulus**2)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("modulus,r", [(1.02, 0.99), (1.001, 0.999)])
+def test_disk_w_zero_outside_rim(modulus, r):
+    # |z - w|^2 integrates to pi (|w|^2 r^2 + r^4 / 2) over |z| < r
+    w = modulus * complex(math.cos(0.7), math.sin(0.7))
+    res = disk_integral_W(Polynomial((-w, 1)), MeanParams(2, 0), r, KERNEL_ONE, SPEC)
+    exact = math.pi * (modulus**2 * r**2 + r**4 / 2)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-12 * exact
+
+
 def test_disk_g_scaling_covariance():
     f = Polynomial((0.5, 1))
     g = ScaledRotation(f, 3.0, 0.0)
@@ -247,35 +304,55 @@ def banded_reference(gfun, s_nodes, weights, angle_scales, n_gauss, level):
     return kahan_sum(weights * h_acc), nodes, float(np.sum(np.abs(weights * h_acc)))
 
 
-def banded_cell(zeros, a, b):
+def banded_cell(points, a, b):
     """Radial nodes, weights and angle scales of the cell [a, b], built as
-    the disk rule builds them for sharp zeros at the given points."""
+    the disk rule builds them for features (sharp zeros or rim points) at
+    the given points."""
     glx, glw = _gauss_rule(N_GAUSS)
     s = 0.5 * (a + b) + 0.5 * (b - a) * glx
     weights = glw * 0.5 * (b - a) * s
     scales = []
-    for z0 in zeros:
+    for z0 in points:
         s0 = abs(z0)
         d = float(np.min(np.abs(s - s0)))
         scales.append((math.atan2(z0.imag, z0.real), max(d / s0, 1e-15)))
     return s, weights, scales
 
 
+ZERO_CELLS = ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4))
+
+
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize(
-    "zeros,p,q",
-    [((0.5 + 0j,), 1.0, 0.0), ((0.5 + 0j, 0.5 * np.exp(2.2j)), 1.5, 0.5)],
-    ids=["one-zero", "two-zeros"],
+    "f,points,p,q,cells",
+    [
+        (BlaschkeProduct((0.5,)), (0.5 + 0j,), 1.0, 0.0, ZERO_CELLS),
+        (
+            BlaschkeProduct((0.5, 0.5 * np.exp(2.2j))),
+            (0.5 + 0j, 0.5 * np.exp(2.2j)),
+            1.5,
+            0.5,
+            ZERO_CELLS,
+        ),
+        # the binomial's rim point e^{-1.3i}: one feature, angular scale 1 - s
+        (
+            ScaledRotation(Binomial(0.9), 1.0, 1.3),
+            (np.exp(-1.3j),),
+            2.0,
+            1.0,
+            ((0.85, 0.9), (0.99, 0.999)),
+        ),
+    ],
+    ids=["one-zero", "two-zeros", "rim-point"],
 )
-def test_banded_rule_matches_per_arc_reference(zeros, p, q, level):
-    f = BlaschkeProduct(zeros)
+def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
     params = MeanParams(p, q)
 
     def gfun(z):
         return g_values(f, params, z)
 
-    for a, b in ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4)):
-        s, weights, scales = banded_cell(zeros, a, b)
+    for a, b in cells:
+        s, weights, scales = banded_cell(points, a, b)
         value, nodes = _cell_theta_banded(gfun, s, weights, scales, N_GAUSS, level)
         ref, ref_nodes, mass = banded_reference(gfun, s, weights, scales, N_GAUSS, level)
         assert nodes == ref_nodes
