@@ -21,9 +21,12 @@ binomial singularity on or outside the rim.  A radial cell that passes
 within 0.2 |w| of such a feature w splits its circles at the features'
 angles and grades each arc geometrically toward its ends, down to the
 angular scale dist/|w|; this converges exponentially where the uniform rule
-would need O(s/dist) nodes.  Such a banded cell gathers the Gauss nodes of
-all its arcs into one angle array and makes a single field call, so its
-cost is per point, not per arc.  Every other cell uses the periodic rule.
+would need O(s/dist) nodes.  The graded pieces are cut in two, four, ...
+until they change by at most the cell tolerance in sum, so the arc rule
+estimates its own error as the periodic rule does.  Each pass gathers the
+Gauss nodes of all its arcs into one angle array and makes a single field
+call, so its cost is per point, not per arc.  Every other cell uses the
+periodic rule.
 Only circle means start from node floors coeff * s / dist(feature).
 
 Within a cell, node contributions are combined by compensated summation and
@@ -424,42 +427,51 @@ def _cell_theta_banded(
     s_nodes: np.ndarray,
     weights: np.ndarray,
     angle_scales: Sequence[tuple[float, float]],
-    n_gauss: int,
-    level: int,
-) -> tuple[float, int]:
+    splits: int,
+    tol_abs: float,
+) -> tuple[float, float, int, bool]:
     """Cell value for a radial cell that passes close to angular features.
 
     The circle is split into arcs between the features' angles and each arc
     is integrated by composite Gauss-Legendre graded geometrically toward its
     endpoints, down to each feature's angular scale; this converges
     exponentially where the uniform periodic rule would need O(s/d) nodes.
+    Every graded piece is cut into `splits` equal parts, and the cuts double
+    until the pieces' values change by at most tol_abs in sum.
     """
-    glx, glw = _gauss_rule(n_gauss)
+    glx, glw = _gauss_rule(N_GAUSS)
     angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
-    splits = 1 << min(level, 1)
-    mids: list[float] = []
-    halves: list[float] = []
+    edges: list[float] = []
     for j, (a_j, sc_j) in enumerate(angles):
-        if j + 1 < len(angles):
-            b_j, sc_b = angles[j + 1]
-        else:
-            b_j, sc_b = angles[0][0] + TWO_PI, angles[0][1]
-        pts = _graded_segment(a_j, b_j, sc_j, sc_b)
-        for t1, t2 in zip(pts[:-1], pts[1:]):
-            step = (t2 - t1) / splits
-            for i in range(splits):
-                lo_t, hi_t = t1 + i * step, t1 + (i + 1) * step
-                mids.append(0.5 * (lo_t + hi_t))
-                halves.append(0.5 * (hi_t - lo_t))
-    half = np.array(halves)
-    th = np.array(mids)[:, None] + half[:, None] * glx[None, :]
-    mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * th.ravel())[None, :]), dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise _CellCollision
-    # (n_s, n_arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
-    arc_sums = mat.reshape(len(s_nodes), len(halves), n_gauss) @ glw
-    h = (arc_sums * half).sum(axis=1)
-    return kahan_sum(weights * h), mat.size
+        b_j, sc_b = angles[j + 1] if j + 1 < len(angles) else (angles[0][0] + TWO_PI, angles[0][1])
+        edges += _graded_segment(a_j, b_j, sc_j, sc_b)[int(j > 0):]
+    lo_t, width = np.array(edges[:-1]), np.diff(edges)
+
+    def rule(k: int) -> tuple[np.ndarray, int]:
+        half = np.repeat(0.5 * width / k, k)
+        mids = (lo_t[:, None] + width[:, None] * ((np.arange(k) + 0.5) / k)[None, :]).ravel()
+        th = mids[:, None] + half[:, None] * glx[None, :]
+        mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * th.ravel())[None, :]), dtype=float)
+        if not np.all(np.isfinite(mat)):
+            raise _CellCollision
+        # (n_s, n_arcs, n_gauss) @ glw gives each arc's Gauss sum per radial
+        # node; the k cuts of each graded piece are summed back together
+        arc_sums = (mat.reshape(len(s_nodes), len(half), N_GAUSS) @ glw) * half
+        return arc_sums.reshape(len(s_nodes), len(width), k).sum(axis=2), mat.size
+
+    pieces, nodes = rule(splits)
+    while True:
+        splits *= 2
+        new_pieces, used = rule(splits)
+        # compared piece by piece, so errors of opposite sign cannot cancel
+        delta = float(np.sum(np.abs(weights[:, None] * (new_pieces - pieces))))
+        pieces = new_pieces
+        nodes += used
+        value = kahan_sum(weights * pieces.sum(axis=1))
+        if delta <= tol_abs:
+            return value, delta, nodes, True
+        if len(width) * splits * N_GAUSS >= N_THETA_MAX:
+            return value, delta, nodes, False
 
 
 def _disk_once(
@@ -496,10 +508,9 @@ def _disk_once(
                 band_scales.append((theta0, max(d / s0, 1e-15)))
         try:
             if band_scales:
-                val, used = _cell_theta_banded(
-                    gfun, s, weights, band_scales, N_GAUSS, level
+                val, derr, used, conv = _cell_theta_banded(
+                    gfun, s, weights, band_scales, 1, theta_tol_cell
                 )
-                derr, conv = 0.0, True
             else:
                 val, derr, used, conv = _cell_theta(gfun, s, weights, n0, theta_tol_cell)
         except _CellCollision:
@@ -547,19 +558,20 @@ def _boundary_scale(
     return min(scales, default=None)
 
 
-def _sharp_zero_angles(zeros: Sequence[Zero], p: float) -> tuple[tuple[float, float], ...]:
-    """Off-origin zeros where the Laplacian density is unbounded (kp < 2)."""
+def _sharp_zero_angles(
+    zeros: Sequence[Zero], p: float, mass_shift: float
+) -> tuple[tuple[float, float], ...]:
+    """Off-origin zeros where the field is unbounded (kp + mass_shift < 2)."""
     return tuple(
         (abs(z.location), math.atan2(z.location.imag, z.location.real))
         for z in zeros
-        if abs(z.location) > 0 and z.order * p < 2.0
+        if abs(z.location) > 0 and z.order * p + mass_shift < 2.0
     )
 
 
 def _disk_integral(
     field: Callable[[AnalyticFunction, MeanParams, np.ndarray], np.ndarray],
     mass_shift: float,
-    banded: bool,
     f: AnalyticFunction,
     params: MeanParams,
     r: float,
@@ -571,9 +583,9 @@ def _disk_integral(
     """Integral of kernel(|z|) * field(z) over the disk (or annulus) of radius r.
 
     mass_shift is the field's extra local mass exponent at a zero (0 for G,
-    2 for W).  Cells near a feature of f on or outside the rim always get
-    the graded-arc angular rule; banded sends cells near interior sharp
-    zeros (kp < 2) to it as well.
+    2 for W).  Cells near a feature of f on or outside the rim, or near an
+    interior zero where the field is unbounded (kp + mass_shift < 2, so G
+    only), get the graded-arc angular rule.
     """
     r = _check_radius(r)
     zeros = zeros_in_disk(f, r)
@@ -581,8 +593,7 @@ def _disk_integral(
     features = feature_moduli(f)
     boundary_scale = _boundary_scale(params, r, features)
     peaks = [(m, a) for m, _c, a in features if m >= r]
-    if banded:
-        peaks += _sharp_zero_angles(zeros, params.p)
+    peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
 
     def gfun(z):
         return field(f, params, z)
@@ -628,7 +639,7 @@ def disk_integral_G(
     force_level: int | None = None,
 ) -> IntegralResult:
     """Integral of kernel(|z|) * G(z) over the disk (or annulus) of radius r."""
-    return _disk_integral(g_values, 0.0, True, f, params, r, kernel, spec, s_lo, force_level)
+    return _disk_integral(g_values, 0.0, f, params, r, kernel, spec, s_lo, force_level)
 
 
 def disk_integral_W(
@@ -643,7 +654,7 @@ def disk_integral_W(
     """Integral of weight(|z|) * W(z); weight is ONE or ONE_MINUS_ABS_SQ."""
     if weight.name not in ("one", "one-minus-abs-sq"):
         raise ValueError("disk_integral_W supports weights ONE and ONE_MINUS_ABS_SQ")
-    return _disk_integral(w_values, 2.0, False, f, params, r, weight, spec, s_lo, force_level)
+    return _disk_integral(w_values, 2.0, f, params, r, weight, spec, s_lo, force_level)
 
 
 # --------------------------------------------------------------------------
