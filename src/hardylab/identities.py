@@ -6,12 +6,20 @@ criterion is budget-dominated, so an honest coarse mesh cannot produce a
 false failure.  Finite-r identities are the primary surface; the r -> 1
 limit form is probed by Richardson extrapolation along r = 1 - 2^-j with an
 empirically fitted order.
+
+The five finite-r checks at one (f, p, q, r) share one memoised bundle,
+`evaluate_radius`: one usable radius, the circle mean of W and its
+derivative, and the area integrals of G under the four radial kernels from
+one disk mesh.  Each checker is algebra over that bundle.  The circle side
+and the disk side of the bundle stay independent routes, so sharing them
+does not make the two sides of an identity agree by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from .quadrature import (
     KERNEL_LOG_ONE_OVER_ABS,
     KERNEL_ONE,
     KERNEL_ONE_MINUS_ABS_SQ,
+    IntegralResult,
     Kernel,
     TWO_PI,
     QuadratureSpec,
@@ -39,6 +48,7 @@ from .quadrature import (
     circle_mean_deriv,
     disk_integral_G,
     disk_integral_W,
+    disk_integrals_G,
     kernel_log_r_over_abs,
     ring_integral,
 )
@@ -53,6 +63,10 @@ IDENTITY_TAGS = (
 )
 
 DEFAULT_R_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(1, 11))
+
+# radius bundles kept by evaluate_radius; the golden suite revisits a point
+# (its Hardy-Stein check) at most 11 evaluations later
+BUNDLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -127,17 +141,57 @@ def _report(
     )
 
 
+@dataclass(frozen=True)
+class RadiusBundle:
+    """The circle-side and disk-side integrals the finite-r checks share at
+    one usable radius r: the circle mean of W, its r-derivative, and the
+    area integrals of G under the four radial kernels."""
+
+    r: float
+    mean: IntegralResult
+    deriv: IntegralResult
+    g_one: IntegralResult
+    g_log_r: IntegralResult
+    g_log_unit: IntegralResult
+    g_one_minus_abs_sq: IntegralResult
+
+
+@lru_cache(maxsize=BUNDLE_CACHE_SIZE)
+def evaluate_radius(
+    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
+) -> RadiusBundle:
+    """Integrals of the finite-r checks at (f, params, r), from one G mesh.
+
+    Memoised, so the checks at one point share a single evaluation."""
+    r = usable_radius(f, r, params.p)
+    g_one, g_log_r, g_log_unit, g_one_minus_abs_sq = disk_integrals_G(
+        f,
+        params,
+        r,
+        (KERNEL_ONE, kernel_log_r_over_abs(r), KERNEL_LOG_ONE_OVER_ABS, KERNEL_ONE_MINUS_ABS_SQ),
+        spec,
+    )
+    return RadiusBundle(
+        r=r,
+        mean=circle_mean(f, params, r, spec),
+        deriv=circle_mean_deriv(f, params, r, spec),
+        g_one=g_one,
+        g_log_r=g_log_r,
+        g_log_unit=g_log_unit,
+        g_one_minus_abs_sq=g_one_minus_abs_sq,
+    )
+
+
 def check_growth_identity(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IdentityReport:
     """2 pi r * d(mean)/dr against the plain area integral of G over D_r."""
-    r = usable_radius(f, r, params.p)
-    d = circle_mean_deriv(f, params, r, spec)
-    g = disk_integral_G(f, params, r, KERNEL_ONE, spec)
-    lhs = TWO_PI * r * d.value
-    budget = TWO_PI * r * d.error_estimate + g.error_estimate
+    b = evaluate_radius(f, params, r, spec)
+    d, g = b.deriv, b.g_one
+    lhs = TWO_PI * b.r * d.value
+    budget = TWO_PI * b.r * d.error_estimate + g.error_estimate
     return _report(
-        "growth", f, params, r, lhs, g.value, budget, spec,
+        "growth", f, params, b.r, lhs, g.value, budget, spec,
         converged=d.converged and g.converged,
     )
 
@@ -147,14 +201,13 @@ def check_log_r_identity(
 ) -> IdentityReport:
     """Circle integral of W minus 2 pi |f(0)|^p against the log(r/|z|)-kernel
     area integral of G over D_r."""
-    r = usable_radius(f, r)
-    cm = circle_mean(f, params, r, spec)
-    g = disk_integral_G(f, params, r, kernel_log_r_over_abs(r), spec)
+    b = evaluate_radius(f, params, r, spec)
+    cm, g = b.mean, b.g_log_r
     f0p = abs(eval_at(f, 0.0)) ** params.p
     lhs = TWO_PI * cm.value - TWO_PI * f0p
     budget = TWO_PI * cm.error_estimate + g.error_estimate
     return _report(
-        "log-r", f, params, r, lhs, g.value, budget, spec,
+        "log-r", f, params, b.r, lhs, g.value, budget, spec,
         converged=cm.converged and g.converged,
     )
 
@@ -164,10 +217,8 @@ def check_log_unit_identity(
 ) -> IdentityReport:
     """Three-term boundary expression against the log(1/|z|)-kernel area
     integral of G over D_r."""
-    r = usable_radius(f, r, params.p)
-    cm = circle_mean(f, params, r, spec)
-    d = circle_mean_deriv(f, params, r, spec)
-    g = disk_integral_G(f, params, r, KERNEL_LOG_ONE_OVER_ABS, spec)
+    b = evaluate_radius(f, params, r, spec)
+    r, cm, d, g = b.r, b.mean, b.deriv, b.g_log_unit
     f0p = abs(eval_at(f, 0.0)) ** params.p
     lhs = TWO_PI * cm.value - TWO_PI * r * math.log(r) * d.value - TWO_PI * f0p
     budget = (
@@ -186,11 +237,9 @@ def check_weighted_area_identity(
 ) -> IdentityReport:
     """(1-|z|^2)-kernel area integral of G plus 4x the area integral of W
     against the boundary flux r * int[(1-r^2) dW/dr + 2 r W] d theta."""
-    r = usable_radius(f, r, params.p)
-    g = disk_integral_G(f, params, r, KERNEL_ONE_MINUS_ABS_SQ, spec)
+    b = evaluate_radius(f, params, r, spec)
+    r, cm, d, g = b.r, b.mean, b.deriv, b.g_one_minus_abs_sq
     w = disk_integral_W(f, params, r, KERNEL_ONE, spec)
-    cm = circle_mean(f, params, r, spec)
-    d = circle_mean_deriv(f, params, r, spec)
     lhs = g.value + 4.0 * w.value
     rhs = TWO_PI * r * ((1.0 - r * r) * d.value + 2.0 * r * cm.value)
     budget = (
@@ -212,15 +261,14 @@ def check_hardy_stein(
     log(r/|z|)-kernel area integral of |f|^{p-2}|f'|^2 (the q = 0 case of the
     log-r identity divided by 2 pi)."""
     params = MeanParams(p, 0.0)
-    r = usable_radius(f, r)
-    cm = circle_mean(f, params, r, spec)
-    g = disk_integral_G(f, params, r, kernel_log_r_over_abs(r), spec)
+    b = evaluate_radius(f, params, r, spec)
+    cm, g = b.mean, b.g_log_r
     f0p = abs(eval_at(f, 0.0)) ** p
     lhs = cm.value
     rhs = f0p + g.value / TWO_PI
     budget = cm.error_estimate + g.error_estimate / TWO_PI
     return _report(
-        "hardy-stein", f, params, r, lhs, rhs, budget, spec,
+        "hardy-stein", f, params, b.r, lhs, rhs, budget, spec,
         converged=cm.converged and g.converged,
     )
 

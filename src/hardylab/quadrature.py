@@ -6,6 +6,13 @@ angle, and node reuse makes doubling cheap).  Disk integrals use a polar
 product mesh: radial cells with Gauss-Legendre nodes, each circle of nodes
 integrated by the same adaptive periodic rule.
 
+One disk mesh serves a stack of radial kernels.  The kernels are weight rows
+over the same radial nodes: the angular sums of a cell are computed once and
+each row reduces them, so several kernels cost one set of field evaluations.
+Every kernel keeps its own tolerance, error estimate and converged flag, and
+a cell or level refines until every kernel meets its own; the radial grading
+is the union of what the kernels need.
+
 Radial cells are graded geometrically
 
   * toward the origin for logarithmic kernels,
@@ -372,21 +379,30 @@ class _CellCollision(Exception):
     pass
 
 
+def _row_sums(weights: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Compensated sum of weights[k] * h for every kernel row k."""
+    return np.array([kahan_sum(row * h) for row in weights])
+
+
 def _cell_theta(
     gfun: Callable[[np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
     weights: np.ndarray,
     n0: int,
-    tol_abs: float,
-) -> tuple[float, float, int, bool]:
-    """Cell value sum_i weights_i * (theta-integral of g on circle s_i)."""
+    tol_abs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Cell values sum_i weights[k, i] * (theta-integral of g on circle s_i).
+
+    One row of weights per kernel; the angular sums are kernel-free, and the
+    doubling stops once every row's change is within its own tol_abs[k].
+    """
     n = n0
     theta = TWO_PI * np.arange(n) / n
     mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * theta)[None, :]), dtype=float)
     if not np.all(np.isfinite(mat)):
         raise _CellCollision
     h = (TWO_PI / n) * mat.sum(axis=1)
-    value = kahan_sum(weights * h)
+    values = _row_sums(weights, h)
     nodes = mat.size
     while True:
         mid = TWO_PI * (np.arange(n) + 0.5) / n
@@ -394,15 +410,14 @@ def _cell_theta(
         if not np.all(np.isfinite(mat)):
             raise _CellCollision
         h = 0.5 * h + (math.pi / n) * mat.sum(axis=1)
-        new_value = kahan_sum(weights * h)
-        delta = abs(new_value - value)
-        value = new_value
+        new_values = _row_sums(weights, h)
+        deltas = np.abs(new_values - values)
+        values = new_values
         nodes += mat.size
         n *= 2
-        if delta <= tol_abs:
-            return value, delta, nodes, True
-        if n >= N_THETA_MAX:
-            return value, delta, nodes, False
+        conv = deltas <= tol_abs
+        if conv.all() or n >= N_THETA_MAX:
+            return values, deltas, nodes, conv
 
 
 def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[float]:
@@ -428,16 +443,17 @@ def _cell_theta_banded(
     weights: np.ndarray,
     angle_scales: Sequence[tuple[float, float]],
     splits: int,
-    tol_abs: float,
-) -> tuple[float, float, int, bool]:
-    """Cell value for a radial cell that passes close to angular features.
+    tol_abs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Cell values for a radial cell that passes close to angular features.
 
     The circle is split into arcs between the features' angles and each arc
     is integrated by composite Gauss-Legendre graded geometrically toward its
     endpoints, down to each feature's angular scale; this converges
     exponentially where the uniform periodic rule would need O(s/d) nodes.
     Every graded piece is cut into `splits` equal parts, and the cuts double
-    until the pieces' values change by at most tol_abs in sum.
+    until, for every kernel row k of weights, the pieces' values change by
+    at most tol_abs[k] in sum.
     """
     glx, glw = _gauss_rule(N_GAUSS)
     angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
@@ -463,20 +479,20 @@ def _cell_theta_banded(
     while True:
         splits *= 2
         new_pieces, used = rule(splits)
+        change = new_pieces - pieces
         # compared piece by piece, so errors of opposite sign cannot cancel
-        delta = float(np.sum(np.abs(weights[:, None] * (new_pieces - pieces))))
+        deltas = np.array([float(np.sum(np.abs(row[:, None] * change))) for row in weights])
         pieces = new_pieces
         nodes += used
-        value = kahan_sum(weights * pieces.sum(axis=1))
-        if delta <= tol_abs:
-            return value, delta, nodes, True
-        if len(width) * splits * N_GAUSS >= N_THETA_MAX:
-            return value, delta, nodes, False
+        values = _row_sums(weights, pieces.sum(axis=1))
+        conv = deltas <= tol_abs
+        if conv.all() or len(width) * splits * N_GAUSS >= N_THETA_MAX:
+            return values, deltas, nodes, conv
 
 
 def _disk_once(
     gfun: Callable[[np.ndarray], np.ndarray],
-    kernel: Kernel,
+    kernels: Sequence[Kernel],
     lo: float,
     hi: float,
     sings: Sequence[tuple[float, float, bool]],
@@ -484,21 +500,21 @@ def _disk_once(
     peaks: Sequence[tuple[float, float]],
     spec: QuadratureSpec,
     level: int,
-    theta_tol_cell: float,
-) -> tuple[float, float, int, bool]:
+    theta_tol_cell: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     glx, glw = _gauss_rule(N_GAUSS)
     work = [(a, b, 0) for a, b in _radial_partition(lo, hi, sings, end_scales, spec, level)]
-    cell_values: list[float] = []
-    theta_err = 0.0
+    cell_values: list[np.ndarray] = []
+    theta_err = np.zeros(len(kernels))
     nodes = 0
-    all_conv = True
+    all_conv = np.ones(len(kernels), dtype=bool)
     n0 = spec.n_theta_init << min(level, 3)
     while work:
         a, b, depth = work.pop(0)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         s = mid + half * glx
         w = glw * half
-        weights = w * kernel.radial(s) * s
+        weights = np.array([w * kernel.radial(s) * s for kernel in kernels])
         # radial cells passing close to a peak (modulus, angle) get the
         # graded-arc angular rule instead of the periodic one
         band_scales = []
@@ -508,11 +524,11 @@ def _disk_once(
                 band_scales.append((theta0, max(d / s0, 1e-15)))
         try:
             if band_scales:
-                val, derr, used, conv = _cell_theta_banded(
+                vals, derr, used, conv = _cell_theta_banded(
                     gfun, s, weights, band_scales, 1, theta_tol_cell
                 )
             else:
-                val, derr, used, conv = _cell_theta(gfun, s, weights, n0, theta_tol_cell)
+                vals, derr, used, conv = _cell_theta(gfun, s, weights, n0, theta_tol_cell)
         except _CellCollision:
             # a node landed on a singular point: subdivide and retry
             if depth >= spec.max_grade_depth:
@@ -522,27 +538,28 @@ def _disk_once(
             work.insert(0, (mid, b, depth + 1))
             work.insert(0, (a, mid, depth + 1))
             continue
-        cell_values.append(val)
+        cell_values.append(vals)
         theta_err += derr
         nodes += used
-        all_conv = all_conv and conv
-    return tree_sum(cell_values), theta_err, nodes, all_conv
+        all_conv &= conv
+    totals = np.array([tree_sum([v[k] for v in cell_values]) for k in range(len(kernels))])
+    return totals, theta_err, nodes, all_conv
 
 
 def _zero_singularities(
-    zeros: Sequence[Zero], p: float, mass_shift: float, kernel: Kernel
+    zeros: Sequence[Zero], p: float, mass_shift: float, log_origin: bool
 ) -> list[tuple[float, float, bool]]:
     """Radial grading directives: (radius, local mass exponent, log bump).
 
     The 2D mass of G within distance d of a zero of order k scales like
-    d^{kp} (for W like d^{kp+2}); a log kernel at the origin adds one level.
+    d^{kp} (for W like d^{kp+2}); a kernel with a log singularity at the
+    origin (log_origin) adds one level there.
     """
     sings = []
     for z in zeros:
         s0 = abs(z.location)
-        log_bump = kernel.singular_at_origin and s0 == 0.0
-        sings.append((s0, z.order * p + mass_shift, log_bump))
-    if kernel.singular_at_origin and all(abs(z.location) > 0 for z in zeros):
+        sings.append((s0, z.order * p + mass_shift, log_origin and s0 == 0.0))
+    if log_origin and all(abs(z.location) > 0 for z in zeros):
         # pure log singularity over a smooth field: mass ~ d^2 log(1/d)
         sings.append((0.0, 2.0, True))
     return sings
@@ -575,21 +592,26 @@ def _disk_integral(
     f: AnalyticFunction,
     params: MeanParams,
     r: float,
-    kernel: Kernel,
+    kernels: Sequence[Kernel],
     spec: QuadratureSpec,
     s_lo: float,
     force_level: int | None,
-) -> IntegralResult:
-    """Integral of kernel(|z|) * field(z) over the disk (or annulus) of radius r.
+) -> list[IntegralResult]:
+    """Integrals of kernel(|z|) * field(z) over the disk (or annulus) of
+    radius r, one per kernel, from one mesh.
 
-    mass_shift is the field's extra local mass exponent at a zero (0 for G,
-    2 for W).  Cells near a feature of f on or outside the rim, or near an
-    interior zero where the field is unbounded (kp + mass_shift < 2, so G
-    only), get the graded-arc angular rule.
+    The kernels are weight rows over the same nodes, and the mesh grades
+    toward the union of their singular radii.  Each kernel has its own
+    tolerance, error estimate and converged flag; refinement stops once
+    every kernel meets its own.  mass_shift is the field's extra local mass
+    exponent at a zero (0 for G, 2 for W).  Cells near a feature of f on or
+    outside the rim, or near an interior zero where the field is unbounded
+    (kp + mass_shift < 2, so G only), get the graded-arc angular rule.
     """
     r = _check_radius(r)
     zeros = zeros_in_disk(f, r)
-    sings = _zero_singularities(zeros, params.p, mass_shift, kernel)
+    log_origin = any(kernel.singular_at_origin for kernel in kernels)
+    sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
     features = feature_moduli(f)
     boundary_scale = _boundary_scale(params, r, features)
     peaks = [(m, a) for m, _c, a in features if m >= r]
@@ -604,29 +626,39 @@ def _disk_integral(
         if below:
             lo_scale = min(below)
     end_scales = (lo_scale, boundary_scale)
+
+    def results(values, errs, nodes, level, conv):
+        return [
+            IntegralResult(float(v), float(e), nodes, level, bool(c))
+            for v, e, c in zip(values, errs, conv)
+        ]
+
+    ones = np.ones(len(kernels))
     if force_level is not None:
-        theta_tol = 0.125 * 0.25 * spec.rel_tol
-        value, terr, nodes, conv = _disk_once(
-            gfun, kernel, s_lo, r, sings, end_scales, peaks, spec, force_level, theta_tol,
+        theta_tol = 0.125 * 0.25 * spec.rel_tol * ones
+        values, terr, nodes, conv = _disk_once(
+            gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, force_level, theta_tol,
         )
-        return IntegralResult(value, terr, nodes, force_level, conv)
+        return results(values, terr, nodes, force_level, conv)
     prev = None
     nodes_total = 0
-    err = math.inf
-    value = math.nan
+    err = np.full(len(kernels), math.inf)
+    values = np.full(len(kernels), math.nan)
+    conv = np.zeros(len(kernels), dtype=bool)
     for level in range(MAX_LEVELS):
-        hint = max(1.0, abs(prev)) if prev is not None else 1.0
+        hint = np.maximum(1.0, np.abs(prev)) if prev is not None else ones
         theta_tol = 0.125 * 0.25 * spec.rel_tol * hint
-        value, terr, nodes, cells_conv = _disk_once(
-            gfun, kernel, s_lo, r, sings, end_scales, peaks, spec, level, theta_tol,
+        values, terr, nodes, cells_conv = _disk_once(
+            gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, level, theta_tol,
         )
         nodes_total += nodes
         if prev is not None:
-            err = abs(value - prev) + terr
-            if err <= spec.rel_tol * max(1.0, abs(value)) and cells_conv:
-                return IntegralResult(value, err, nodes_total, level, True)
-        prev = value
-    return IntegralResult(value, err, nodes_total, MAX_LEVELS - 1, False)
+            err = np.abs(values - prev) + terr
+            conv = (err <= spec.rel_tol * np.maximum(1.0, np.abs(values))) & cells_conv
+            if conv.all():
+                return results(values, err, nodes_total, level, conv)
+        prev = values
+    return results(values, err, nodes_total, MAX_LEVELS - 1, conv)
 
 
 def disk_integral_G(
@@ -639,7 +671,19 @@ def disk_integral_G(
     force_level: int | None = None,
 ) -> IntegralResult:
     """Integral of kernel(|z|) * G(z) over the disk (or annulus) of radius r."""
-    return _disk_integral(g_values, 0.0, f, params, r, kernel, spec, s_lo, force_level)
+    return _disk_integral(g_values, 0.0, f, params, r, (kernel,), spec, s_lo, force_level)[0]
+
+
+def disk_integrals_G(
+    f: AnalyticFunction,
+    params: MeanParams,
+    r: float,
+    kernels: Sequence[Kernel],
+    spec: QuadratureSpec,
+) -> list[IntegralResult]:
+    """Integrals of kernel(|z|) * G(z) over the disk of radius r, one per
+    kernel, all from one mesh."""
+    return _disk_integral(g_values, 0.0, f, params, r, tuple(kernels), spec, 0.0, None)
 
 
 def disk_integral_W(
@@ -654,7 +698,7 @@ def disk_integral_W(
     """Integral of weight(|z|) * W(z); weight is ONE or ONE_MINUS_ABS_SQ."""
     if weight.name not in ("one", "one-minus-abs-sq"):
         raise ValueError("disk_integral_W supports weights ONE and ONE_MINUS_ABS_SQ")
-    return _disk_integral(w_values, 2.0, f, params, r, weight, spec, s_lo, force_level)
+    return _disk_integral(w_values, 2.0, f, params, r, (weight,), spec, s_lo, force_level)[0]
 
 
 # --------------------------------------------------------------------------

@@ -52,6 +52,20 @@ def test_identity_multiple_checks(capsys):
     assert tags == ["growth", "log-r", "log-unit", "weighted-area"]
 
 
+def test_identity_checks_share_one_radius(capsys):
+    # a zero 5e-7 inside |z| = r at p < 1: every check must move to the same
+    # radius, the one the mean derivative needs; this input sits in the
+    # sharp-zero regime, so only r and the exit code are asserted
+    code, out, _ = run_cli(
+        capsys,
+        "identity", "--fn", "poly:-0.5,1", "--p", "0.5", "--q", "0", "--r", "0.5000005",
+        "--check", "growth,log-r,log-unit,weighted-area,hardy-stein",
+    )
+    assert code == 1
+    radii = {rec["r"] for rec in records(out) if rec["record"] == "identity"}
+    assert radii == {0.5000015}
+
+
 def test_deriv_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "deriv", "--fn", "poly:0,0,1", "--p", "2", "--q", "0", "--r", "0.8"

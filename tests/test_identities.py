@@ -6,6 +6,7 @@ from hardylab import asymptotics, identities
 from hardylab.fields import MeanParams
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, ScaledRotation
 from hardylab.parsing import parse_function
+from hardylab.report import SuiteReport, body_lines
 from hardylab.quadrature import (
     KERNEL_ONE_MINUS_ABS_SQ,
     QuadratureSpec,
@@ -19,6 +20,7 @@ from hardylab.identities import (
     check_log_r_identity,
     check_log_unit_identity,
     check_weighted_area_identity,
+    evaluate_radius,
     ring_limit_probe,
     run_identity_check,
     usable_radius,
@@ -328,3 +330,24 @@ def test_run_identity_check_dispatch():
     assert rep.identity == "growth"
     with pytest.raises(ValueError):
         run_identity_check("nope", monomial(1), MeanParams(2, 0), 0.5, SPEC)
+
+
+# ------------------------------------------------------------ shared bundle
+
+FINITE_TAGS = ("growth", "log-r", "log-unit", "weighted-area", "hardy-stein")
+
+
+def test_finite_checks_share_one_radius_bundle():
+    f, params, r = BlaschkeProduct((0.5,)), MeanParams(1.5, 0.0), 0.9
+
+    def body(rep):
+        return body_lines(SuiteReport(timestamp="", config={}, entries=[rep]))
+
+    evaluate_radius.cache_clear()
+    together = [run_identity_check(tag, f, params, r, SPEC) for tag in FINITE_TAGS]
+    info = evaluate_radius.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    for tag, rep in zip(FINITE_TAGS, together):
+        evaluate_radius.cache_clear()
+        alone = run_identity_check(tag, f, params, r, SPEC)
+        assert body(alone) == body(rep), tag

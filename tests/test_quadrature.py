@@ -30,6 +30,7 @@ from hardylab.quadrature import (
     circle_mean_deriv,
     disk_integral_G,
     disk_integral_W,
+    disk_integrals_G,
     kernel_log_r_over_abs,
     ring_integral,
 )
@@ -139,6 +140,30 @@ def test_disk_g_log_kernel_closed_form():
         monomial(1), MeanParams(2, 0), 0.5, kernel_log_r_over_abs(0.5), SPEC
     )
     assert res.value == pytest.approx(2 * math.pi * 0.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_disk_integrals_g_every_kernel_closed_form(n, p):
+    # f = z^n at q = 0 has mean r^a with a = np, so G = a^2 |z|^{a-2}
+    r, a = 0.8, n * p
+    kernels = (
+        KERNEL_ONE,
+        kernel_log_r_over_abs(r),
+        KERNEL_LOG_ONE_OVER_ABS,
+        KERNEL_ONE_MINUS_ABS_SQ,
+    )
+    closed = (
+        TWO_PI * a * r**a,
+        TWO_PI * r**a,
+        TWO_PI * r**a * (1.0 - a * math.log(r)),
+        TWO_PI * (a * r**a - a * a * r ** (a + 2) / (a + 2)),
+    )
+    results = disk_integrals_G(monomial(n), MeanParams(p, 0), r, kernels, SPEC)
+    assert len(results) == len(kernels)
+    for kernel, res, exact in zip(kernels, results, closed):
+        assert res.converged, kernel.name
+        assert res.value == pytest.approx(exact, rel=1e-9), kernel.name
 
 
 def test_disk_w_monomial():
@@ -382,7 +407,9 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
 
     for a, b in cells:
         s, weights, scales = banded_cell(points, a, b)
-        value, delta, nodes, conv = _cell_theta_banded(gfun, s, weights, scales, splits, math.inf)
+        (value,), (delta,), nodes, (conv,) = _cell_theta_banded(
+            gfun, s, weights[None, :], scales, splits, math.inf
+        )
         coarse, coarse_nodes = banded_reference(gfun, s, weights, scales, splits)
         fine, fine_nodes = banded_reference(gfun, s, weights, scales, 2 * splits)
         mass = float(np.sum(np.abs(weights[:, None] * fine)))
@@ -402,7 +429,7 @@ def test_banded_rule_non_finite_node_is_a_collision():
         return g
 
     with pytest.raises(_CellCollision):
-        _cell_theta_banded(gfun, s, weights, scales, 1, math.inf)
+        _cell_theta_banded(gfun, s, weights[None, :], scales, 1, math.inf)
     with pytest.raises(_CellCollision):
         banded_reference(gfun, s, weights, scales, 1)
 
