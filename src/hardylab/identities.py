@@ -64,8 +64,8 @@ IDENTITY_TAGS = (
 
 DEFAULT_R_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(1, 11))
 
-# radius bundles kept by evaluate_radius; the golden suite revisits a point
-# (its Hardy-Stein check) at most 11 evaluations later
+# radius bundles kept by evaluate_radius; in the golden suite's order every
+# revisit of a point (its later Hardy-Stein check) hits with 8 of them
 BUNDLE_CACHE_SIZE = 32
 
 
@@ -87,7 +87,7 @@ class IdentityReport:
     info: dict = field(default_factory=dict)
 
 
-def usable_radius(f: AnalyticFunction, r: float, p: float | None = None) -> float:
+def usable_radius(f: AnalyticFunction, r: float, p: float) -> float:
     """Perturb r upward by 1e-6 while a zero sits on a guard ring.
 
     Covers both the zero-enumeration guard (1e-8) and, when p < 1, the wider
@@ -98,7 +98,7 @@ def usable_radius(f: AnalyticFunction, r: float, p: float | None = None) -> floa
             zeros_in_disk(f, r)
         except CircleProximityError:
             clear = False
-        if clear and p is not None and p < 1.0:
+        if clear and p < 1.0:
             clear = all(
                 abs(abs(z.location) - r) >= 1.1e-6 for z in _unit_disk_zeros(f)
             )

@@ -379,21 +379,22 @@ class _CellCollision(Exception):
     pass
 
 
-def _row_sums(weights: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Compensated sum of weights[k] * h for every kernel row k."""
-    return np.array([kahan_sum(row * h) for row in weights])
+def _row_sums(weights: Sequence[np.ndarray], h: np.ndarray) -> list[float]:
+    """Compensated sum of row * h for every kernel's weight row."""
+    # Python floats, not numpy scalars, make the Kahan loop about twice as fast
+    return [kahan_sum((row * h).tolist()) for row in weights]
 
 
 def _cell_theta(
     gfun: Callable[[np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
-    weights: np.ndarray,
+    weights: Sequence[np.ndarray],
     n0: int,
-    tol_abs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Cell values sum_i weights[k, i] * (theta-integral of g on circle s_i).
+    tol_abs: Sequence[float],
+) -> tuple[list[float], list[float], int, list[bool]]:
+    """Cell values sum_i weights[k][i] * (theta-integral of g on circle s_i).
 
-    One row of weights per kernel; the angular sums are kernel-free, and the
+    One weight row per kernel; the angular sums are kernel-free, and the
     doubling stops once every row's change is within its own tol_abs[k].
     """
     n = n0
@@ -411,12 +412,12 @@ def _cell_theta(
             raise _CellCollision
         h = 0.5 * h + (math.pi / n) * mat.sum(axis=1)
         new_values = _row_sums(weights, h)
-        deltas = np.abs(new_values - values)
+        deltas = [abs(new - old) for new, old in zip(new_values, values)]
         values = new_values
         nodes += mat.size
         n *= 2
-        conv = deltas <= tol_abs
-        if conv.all() or n >= N_THETA_MAX:
+        conv = [d <= t for d, t in zip(deltas, tol_abs)]
+        if all(conv) or n >= N_THETA_MAX:
             return values, deltas, nodes, conv
 
 
@@ -440,11 +441,11 @@ def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[
 def _cell_theta_banded(
     gfun: Callable[[np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
-    weights: np.ndarray,
+    weights: Sequence[np.ndarray],
     angle_scales: Sequence[tuple[float, float]],
     splits: int,
-    tol_abs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    tol_abs: Sequence[float],
+) -> tuple[list[float], list[float], int, list[bool]]:
     """Cell values for a radial cell that passes close to angular features.
 
     The circle is split into arcs between the features' angles and each arc
@@ -481,12 +482,12 @@ def _cell_theta_banded(
         new_pieces, used = rule(splits)
         change = new_pieces - pieces
         # compared piece by piece, so errors of opposite sign cannot cancel
-        deltas = np.array([float(np.sum(np.abs(row[:, None] * change))) for row in weights])
+        deltas = [float(np.sum(np.abs(row[:, None] * change))) for row in weights]
         pieces = new_pieces
         nodes += used
         values = _row_sums(weights, pieces.sum(axis=1))
-        conv = deltas <= tol_abs
-        if conv.all() or len(width) * splits * N_GAUSS >= N_THETA_MAX:
+        conv = [d <= t for d, t in zip(deltas, tol_abs)]
+        if all(conv) or len(width) * splits * N_GAUSS >= N_THETA_MAX:
             return values, deltas, nodes, conv
 
 
@@ -500,21 +501,21 @@ def _disk_once(
     peaks: Sequence[tuple[float, float]],
     spec: QuadratureSpec,
     level: int,
-    theta_tol_cell: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    theta_tol_cell: Sequence[float],
+) -> tuple[list[float], list[float], int, list[bool]]:
     glx, glw = _gauss_rule(N_GAUSS)
     work = [(a, b, 0) for a, b in _radial_partition(lo, hi, sings, end_scales, spec, level)]
-    cell_values: list[np.ndarray] = []
-    theta_err = np.zeros(len(kernels))
+    cell_values: list[list[float]] = []
+    theta_err = [0.0] * len(kernels)
     nodes = 0
-    all_conv = np.ones(len(kernels), dtype=bool)
+    all_conv = [True] * len(kernels)
     n0 = spec.n_theta_init << min(level, 3)
     while work:
         a, b, depth = work.pop(0)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         s = mid + half * glx
         w = glw * half
-        weights = np.array([w * kernel.radial(s) * s for kernel in kernels])
+        weights = [w * kernel.radial(s) * s for kernel in kernels]
         # radial cells passing close to a peak (modulus, angle) get the
         # graded-arc angular rule instead of the periodic one
         band_scales = []
@@ -539,11 +540,10 @@ def _disk_once(
             work.insert(0, (a, mid, depth + 1))
             continue
         cell_values.append(vals)
-        theta_err += derr
+        theta_err = [e + d for e, d in zip(theta_err, derr)]
         nodes += used
-        all_conv &= conv
-    totals = np.array([tree_sum([v[k] for v in cell_values]) for k in range(len(kernels))])
-    return totals, theta_err, nodes, all_conv
+        all_conv = [a and c for a, c in zip(all_conv, conv)]
+    return [tree_sum(col) for col in zip(*cell_values)], theta_err, nodes, all_conv
 
 
 def _zero_singularities(
@@ -628,34 +628,34 @@ def _disk_integral(
     end_scales = (lo_scale, boundary_scale)
 
     def results(values, errs, nodes, level, conv):
-        return [
-            IntegralResult(float(v), float(e), nodes, level, bool(c))
-            for v, e, c in zip(values, errs, conv)
-        ]
+        return [IntegralResult(v, e, nodes, level, c) for v, e, c in zip(values, errs, conv)]
 
-    ones = np.ones(len(kernels))
+    n_k = len(kernels)
     if force_level is not None:
-        theta_tol = 0.125 * 0.25 * spec.rel_tol * ones
+        theta_tol = [0.125 * 0.25 * spec.rel_tol] * n_k
         values, terr, nodes, conv = _disk_once(
             gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, force_level, theta_tol,
         )
         return results(values, terr, nodes, force_level, conv)
     prev = None
     nodes_total = 0
-    err = np.full(len(kernels), math.inf)
-    values = np.full(len(kernels), math.nan)
-    conv = np.zeros(len(kernels), dtype=bool)
+    err = [math.inf] * n_k
+    values = [math.nan] * n_k
+    conv = [False] * n_k
     for level in range(MAX_LEVELS):
-        hint = np.maximum(1.0, np.abs(prev)) if prev is not None else ones
-        theta_tol = 0.125 * 0.25 * spec.rel_tol * hint
+        hint = [max(1.0, abs(v)) for v in prev] if prev is not None else [1.0] * n_k
+        theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
         values, terr, nodes, cells_conv = _disk_once(
             gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, level, theta_tol,
         )
         nodes_total += nodes
         if prev is not None:
-            err = np.abs(values - prev) + terr
-            conv = (err <= spec.rel_tol * np.maximum(1.0, np.abs(values))) & cells_conv
-            if conv.all():
+            err = [abs(v - pv) + te for v, pv, te in zip(values, prev, terr)]
+            conv = [
+                e <= spec.rel_tol * max(1.0, abs(v)) and c
+                for e, v, c in zip(err, values, cells_conv)
+            ]
+            if all(conv):
                 return results(values, err, nodes_total, level, conv)
         prev = values
     return results(values, err, nodes_total, MAX_LEVELS - 1, conv)

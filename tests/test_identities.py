@@ -321,7 +321,7 @@ def test_ring_limit_rejects_non_zero_centre():
 
 def test_usable_radius_perturbs():
     f = Polynomial((-0.5, 1))
-    r = usable_radius(f, 0.5)
+    r = usable_radius(f, 0.5, 2.0)
     assert r >= 0.5 + 1e-6 - 1e-12
 
 

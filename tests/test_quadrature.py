@@ -408,7 +408,7 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
     for a, b in cells:
         s, weights, scales = banded_cell(points, a, b)
         (value,), (delta,), nodes, (conv,) = _cell_theta_banded(
-            gfun, s, weights[None, :], scales, splits, math.inf
+            gfun, s, weights[None, :], scales, splits, [math.inf]
         )
         coarse, coarse_nodes = banded_reference(gfun, s, weights, scales, splits)
         fine, fine_nodes = banded_reference(gfun, s, weights, scales, 2 * splits)
@@ -429,7 +429,7 @@ def test_banded_rule_non_finite_node_is_a_collision():
         return g
 
     with pytest.raises(_CellCollision):
-        _cell_theta_banded(gfun, s, weights[None, :], scales, 1, math.inf)
+        _cell_theta_banded(gfun, s, weights[None, :], scales, 1, [math.inf])
     with pytest.raises(_CellCollision):
         banded_reference(gfun, s, weights, scales, 1)
 
