@@ -683,7 +683,7 @@ def disk_integrals_G(
 ) -> list[IntegralResult]:
     """Integrals of kernel(|z|) * G(z) over the disk of radius r, one per
     kernel, all from one mesh."""
-    return _disk_integral(g_values, 0.0, f, params, r, tuple(kernels), spec, 0.0, None)
+    return _disk_integral(g_values, 0.0, f, params, r, kernels, spec, 0.0, None)
 
 
 def disk_integral_W(
