@@ -21,9 +21,13 @@ def main() -> int:
     ap.add_argument("--outdir", default="reports")
     args = ap.parse_args()
 
+    try:
+        spec = QuadratureSpec(rel_tol=args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = QuadratureSpec(rel_tol=args.tol)
 
     t0 = time.monotonic()
     report = golden_suite(spec)

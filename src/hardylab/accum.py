@@ -1,7 +1,8 @@
 """Deterministic floating-point accumulation helpers.
 
 Quadrature results must be bit-identical across runs, so node contributions
-inside a cell are combined with compensated (Kahan) summation and cell values
+inside a cell are combined with compensated (Kahan) summation (one row at a
+time, or many rows at once with the same operations per row) and cell values
 are combined across the mesh with a fixed pairwise binary tree, so the
 rounding path depends only on the mesh.
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def kahan_sum(values: Iterable[float]) -> float:
     """Compensated sum of a (small) iterable of floats."""
@@ -17,6 +20,20 @@ def kahan_sum(values: Iterable[float]) -> float:
     carry = 0.0
     for v in values:
         y = float(v) - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def kahan_rows(terms: np.ndarray) -> np.ndarray:
+    """kahan_sum over the last axis of an array, vectorised over the leading
+    axes: every entry goes through the same IEEE operations, in the same
+    order, as kahan_sum of that row."""
+    total = np.zeros(terms.shape[:-1])
+    carry = np.zeros_like(total)
+    for i in range(terms.shape[-1]):
+        y = terms[..., i] - carry
         t = total + y
         carry = (t - total) - y
         total = t

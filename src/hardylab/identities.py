@@ -325,7 +325,8 @@ def check_area_limit_identity(
 ) -> IdentityReport:
     """r -> 1 limit form: twice the circle integral of W against the
     (1-|z|^2)-kernel G integral plus 4x the W integral, both extrapolated
-    along the radius schedule, which needs at least three radii."""
+    along the radius schedule, which needs at least three radii.  The record
+    carries the last radius integrated, after usable_radius has moved it."""
     if len(radii) < 3:
         raise ValueError(
             f"area-limit check needs at least 3 radii to extrapolate, got {len(radii)}"
@@ -353,7 +354,7 @@ def check_area_limit_identity(
     rhs, rhs_order, rhs_spread = _richardson(rhs_vals)
     budget = budget_last + lhs_spread + rhs_spread
     return _report(
-        "area-limit", f, params, radii[-1], lhs, rhs, budget, spec,
+        "area-limit", f, params, r, lhs, rhs, budget, spec,
         converged=converged,
         info={
             "lhs_order": float(lhs_order),

@@ -4,7 +4,12 @@ Circle integrals use the equispaced periodic rule with node doubling (it
 converges geometrically for integrands analytic in a strip around the real
 angle, and node reuse makes doubling cheap).  Disk integrals use a polar
 product mesh: radial cells with Gauss-Legendre nodes, each circle of nodes
-integrated by the same adaptive periodic rule.
+integrated by the same adaptive periodic rule.  A disk level refines all its
+periodic cells together: each doubling round makes one field call over the
+cells still refining, cut so that no call holds more than BATCH_POINTS
+points unless it is one cell's own round, and the sums, finiteness tests and
+change estimates run on arrays over those cells.  Each cell keeps its own
+stop rule and node count, and its bits are those of a lone run.
 
 One disk mesh serves a stack of radial kernels.  The kernels are weight rows
 over the same radial nodes: the angular sums of a cell are computed once and
@@ -32,8 +37,8 @@ would need O(s/dist) nodes.  The graded pieces are cut in two, four, ...
 until they change by at most the cell tolerance in sum, so the arc rule
 estimates its own error as the periodic rule does.  Each pass gathers the
 Gauss nodes of all its arcs into one angle array and makes a single field
-call, so its cost is per point, not per arc.  Every other cell uses the
-periodic rule.
+call, so its cost is per point, not per arc; these banded cells run one
+at a time.  Every other cell uses the periodic rule.
 Only circle means start from node floors coeff * s / dist(feature).
 
 Within a cell, node contributions are combined by compensated summation and
@@ -44,13 +49,14 @@ bit-identical between runs.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .accum import kahan_sum, tree_sum
+from .accum import kahan_rows, tree_sum
 from .fields import (
     GUARD_RADIUS,
     MeanParams,
@@ -69,6 +75,8 @@ N_THETA_MAX = 1 << 20
 N_RADIAL_BASE = 8
 N_GAUSS = 10
 MAX_LEVELS = 5
+# cap on the points of one field call over a batch of periodic cells
+BATCH_POINTS = 1 << 14
 
 
 class QuadratureError(RuntimeError):
@@ -379,46 +387,59 @@ class _CellCollision(Exception):
     pass
 
 
-def _row_sums(weights: Sequence[np.ndarray], h: np.ndarray) -> list[float]:
-    """Compensated sum of row * h for every kernel's weight row."""
-    # Python floats, not numpy scalars, make the Kahan loop about twice as fast
-    return [kahan_sum((row * h).tolist()) for row in weights]
-
-
-def _cell_theta(
+def _cells_theta(
     gfun: Callable[[np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     n0: int,
     tol_abs: Sequence[float],
-) -> tuple[list[float], list[float], int, list[bool]]:
-    """Cell values sum_i weights[k][i] * (theta-integral of g on circle s_i).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Periodic-rule values of many radial cells: values[c, k] is
+    sum_i weights[c, k, i] * (theta-integral of g on circle s_nodes[c, i]).
 
-    One weight row per kernel; the angular sums are kernel-free, and the
-    doubling stops once every row's change is within its own tol_abs[k].
+    All cells start at n0 angular nodes and double together; each round
+    evaluates the cells still refining in field calls of at most
+    BATCH_POINTS points (a call of one cell may exceed it).  A cell stops
+    once every kernel row's change is within its own tol_abs[k], or at
+    N_THETA_MAX nodes, and a cell with a non-finite node stops as a
+    collision.  Returns (values, deltas, nodes, conv, collided) per cell.
     """
-    n = n0
-    theta = TWO_PI * np.arange(n) / n
-    mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * theta)[None, :]), dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise _CellCollision
-    h = (TWO_PI / n) * mat.sum(axis=1)
-    values = _row_sums(weights, h)
-    nodes = mat.size
-    while True:
-        mid = TWO_PI * (np.arange(n) + 0.5) / n
-        mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * mid)[None, :]), dtype=float)
-        if not np.all(np.isfinite(mat)):
-            raise _CellCollision
-        h = 0.5 * h + (math.pi / n) * mat.sum(axis=1)
-        new_values = _row_sums(weights, h)
-        deltas = [abs(new - old) for new, old in zip(new_values, values)]
-        values = new_values
-        nodes += mat.size
+    n_cells, n_k = weights.shape[:2]
+    h = np.zeros(s_nodes.shape)
+    values, deltas = np.zeros((2, n_cells, n_k))
+    conv = np.zeros((n_cells, n_k), dtype=bool)
+    nodes = np.zeros(n_cells, dtype=np.int64)
+    collided = np.zeros(n_cells, dtype=bool)
+    active = np.arange(n_cells)
+    n, offset = n0, 0.0
+    while active.size:
+        ring = np.exp(1j * (TWO_PI * (np.arange(n) + offset) / n))
+        per_call = max(1, BATCH_POINTS // (N_GAUSS * n))
+        sums = np.empty((active.size, N_GAUSS))
+        finite = np.empty(active.size, dtype=bool)
+        for j in range(0, active.size, per_call):
+            mat = np.asarray(gfun(s_nodes[active[j:j + per_call], :, None] * ring), dtype=float)
+            finite[j:j + per_call] = np.isfinite(mat).all(axis=(1, 2))
+            with np.errstate(invalid="ignore"):  # rows with inf - inf are collisions
+                sums[j:j + per_call] = mat.sum(axis=2)
+        collided[active[~finite]] = True
+        active, sums = active[finite], sums[finite]
+        nodes[active] += N_GAUSS * n
+        if not offset:
+            h[active] = (TWO_PI / n) * sums
+            values[active] = kahan_rows(weights[active] * h[active][:, None, :])
+            offset = 0.5
+            continue
+        h[active] = 0.5 * h[active] + (math.pi / n) * sums
+        new = kahan_rows(weights[active] * h[active][:, None, :])
+        deltas[active] = np.abs(new - values[active])
+        values[active] = new
+        conv[active] = deltas[active] <= np.asarray(tol_abs)
         n *= 2
-        conv = [d <= t for d, t in zip(deltas, tol_abs)]
-        if all(conv) or n >= N_THETA_MAX:
-            return values, deltas, nodes, conv
+        if n >= N_THETA_MAX:
+            break
+        active = active[~conv[active].all(axis=1)]
+    return values, deltas, nodes, conv, collided
 
 
 def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[float]:
@@ -441,7 +462,7 @@ def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[
 def _cell_theta_banded(
     gfun: Callable[[np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     angle_scales: Sequence[tuple[float, float]],
     splits: int,
     tol_abs: Sequence[float],
@@ -485,7 +506,7 @@ def _cell_theta_banded(
         deltas = [float(np.sum(np.abs(row[:, None] * change))) for row in weights]
         pieces = new_pieces
         nodes += used
-        values = _row_sums(weights, pieces.sum(axis=1))
+        values = kahan_rows(weights * pieces.sum(axis=1)).tolist()
         conv = [d <= t for d, t in zip(deltas, tol_abs)]
         if all(conv) or len(width) * splits * N_GAUSS >= N_THETA_MAX:
             return values, deltas, nodes, conv
@@ -504,46 +525,54 @@ def _disk_once(
     theta_tol_cell: Sequence[float],
 ) -> tuple[list[float], list[float], int, list[bool]]:
     glx, glw = _gauss_rule(N_GAUSS)
-    work = [(a, b, 0) for a, b in _radial_partition(lo, hi, sings, end_scales, spec, level)]
-    cell_values: list[list[float]] = []
-    theta_err = [0.0] * len(kernels)
-    nodes = 0
-    all_conv = [True] * len(kernels)
     n0 = spec.n_theta_init << min(level, 3)
-    while work:
-        a, b, depth = work.pop(0)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        s = mid + half * glx
-        w = glw * half
-        weights = [w * kernel.radial(s) * s for kernel in kernels]
+
+    def run(cells: list[tuple[float, float, int]]) -> list[tuple]:
+        """(values, changes, nodes, conv) of every leaf cell, in radial order."""
+        ends = np.array([(a, b) for a, b, _ in cells])
+        mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
+        s = mid[:, None] + half[:, None] * glx
+        w = glw * half[:, None]
+        weights = np.stack([w * kernel.radial(s) * s for kernel in kernels], axis=1)
         # radial cells passing close to a peak (modulus, angle) get the
         # graded-arc angular rule instead of the periodic one
-        band_scales = []
+        band_scales: list[list[tuple[float, float]]] = [[] for _ in cells]
         for s0, theta0 in peaks:
-            d = float(np.min(np.abs(s - s0)))
-            if d < 0.2 * s0:
-                band_scales.append((theta0, max(d / s0, 1e-15)))
-        try:
-            if band_scales:
-                vals, derr, used, conv = _cell_theta_banded(
-                    gfun, s, weights, band_scales, 1, theta_tol_cell
-                )
-            else:
-                vals, derr, used, conv = _cell_theta(gfun, s, weights, n0, theta_tol_cell)
-        except _CellCollision:
-            # a node landed on a singular point: subdivide and retry
+            dist = np.abs(s - s0).min(axis=1).tolist()
+            for scales, d in zip(band_scales, dist):
+                if d < 0.2 * s0:
+                    scales.append((theta0, max(d / s0, 1e-15)))
+        out: list[tuple | None] = [None] * len(cells)
+        for i, scales in enumerate(band_scales):
+            if scales:
+                with suppress(_CellCollision):
+                    out[i] = _cell_theta_banded(gfun, s[i], weights[i], scales, 1, theta_tol_cell)
+        periodic = [i for i, scales in enumerate(band_scales) if not scales]
+        if periodic:
+            batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, theta_tol_cell)
+            vals, derr, used, conv, collided = (arr.tolist() for arr in batch)
+            for j, i in enumerate(periodic):
+                if not collided[j]:
+                    out[i] = (vals[j], derr[j], used[j], conv[j])
+        leaves = []
+        for (a, b, depth), res in zip(cells, out):
+            if res is not None:
+                leaves.append(res)
+                continue
+            # a node landed on a singular point: subdivide in place and retry
             if depth >= spec.max_grade_depth:
-                raise QuadratureError(
-                    f"cell subdivision depth cap reached on [{a}, {b}]"
-                ) from None
-            work.insert(0, (mid, b, depth + 1))
-            work.insert(0, (a, mid, depth + 1))
-            continue
-        cell_values.append(vals)
-        theta_err = [e + d for e, d in zip(theta_err, derr)]
-        nodes += used
-        all_conv = [a and c for a, c in zip(all_conv, conv)]
-    return [tree_sum(col) for col in zip(*cell_values)], theta_err, nodes, all_conv
+                raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
+            cut = 0.5 * (a + b)
+            leaves += run([(a, cut, depth + 1), (cut, b, depth + 1)])
+        return leaves
+
+    cells = _radial_partition(lo, hi, sings, end_scales, spec, level)
+    values, changes, used, convs = zip(*run([(a, b, 0) for a, b in cells]))
+    theta_err = [0.0] * len(kernels)
+    for change in changes:
+        theta_err = [e + d for e, d in zip(theta_err, change)]
+    all_conv = [all(c) for c in zip(*convs)]
+    return [tree_sum(col) for col in zip(*values)], theta_err, sum(used), all_conv
 
 
 def _zero_singularities(

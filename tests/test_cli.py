@@ -66,6 +66,24 @@ def test_identity_checks_share_one_radius(capsys):
     assert radii == {0.5000015}
 
 
+def test_area_limit_reports_the_radius_it_integrated(capsys):
+    # the schedule 1..3 ends at r = 0.875, where the zero of blaschke:0.875
+    # moves the radius to 0.875001, as it does for a finite-r check
+    _, out, _ = run_cli(
+        capsys,
+        "identity", "--fn", "blaschke:0.875", "--p", "1.5", "--q", "0",
+        "--check", "area-limit", "--r-schedule", "1..3",
+    )
+    (area,) = [rec for rec in records(out) if rec["record"] == "identity"]
+    _, out, _ = run_cli(
+        capsys,
+        "identity", "--fn", "blaschke:0.875", "--p", "1.5", "--q", "0",
+        "--check", "growth", "--r", "0.875",
+    )
+    (growth,) = [rec for rec in records(out) if rec["record"] == "identity"]
+    assert area["r"] == growth["r"] == 0.875001
+
+
 def test_deriv_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "deriv", "--fn", "poly:0,0,1", "--p", "2", "--q", "0", "--r", "0.8"

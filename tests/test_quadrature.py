@@ -4,26 +4,35 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hardylab.accum import kahan_sum
-from hardylab.fields import MeanParams, g_values
+from hardylab.accum import kahan_sum, tree_sum
+from hardylab.fields import MeanParams, g_values, w_values
 from hardylab.functions import (
     Binomial,
     BlaschkeProduct,
     Polynomial,
     Rational,
     ScaledRotation,
+    zeros_in_disk,
 )
 from hardylab.parsing import parse_function
+import hardylab.quadrature as quadrature
 from hardylab.quadrature import (
     _CellCollision,
     _cell_theta_banded,
+    _cells_theta,
+    _disk_integral,
     _gauss_rule,
     _graded_segment,
+    _radial_partition,
+    _zero_singularities,
+    BATCH_POINTS,
     GeometryError,
     KERNEL_LOG_ONE_OVER_ABS,
     KERNEL_ONE,
     KERNEL_ONE_MINUS_ABS_SQ,
     N_GAUSS,
+    N_THETA_MAX,
+    QuadratureError,
     QuadratureSpec,
     RadiusNearZeroError,
     circle_mean,
@@ -432,6 +441,201 @@ def test_banded_rule_non_finite_node_is_a_collision():
         _cell_theta_banded(gfun, s, weights[None, :], scales, 1, [math.inf])
     with pytest.raises(_CellCollision):
         banded_reference(gfun, s, weights, scales, 1)
+
+
+# -------------------------------------------------------- periodic cell rule
+
+def periodic_reference(gfun, s_nodes, weights, n0, tol_abs):
+    """The periodic rule one cell at a time: one field call per doubling.
+
+    Returns (values, deltas, nodes, conv) with one entry per weight row, or
+    raises _CellCollision at the first non-finite node.
+    """
+    n = n0
+    theta = TWO_PI * np.arange(n) / n
+    mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * theta)[None, :]), dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise _CellCollision
+    h = (TWO_PI / n) * mat.sum(axis=1)
+    values = [kahan_sum((row * h).tolist()) for row in weights]
+    nodes = mat.size
+    while True:
+        mid = TWO_PI * (np.arange(n) + 0.5) / n
+        mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * mid)[None, :]), dtype=float)
+        if not np.all(np.isfinite(mat)):
+            raise _CellCollision
+        h = 0.5 * h + (math.pi / n) * mat.sum(axis=1)
+        new_values = [kahan_sum((row * h).tolist()) for row in weights]
+        deltas = [abs(new - old) for new, old in zip(new_values, values)]
+        values = new_values
+        nodes += mat.size
+        n *= 2
+        conv = [d <= t for d, t in zip(deltas, tol_abs)]
+        if all(conv) or n >= N_THETA_MAX:
+            return values, deltas, nodes, conv
+
+
+def periodic_cells(cells, kernels):
+    """Radial nodes (n_cells, N_GAUSS) and weights (n_cells, n_kernels,
+    N_GAUSS) of the cells [a, b], built as the disk rule builds them."""
+    glx, glw = _gauss_rule(N_GAUSS)
+    ends = np.array(cells)
+    mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
+    s = mid[:, None] + half[:, None] * glx
+    w = glw * half[:, None]
+    return s, np.stack([w * kernel.radial(s) * s for kernel in kernels], axis=1)
+
+
+# (z - 1.1)(1 + 8.3e-6 z^40): cells toward the rim need more doublings
+RIM_OSCILLATION = Polynomial((-1.1, 1.0) + (0.0,) * 38 + (-1.1 * 8.3e-6, 8.3e-6))
+PERIODIC_KERNELS = (
+    KERNEL_ONE,
+    kernel_log_r_over_abs(0.95),
+    KERNEL_LOG_ONE_OVER_ABS,
+    KERNEL_ONE_MINUS_ABS_SQ,
+)
+
+
+@pytest.mark.parametrize("n_rows", [1, 4])
+@pytest.mark.parametrize(
+    "f,params,cells",
+    [
+        (parse_function("poly:0,1"), MeanParams(1.5, 0.5), ((0.05, 0.1), (0.3, 0.5), (0.5, 0.9))),
+        (
+            RIM_OSCILLATION,
+            MeanParams(1.0, 0.0),
+            ((0.1, 0.2), (0.6, 0.7), (0.7, 0.75), (0.8, 0.85), (0.85, 0.9), (0.9, 0.95)),
+        ),
+    ],
+    ids=["monomial", "rim-oscillation"],
+)
+def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
+    s, weights = periodic_cells(cells, PERIODIC_KERNELS[:n_rows])
+    tol = [1e-10 * (k + 1) for k in range(n_rows)]
+
+    def gfun(z):
+        return g_values(f, params, z)
+
+    values, deltas, nodes, conv, collided = _cells_theta(gfun, s, weights, 32, tol)
+    assert not collided.any()
+    for c in range(len(cells)):
+        ref_values, ref_deltas, ref_nodes, ref_conv = periodic_reference(
+            gfun, s[c], weights[c], 32, tol
+        )
+        assert values[c].tolist() == ref_values
+        assert deltas[c].tolist() == ref_deltas
+        assert nodes[c] == ref_nodes
+        assert conv[c].tolist() == ref_conv
+    if f is RIM_OSCILLATION:
+        # the cells stop at three different doubling rounds
+        assert len(set(nodes.tolist())) == 3
+
+
+def disk_reference(gfun, cells, n0, tol, max_depth):
+    """Per-cell driver of one disk level with every cell periodic: a cell
+    with a non-finite node is replaced in place by its two halves."""
+    work = [(a, b, 0) for a, b in cells]
+    leaves, values, err, nodes = [], [], 0.0, 0
+    while work:
+        a, b, depth = work.pop(0)
+        s, weights = periodic_cells([(a, b)], (KERNEL_ONE,))
+        try:
+            (value,), (delta,), used, _conv = periodic_reference(gfun, s[0], weights[0], n0, tol)
+        except _CellCollision:
+            assert depth < max_depth
+            mid = 0.5 * (a + b)
+            work[:0] = [(a, mid, depth + 1), (mid, b, depth + 1)]
+            continue
+        leaves.append((a, b))
+        values.append(value)
+        err += delta
+        nodes += used
+    return leaves, values, err, nodes
+
+
+def test_disk_collision_splits_one_cell_in_place(monkeypatch):
+    f, params, r = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0), 0.9
+    sings = _zero_singularities(zeros_in_disk(f, r), params.p, 0.0, False)
+    cells = _radial_partition(0.0, r, sings, (None, None), SPEC, 0)
+    s, _weights = periodic_cells(cells, (KERNEL_ONE,))
+    hit = 3
+    # theta = 0 is a node of the first round only, so only cell `hit` collides
+    s_star = s[hit, 4]
+
+    def field(f, params, z):
+        g = g_values(f, params, z)
+        g[z == s_star] = np.nan
+        return g
+
+    batches, summed = [], []
+
+    def cells_theta(gfun, s_nodes, weights, n0, tol_abs):
+        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs)
+        batches.append((s_nodes, out[4]))
+        return out
+
+    def record_tree_sum(values):
+        summed.append(list(values))
+        return tree_sum(values)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    monkeypatch.setattr(quadrature, "tree_sum", record_tree_sum)
+    (res,) = _disk_integral(field, 0.0, f, params, r, (KERNEL_ONE,), SPEC, 0.0, 0)
+
+    # one batch of the whole level, where only cell `hit` collides, then one
+    # batch of its two halves
+    assert len(batches) == 2
+    assert np.array_equal(batches[0][0], s)
+    assert np.flatnonzero(batches[0][1]).tolist() == [hit]
+    a, b = cells[hit]
+    cut = 0.5 * (a + b)
+    halves, _ = periodic_cells([(a, cut), (cut, b)], (KERNEL_ONE,))
+    assert np.array_equal(batches[1][0], halves)
+    assert not batches[1][1].any()
+
+    def gfun(z):
+        return field(f, params, z)
+
+    tol = [0.125 * 0.25 * SPEC.rel_tol]
+    leaves, values, err, nodes = disk_reference(gfun, cells, SPEC.n_theta_init, tol, 40)
+    assert leaves == cells[:hit] + [(a, cut), (cut, b)] + cells[hit + 1:]
+    assert summed == [values]
+    assert res.value == tree_sum(values)
+    assert res.error_estimate == err
+    assert res.nodes == nodes
+
+
+def test_disk_collision_depth_cap():
+    f, params = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0)
+
+    def field(f, params, z):
+        g = g_values(f, params, z)
+        g[(np.abs(z) > 0.4) & (np.abs(z) < 0.45)] = np.nan
+        return g
+
+    with pytest.raises(QuadratureError, match="cell subdivision depth cap reached"):
+        _disk_integral(field, 0.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
+
+
+def test_disk_field_calls_respect_batch_cap():
+    # W of (z - 0.5) at p = 0.5 has a cusp on |z| = 0.5, which the periodic
+    # rule resolves slowly: the cells there double far beyond BATCH_POINTS
+    f, params = Polynomial((-0.5, 1.0)), MeanParams(0.5, 0.0)
+    shapes = []
+
+    def field(f, params, z):
+        shapes.append(z.shape)
+        return w_values(f, params, z)
+
+    (res,) = _disk_integral(field, 2.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
+    assert res.converged
+    assert res.value == disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC).value
+    for shape in shapes:
+        # (cells, N_GAUSS, angles): over the cap only as one cell's own round
+        assert len(shape) == 3 and shape[1] == N_GAUSS
+        assert math.prod(shape) <= BATCH_POINTS or shape[0] == 1
+    assert any(shape[0] > 1 for shape in shapes)
+    assert any(math.prod(shape) > BATCH_POINTS for shape in shapes)
 
 
 # ------------------------------------------------------------- ring integrals
