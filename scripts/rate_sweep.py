@@ -24,22 +24,30 @@ def main() -> int:
     ap.add_argument("--tol", type=float, default=1e-7)
     args = ap.parse_args()
 
-    f = parse_function(args.fn)
-    spec = QuadratureSpec(rel_tol=args.tol)
+    try:
+        f = parse_function(args.fn)
+        spec = QuadratureSpec(rel_tol=args.tol)
+        grid = [
+            MeanParams(float(p_text), float(q_text))
+            for p_text in args.ps.split(",")
+            for q_text in args.qs.split(",")
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("fn,p,q,beta,beta_stderr,first_product,last_product,verdict")
-    for p_text in args.ps.split(","):
-        for q_text in args.qs.split(","):
-            p, q = float(p_text), float(q_text)
-            if membership_hint(f, p, q) != MembershipHint.MEMBER:
-                print(f"{args.fn},{p!r},{q!r},,,,,skipped-non-member")
-                continue
-            res = rate_probe(f, MeanParams(p, q), spec)
-            first = res.products[0] if res.products else float("nan")
-            last = res.products[-1] if res.products else float("nan")
-            print(
-                f"{args.fn},{p!r},{q!r},{res.beta!r},{res.beta_stderr!r},"
-                f"{first!r},{last!r},{res.verdict}"
-            )
+    for params in grid:
+        p, q = params.p, params.q
+        if membership_hint(f, p, q) != MembershipHint.MEMBER:
+            print(f"{args.fn},{p!r},{q!r},,,,,skipped-non-member")
+            continue
+        res = rate_probe(f, params, spec)
+        first = res.products[0] if res.products else float("nan")
+        last = res.products[-1] if res.products else float("nan")
+        print(
+            f"{args.fn},{p!r},{q!r},{res.beta!r},{res.beta_stderr!r},"
+            f"{first!r},{last!r},{res.verdict}"
+        )
     return 0
 
 

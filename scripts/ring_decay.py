@@ -28,16 +28,19 @@ def main() -> int:
     ap.add_argument("--jmax", type=int, default=13)
     args = ap.parse_args()
 
-    f = parse_function(args.fn)
-    rep = ring_limit_probe(
-        f,
-        MeanParams(args.p, args.q),
-        parse_complex(args.z0, "z0"),
-        kernel_by_name(args.kernel, args.r),
-        args.r,
-        QuadratureSpec(),
-        tuple(2.0**-j for j in range(args.jmin, args.jmax + 1)),
-    )
+    try:
+        rep = ring_limit_probe(
+            parse_function(args.fn),
+            MeanParams(args.p, args.q),
+            parse_complex(args.z0, "z0"),
+            kernel_by_name(args.kernel, args.r),
+            args.r,
+            QuadratureSpec(),
+            tuple(2.0**-j for j in range(args.jmin, args.jmax + 1)),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("eps,value,residual")
     for eps, value, res in zip(rep.eps, rep.values, rep.residuals):
         print(f"{eps!r},{value!r},{res!r}")

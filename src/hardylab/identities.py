@@ -5,7 +5,10 @@ routes and reports the residual next to a combined error budget; the pass
 criterion is budget-dominated, so an honest coarse mesh cannot produce a
 false failure.  Finite-r identities are the primary surface; the r -> 1
 limit form is probed by Richardson extrapolation along r = 1 - 2^-j with an
-empirically fitted order.
+empirically fitted order.  Its area side integrates each piece of the disk
+once: the disk of the first radius, then the annulus between each pair of
+consecutive radii.  The extrapolated sequence is the running sum of the
+pieces, so its differences are the annulus integrals themselves.
 
 The five finite-r checks at one (f, p, q, r) share one memoised bundle,
 `evaluate_radius`: one usable radius, the circle mean of W and its
@@ -325,34 +328,46 @@ def check_area_limit_identity(
 ) -> IdentityReport:
     """r -> 1 limit form: twice the circle integral of W against the
     (1-|z|^2)-kernel G integral plus 4x the W integral, both extrapolated
-    along the radius schedule, which needs at least three radii.  The record
-    carries the last radius integrated, after usable_radius has moved it."""
+    along the radius schedule, which needs at least three radii, strictly
+    increasing inside (0, 1) after usable_radius has moved them.
+
+    The area side is integrated piece by piece: the disk of the first radius,
+    then each annulus between consecutive radii, so no part of the disk is
+    integrated twice and the differences Richardson works on are exactly the
+    annulus integrals.  The rhs sequence is the running sum of the pieces,
+    and its error the sum of every piece's error so far.  The record carries
+    the last radius integrated."""
     if len(radii) < 3:
         raise ValueError(
             f"area-limit check needs at least 3 radii to extrapolate, got {len(radii)}"
         )
+    if not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError(f"area-limit radii must lie in (0, 1), got {radii}")
     if membership_hint(f, params.p, params.q) == MembershipHint.NON_MEMBER:
         raise MembershipRequiredError(
             "area-limit check requires membership_hint != non-member"
         )
+    used = [usable_radius(f, r, params.p) for r in radii]
+    if any(b <= a for a, b in zip(used, used[1:])):
+        raise ValueError(
+            f"area-limit radii must be strictly increasing, got {tuple(used)}"
+        )
     lhs_vals: list[float] = []
     rhs_vals: list[float] = []
-    budget_last = 0.0
+    area = area_err = 0.0
     converged = True
-    for r in radii:
-        r = usable_radius(f, r, params.p)
+    for r_prev, r in zip([0.0, *used], used):
         cm = circle_mean(f, params, r, spec)
-        g = disk_integral_G(f, params, r, KERNEL_ONE_MINUS_ABS_SQ, spec)
-        w = disk_integral_W(f, params, r, KERNEL_ONE, spec)
+        g = disk_integral_G(f, params, r, KERNEL_ONE_MINUS_ABS_SQ, spec, s_lo=r_prev)
+        w = disk_integral_W(f, params, r, KERNEL_ONE, spec, s_lo=r_prev)
+        area += g.value + 4.0 * w.value
+        area_err += g.error_estimate + 4.0 * w.error_estimate
         lhs_vals.append(2.0 * TWO_PI * cm.value)
-        rhs_vals.append(g.value + 4.0 * w.value)
-        budget_last = (
-            2.0 * TWO_PI * cm.error_estimate + g.error_estimate + 4.0 * w.error_estimate
-        )
+        rhs_vals.append(area)
         converged = converged and cm.converged and g.converged and w.converged
     lhs, lhs_order, lhs_spread = _richardson(lhs_vals)
     rhs, rhs_order, rhs_spread = _richardson(rhs_vals)
-    budget = budget_last + lhs_spread + rhs_spread
+    budget = 2.0 * TWO_PI * cm.error_estimate + area_err + lhs_spread + rhs_spread
     return _report(
         "area-limit", f, params, r, lhs, rhs, budget, spec,
         converged=converged,

@@ -638,6 +638,8 @@ def _disk_integral(
     (kp + mass_shift < 2, so G only), get the graded-arc angular rule.
     """
     r = _check_radius(r)
+    if not 0.0 <= s_lo < r:
+        raise ValueError(f"inner radius must satisfy 0 <= s_lo < r = {r}, got {s_lo}")
     zeros = zeros_in_disk(f, r)
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
     sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
@@ -699,7 +701,8 @@ def disk_integral_G(
     s_lo: float = 0.0,
     force_level: int | None = None,
 ) -> IntegralResult:
-    """Integral of kernel(|z|) * G(z) over the disk (or annulus) of radius r."""
+    """Integral of kernel(|z|) * G(z) over the disk |z| < r, or the annulus
+    s_lo < |z| < r when 0 < s_lo < r."""
     return _disk_integral(g_values, 0.0, f, params, r, (kernel,), spec, s_lo, force_level)[0]
 
 
@@ -724,7 +727,8 @@ def disk_integral_W(
     s_lo: float = 0.0,
     force_level: int | None = None,
 ) -> IntegralResult:
-    """Integral of weight(|z|) * W(z); weight is ONE or ONE_MINUS_ABS_SQ."""
+    """Integral of weight(|z|) * W(z) over the disk |z| < r, or the annulus
+    s_lo < |z| < r when 0 < s_lo < r; weight is ONE or ONE_MINUS_ABS_SQ."""
     if weight.name not in ("one", "one-minus-abs-sq"):
         raise ValueError("disk_integral_W supports weights ONE and ONE_MINUS_ABS_SQ")
     return _disk_integral(w_values, 2.0, f, params, r, (weight,), spec, s_lo, force_level)[0]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hardylab import asymptotics, identities
+from hardylab import asymptotics, identities, quadrature
 from hardylab.fields import MeanParams
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, ScaledRotation
 from hardylab.parsing import parse_function
@@ -196,6 +196,39 @@ def test_area_limit_constant():
 def test_area_limit_refuses_non_member():
     with pytest.raises(MembershipRequiredError):
         check_area_limit_identity(Binomial(2.0), MeanParams(1, 0), SPEC)
+
+
+@pytest.mark.parametrize(
+    "f, radii",
+    [
+        (monomial(1), (0.9, 0.8, 0.7, 0.6)),
+        (monomial(1), (0.5, 0.75, 0.75, 0.875)),
+        (monomial(1), (0.5, 0.75, 1.0)),
+        # usable_radius moves 0.5 off the zero to 0.500001, past 0.5000005
+        (BlaschkeProduct((0.5,)), (0.5, 0.5000005, 0.75)),
+    ],
+)
+def test_area_limit_rejects_radii_that_do_not_increase(f, radii):
+    # the annuli between consecutive radii must tile the disk
+    with pytest.raises(ValueError, match="radii"):
+        check_area_limit_identity(f, MeanParams(2, 0), SPEC, radii)
+
+
+def test_area_limit_integrates_each_annulus_once(monkeypatch):
+    # the golden blaschke:0.5 entry; meshing the whole disk again at every
+    # radius of its schedule takes 16,312,320 G points
+    points = 0
+    g_values = quadrature.g_values
+
+    def counted(f, params, z):
+        nonlocal points
+        points += z.size
+        return g_values(f, params, z)
+
+    monkeypatch.setattr(quadrature, "g_values", counted)
+    rep = check_area_limit_identity(BlaschkeProduct((0.5,)), MeanParams(1.5, 0), SPEC)
+    assert rep.passed and rep.converged
+    assert points < 5_000_000
 
 
 def test_one_membership_error_class_for_all_checks():

@@ -295,6 +295,55 @@ def test_disk_additivity_over_annulus():
     )
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_rim_annulus_closed_forms(n, p):
+    # z^n at q = 0 over lo < |z| < hi: G = c^2 |z|^{c-2} and W = |z|^c, c = np.
+    # The closed forms cancel badly this close to the rim, so mpmath
+    # evaluates them; W's estimate is 0 where its rule is exact, so float
+    # rounding of the value is allowed on top of each estimate.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    lo, hi = 1 - 2.0**-9, 1 - 2.0**-10
+    a, b, c = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(n * p)
+    g_exact = 2 * mpmath.pi * c**2 * (
+        (b**c - a**c) / c - (b ** (c + 2) - a ** (c + 2)) / (c + 2)
+    )
+    w_exact = 2 * mpmath.pi * (b ** (c + 2) - a ** (c + 2)) / (c + 2)
+    params = MeanParams(p, 0)
+    g = disk_integral_G(monomial(n), params, hi, KERNEL_ONE_MINUS_ABS_SQ, SPEC, s_lo=lo)
+    w = disk_integral_W(monomial(n), params, hi, KERNEL_ONE, SPEC, s_lo=lo)
+    for res, exact in ((g, g_exact), (w, w_exact)):
+        assert res.converged
+        exact = float(exact)
+        assert abs(res.value - exact) <= res.error_estimate + 4e-16 * abs(exact)
+
+
+def test_annulus_above_sharp_zero_tiles_the_disk():
+    # the first annulus of the golden blaschke:0.5 area-limit schedule starts
+    # 1e-6 above the zero, where G ~ |z - 0.5|^{-0.5}
+    f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0)
+    lo, hi = 0.500001, 0.75
+    for integral, kernel in (
+        (disk_integral_G, KERNEL_ONE_MINUS_ABS_SQ),
+        (disk_integral_W, KERNEL_ONE),
+    ):
+        inner = integral(f, params, lo, kernel, SPEC)
+        ring = integral(f, params, hi, kernel, SPEC, s_lo=lo)
+        whole = integral(f, params, hi, kernel, SPEC)
+        assert inner.converged and ring.converged and whole.converged
+        assert abs(inner.value + ring.value - whole.value) <= (
+            inner.error_estimate + ring.error_estimate + whole.error_estimate
+        )
+
+
+@pytest.mark.parametrize("s_lo", [0.9, 0.8, -0.1])
+@pytest.mark.parametrize("integral", [disk_integral_G, disk_integral_W])
+def test_disk_rejects_inner_radius_outside_range(integral, s_lo):
+    with pytest.raises(ValueError, match="s_lo"):
+        integral(monomial(1), MeanParams(2, 0), 0.8, KERNEL_ONE, SPEC, s_lo=s_lo)
+
+
 def test_halve_mesh_stability():
     cases = [
         (monomial(1), MeanParams(0.5, 0.5), kernel_log_r_over_abs(0.8)),

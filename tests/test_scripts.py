@@ -39,3 +39,19 @@ def test_golden_suite_rejects_bad_tolerance(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("rate_sweep.py", ("--tol", "0")),
+        ("rate_sweep.py", ("--ps", "x")),
+        ("ring_decay.py", ("--fn", "nope")),
+    ],
+)
+def test_script_rejects_bad_input(script, args):
+    # a usage error is exit 2 with one error line; exit 1 means a failed check
+    proc = run_script(ROOT / "scripts" / script, *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
