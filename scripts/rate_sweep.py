@@ -7,6 +7,7 @@ Usage:
 """
 
 import argparse
+import csv
 import sys
 
 from hardylab.asymptotics import rate_probe
@@ -35,19 +36,18 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("fn,p,q,beta,beta_stderr,first_product,last_product,verdict")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow("fn,p,q,beta,beta_stderr,first_product,last_product,verdict".split(","))
     for params in grid:
         p, q = params.p, params.q
         if membership_hint(f, p, q) != MembershipHint.MEMBER:
-            print(f"{args.fn},{p!r},{q!r},,,,,skipped-non-member")
+            out.writerow([args.fn, repr(p), repr(q), "", "", "", "", "skipped-non-member"])
             continue
         res = rate_probe(f, params, spec)
         first = res.products[0] if res.products else float("nan")
         last = res.products[-1] if res.products else float("nan")
-        print(
-            f"{args.fn},{p!r},{q!r},{res.beta!r},{res.beta_stderr!r},"
-            f"{first!r},{last!r},{res.verdict}"
-        )
+        out.writerow([args.fn, repr(p), repr(q), repr(res.beta), repr(res.beta_stderr),
+                      repr(first), repr(last), res.verdict])
     return 0
 
 

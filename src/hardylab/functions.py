@@ -401,40 +401,28 @@ def nearest_zero(f: AnalyticFunction, z: complex) -> tuple[float, Zero | None]:
 # angular features for the quadrature layer
 # --------------------------------------------------------------------------
 
-def feature_moduli(f: AnalyticFunction) -> tuple[tuple[float, float, float], ...]:
-    """(modulus, angular demand coefficient, angle) of points that spike
-    circle integrands.
+def feature_moduli(f: AnalyticFunction) -> tuple[tuple[float, float], ...]:
+    """(modulus, angle) of points that spike circle integrands.
 
     Covers off-origin zeros and poles with |w| <= 1.3, and the boundary
     singularity of the binomial family at z = 1.  The angle is that of the
     point itself, so under c * f(e^{i phi} z) a feature w of f moves to
-    e^{-i phi} w.  Disk cells grade their angular arcs toward the angle;
-    circle means use the coefficient as a node floor coeff * s / dist, the
-    boundary-grade features carrying the stronger one.
+    e^{-i phi} w.  Disk cells and circle means that pass near a feature grade
+    their angular arcs toward its angle.
     """
-    feats: list[tuple[float, float, float]] = []
-
-    def boundary_coeff(mod: float) -> float:
-        return 64.0 if mod >= 0.999 else 16.0
-
     if isinstance(f, ScaledRotation):
-        return tuple((m, c, a - f.rotation) for m, c, a in feature_moduli(f.inner))
+        return tuple((m, a - f.rotation) for m, a in feature_moduli(f.inner))
     if isinstance(f, Binomial):
-        return ((1.0, 64.0, 0.0),)
+        return ((1.0, 0.0),)
+    points: list[complex] = []
     if isinstance(f, (Polynomial, Rational)):
         num_coeffs = f.coeffs if isinstance(f, Polynomial) else f.num.coeffs
-        for w in _polynomial_roots(num_coeffs):
-            if 0 < abs(w) <= 1.3:
-                feats.append((abs(w), boundary_coeff(abs(w)), cmath.phase(w)))
+        points += [w for w in _polynomial_roots(num_coeffs) if 0 < abs(w) <= 1.3]
         if isinstance(f, Rational):
-            for w in _polynomial_roots(f.den.coeffs):
-                if abs(w) <= 1.3:
-                    feats.append((abs(w), 64.0, cmath.phase(w)))
+            points += [w for w in _polynomial_roots(f.den.coeffs) if abs(w) <= 1.3]
     if isinstance(f, BlaschkeProduct):
-        for a in f.zeros:
-            if abs(a) > 0:
-                feats.append((abs(a), boundary_coeff(abs(a)), cmath.phase(a)))
-    return tuple(feats)
+        points += [a for a in f.zeros if abs(a) > 0]
+    return tuple((abs(w), cmath.phase(w)) for w in points)
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,10 @@ estimates its own error as the periodic rule does.  Each pass gathers the
 Gauss nodes of all its arcs into one angle array and makes a single field
 call, so its cost is per point, not per arc; these banded cells run one
 at a time.  Every other cell uses the periodic rule.
-Only circle means start from node floors coeff * s / dist(feature).
+
+A circle mean is the same choice for one radial node of weight 1: the
+graded-arc rule when the circle passes within 0.2 |w| of any feature w of f
+(on either side of it), the periodic rule from n_theta_init nodes otherwise.
 
 Within a cell, node contributions are combined by compensated summation and
 cells are combined with a fixed binary reduction tree, so results are
@@ -89,10 +92,6 @@ class GeometryError(ValueError):
 
 class RadiusNearZeroError(ValueError):
     """A zero of f lies too close to the integration circle; perturb r."""
-
-
-def _next_pow2(n: float) -> int:
-    return 1 << max(0, int(math.ceil(n)) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -247,14 +246,6 @@ def _circle_quad(
             return total, delta, nodes, doublings, False
 
 
-def _circle_floor(s: float, features: Sequence[tuple[float, float, float]], n_init: int) -> int:
-    demand = float(n_init)
-    for mod, coeff, _angle in features:
-        d = max(abs(s - mod), 1e-6)
-        demand = max(demand, coeff * s / d)
-    return min(1 << 18, _next_pow2(demand))
-
-
 # --------------------------------------------------------------------------
 # circle means
 # --------------------------------------------------------------------------
@@ -273,13 +264,27 @@ def _circle_mean(
     r: float,
     spec: QuadratureSpec,
 ) -> IntegralResult:
-    """(1/2pi) * integral of field(r e^{i theta}) d theta."""
+    """(1/2pi) * integral of field(r e^{i theta}) d theta: the banded cell
+    rule (one radial node r of weight 1) when r is within 0.2 |w| of a
+    feature w of f, graded down to |r - |w|| / |w|, else the periodic rule."""
 
-    def fn(theta):
-        return field(f, params, r * np.exp(1j * theta))
+    def gfun(z):
+        return field(f, params, z)
 
-    n0 = _circle_floor(r, feature_moduli(f), spec.n_theta_init)
-    total, delta, nodes, doublings, conv = _circle_quad(fn, n0, 0.5 * spec.rel_tol, 0.0)
+    tol = 0.5 * spec.rel_tol
+    near = [(m, a) for m, a in feature_moduli(f) if abs(r - m) < 0.2 * m]
+    scales = [(a, max(abs(r - m) / m, 1e-15)) for m, a in near]
+    if not scales:
+        total, delta, nodes, doublings, conv = _circle_quad(
+            lambda theta: gfun(r * np.exp(1j * theta)), spec.n_theta_init, tol, 0.0
+        )
+        return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+    try:
+        (total,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
+            gfun, np.array([r]), np.ones((1, 1)), scales, 1, [tol], rel_tol=tol
+        )
+    except _CellCollision:
+        raise QuadratureError("non-finite integrand value on circle") from None
     return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
 
 
@@ -466,7 +471,8 @@ def _cell_theta_banded(
     angle_scales: Sequence[tuple[float, float]],
     splits: int,
     tol_abs: Sequence[float],
-) -> tuple[list[float], list[float], int, list[bool]]:
+    rel_tol: float = 0.0,
+) -> tuple[list[float], list[float], int, list[bool], int]:
     """Cell values for a radial cell that passes close to angular features.
 
     The circle is split into arcs between the features' angles and each arc
@@ -475,7 +481,8 @@ def _cell_theta_banded(
     exponentially where the uniform periodic rule would need O(s/d) nodes.
     Every graded piece is cut into `splits` equal parts, and the cuts double
     until, for every kernel row k of weights, the pieces' values change by
-    at most tol_abs[k] in sum.
+    at most max(tol_abs[k], rel_tol * |value_k|) in sum.  Returns (values,
+    changes, nodes, conv, doublings).
     """
     glx, glw = _gauss_rule(N_GAUSS)
     angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
@@ -498,8 +505,10 @@ def _cell_theta_banded(
         return arc_sums.reshape(len(s_nodes), len(width), k).sum(axis=2), mat.size
 
     pieces, nodes = rule(splits)
+    doublings = 0
     while True:
         splits *= 2
+        doublings += 1
         new_pieces, used = rule(splits)
         change = new_pieces - pieces
         # compared piece by piece, so errors of opposite sign cannot cancel
@@ -507,9 +516,9 @@ def _cell_theta_banded(
         pieces = new_pieces
         nodes += used
         values = kahan_rows(weights * pieces.sum(axis=1)).tolist()
-        conv = [d <= t for d, t in zip(deltas, tol_abs)]
+        conv = [d <= max(t, rel_tol * abs(v)) for d, t, v in zip(deltas, tol_abs, values)]
         if all(conv) or len(width) * splits * N_GAUSS >= N_THETA_MAX:
-            return values, deltas, nodes, conv
+            return values, deltas, nodes, conv, doublings
 
 
 def _disk_once(
@@ -546,7 +555,8 @@ def _disk_once(
         for i, scales in enumerate(band_scales):
             if scales:
                 with suppress(_CellCollision):
-                    out[i] = _cell_theta_banded(gfun, s[i], weights[i], scales, 1, theta_tol_cell)
+                    banded = _cell_theta_banded(gfun, s[i], weights[i], scales, 1, theta_tol_cell)
+                    out[i] = banded[:4]
         periodic = [i for i, scales in enumerate(band_scales) if not scales]
         if periodic:
             batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, theta_tol_cell)
@@ -595,12 +605,12 @@ def _zero_singularities(
 
 
 def _boundary_scale(
-    params: MeanParams, r: float, features: Sequence[tuple[float, float, float]]
+    params: MeanParams, r: float, features: Sequence[tuple[float, float]]
 ) -> float | None:
     """Analyticity scale just outside |z| = r, if the rim needs grading:
     the gap to the nearest zero, pole or boundary singularity within 0.2."""
     scales = [1.0 - r] if params.q > 0.0 and r >= 0.6 else []
-    scales += [m - r for m, _c, _a in features if 0.0 < m - r < 0.2]
+    scales += [m - r for m, _a in features if 0.0 < m - r < 0.2]
     return min(scales, default=None)
 
 
@@ -645,7 +655,7 @@ def _disk_integral(
     sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
     features = feature_moduli(f)
     boundary_scale = _boundary_scale(params, r, features)
-    peaks = [(m, a) for m, _c, a in features if m >= r]
+    peaks = [(m, a) for m, a in features if m >= r]
     peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
 
     def gfun(z):

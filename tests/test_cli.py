@@ -54,16 +54,19 @@ def test_identity_multiple_checks(capsys):
 
 def test_identity_checks_share_one_radius(capsys):
     # a zero 5e-7 inside |z| = r at p < 1: every check must move to the same
-    # radius, the one the mean derivative needs; this input sits in the
-    # sharp-zero regime, so only r and the exit code are asserted
+    # radius, the one the mean derivative needs; the circle mean and its
+    # derivative 1.5e-6 from the zero use the graded-arc rule, so all five
+    # checks converge and pass there
     code, out, _ = run_cli(
         capsys,
         "identity", "--fn", "poly:-0.5,1", "--p", "0.5", "--q", "0", "--r", "0.5000005",
         "--check", "growth,log-r,log-unit,weighted-area,hardy-stein",
     )
-    assert code == 1
-    radii = {rec["r"] for rec in records(out) if rec["record"] == "identity"}
-    assert radii == {0.5000015}
+    assert code == 0
+    checks = [rec for rec in records(out) if rec["record"] == "identity"]
+    assert len(checks) == 5
+    assert all(rec["converged"] for rec in checks)
+    assert {rec["r"] for rec in checks} == {0.5000015}
 
 
 def test_area_limit_reports_the_radius_it_integrated(capsys):

@@ -128,6 +128,102 @@ def test_circle_mean_deriv_guards_zero_on_circle_small_p():
         circle_mean_deriv(f, MeanParams(0.7, 0), 0.5 + 1e-8, SPEC)
 
 
+# ------------------------------------------------- circles near features
+
+def binomial_mean_exact(alpha, scale, params, r):
+    """Circle mean of W for scale * (1 - z)^(-alpha) and its r-derivative:
+    |c|^p (1 - r^2)^q 2F1(a, a; 1; r^2) with a = alpha p / 2, and
+    d/dx 2F1(a, a; 1; x) = a^2 2F1(a + 1, a + 1; 2; x)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    a, x, q = mpmath.mpf(alpha * params.p) / 2, mpmath.mpf(r) ** 2, params.q
+    c = mpmath.mpf(abs(scale)) ** params.p
+    h, dh = mpmath.hyp2f1(a, a, 1, x), a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x)
+    mean = c * (1 - x) ** q * h
+    dmean_dx = c * ((1 - x) ** q * dh - q * (1 - x) ** (q - 1) * h)
+    return float(mean), float(2 * r * dmean_dx)
+
+
+@pytest.mark.parametrize("j", [1, 4, 8, 12, 16, 20])
+@pytest.mark.parametrize(
+    "alpha,scale,rotation,params",
+    [
+        (0.9, 1.0, 0.0, MeanParams(2, 0)),
+        (0.5, 1.0, 0.0, MeanParams(1.5, 0.5)),
+        (0.9, 2 - 1j, 1.3, MeanParams(2, 1)),
+    ],
+    ids=["binom-0.9", "binom-0.5-weighted", "rotated-scaled"],
+)
+def test_binomial_circle_means_closed_form(alpha, scale, rotation, params, j):
+    # the binomial point at |w| = 1 is a feature, so from j = 3 on these
+    # circles take the graded-arc rule; j = 1 checks the periodic rule
+    r = 1.0 - 2.0**-j
+    f = ScaledRotation(Binomial(alpha), scale, rotation)
+    mean, deriv = binomial_mean_exact(alpha, scale, params, r)
+    for res, exact in ((circle_mean(f, params, r, SPEC), mean),
+                       (circle_mean_deriv(f, params, r, SPEC), deriv)):
+        assert res.converged
+        assert abs(res.value - exact) <= SPEC.rel_tol * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-7])
+def test_circle_mean_next_to_a_zero_closed_form(d, p):
+    # f = z - a with |a| < r: the mean of |f|^p is
+    # r^p 2F1(-p/2, -p/2; 1; (|a|/r)^2)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    a, r = 0.5, 0.5 + d
+    exact = float(mpmath.mpf(r) ** p * mpmath.hyp2f1(-p / 2, -p / 2, 1, (a / mpmath.mpf(r)) ** 2))
+    res = circle_mean(Polynomial((-a, 1)), MeanParams(p, 0), r, SPEC)
+    assert res.converged
+    assert abs(res.value - exact) <= SPEC.rel_tol * max(1.0, abs(exact))
+
+
+def test_binomial_rim_circle_work_stays_small():
+    # the periodic rule from a node floor 64 s / (1 - r) ran into its 2^20
+    # cap here; graded arcs need a few pieces per octave of 1 - r
+    params = MeanParams(2, 0)
+    mean, _ = binomial_mean_exact(0.9, 1.0, params, 0.999999)
+    res = circle_mean(Binomial(0.9), params, 0.999999, SPEC)
+    assert res.converged and res.nodes < 10_000
+    assert abs(res.value - mean) <= SPEC.rel_tol * abs(mean)
+    for integral in (circle_mean, circle_mean_deriv):
+        nodes = [integral(Binomial(0.9), params, 1.0 - 2.0**-j, SPEC).nodes for j in (10, 20)]
+        assert nodes[1] < 2 * nodes[0]
+
+
+@pytest.mark.parametrize("integral", [circle_mean, circle_mean_deriv])
+def test_circle_rules_agree_at_the_band_edge(integral, monkeypatch):
+    # blaschke:0.5 has its zero at |w| = 0.5, so the band edge is r = 0.6:
+    # just inside it the arc rule runs, just outside the periodic rule
+    calls = []
+    arc_rule = quadrature._cell_theta_banded
+    monkeypatch.setattr(
+        quadrature, "_cell_theta_banded", lambda *a, **k: calls.append(1) or arc_rule(*a, **k)
+    )
+    f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0.5)
+    inside = integral(f, params, 0.6 * (1 - 1e-12), SPEC)
+    assert calls == [1]
+    outside = integral(f, params, 0.6 * (1 + 1e-12), SPEC)
+    assert calls == [1]
+    assert inside.converged and outside.converged
+    assert abs(inside.value - outside.value) <= SPEC.rel_tol * max(1.0, abs(outside.value))
+
+
+@pytest.mark.parametrize("r", [0.3, 0.55])
+def test_circle_non_finite_node_raises(r, monkeypatch):
+    # r = 0.3 takes the periodic rule and r = 0.55 the arc rule
+    def broken(f, params, z):
+        out = w_values(f, params, z)
+        out[..., -1] = np.nan
+        return out
+
+    monkeypatch.setattr(quadrature, "w_values", broken)
+    with pytest.raises(QuadratureError, match="non-finite integrand value on circle"):
+        circle_mean(BlaschkeProduct((0.5,)), MeanParams(2, 0), r, SPEC)
+
+
 # ------------------------------------------------------------- disk integrals
 
 def test_disk_g_monomial_plain_kernel():
@@ -465,13 +561,13 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
 
     for a, b in cells:
         s, weights, scales = banded_cell(points, a, b)
-        (value,), (delta,), nodes, (conv,) = _cell_theta_banded(
+        (value,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
             gfun, s, weights[None, :], scales, splits, [math.inf]
         )
         coarse, coarse_nodes = banded_reference(gfun, s, weights, scales, splits)
         fine, fine_nodes = banded_reference(gfun, s, weights, scales, 2 * splits)
         mass = float(np.sum(np.abs(weights[:, None] * fine)))
-        assert conv
+        assert conv and doublings == 1
         assert nodes == coarse_nodes + fine_nodes
         assert abs(value - kahan_sum(weights * fine.sum(axis=1))) <= 1e-13 * mass
         ref_delta = float(np.sum(np.abs(weights[:, None] * (fine - coarse))))

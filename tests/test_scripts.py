@@ -1,5 +1,6 @@
 """Each experiment script under scripts/ imports and prints its usage."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -55,3 +56,16 @@ def test_script_rejects_bad_input(script, args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_rate_sweep_writes_one_field_per_column():
+    # the default function text poly:0,0,1 holds commas, so it must be quoted
+    proc = run_script(ROOT / "scripts" / "rate_sweep.py", "--ps", "2", "--qs", "0,1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = csv.reader(proc.stdout.splitlines())
+    assert header == "fn,p,q,beta,beta_stderr,first_product,last_product,verdict".split(",")
+    assert all(len(row) == 8 for row in rows)
+    assert [row[:3] for row in rows] == [
+        ["poly:0,0,1", "2.0", "0.0"],
+        ["poly:0,0,1", "2.0", "1.0"],
+    ]
