@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: mean, deriv, identity, lemma1, rate, suite.  Reports go to
-stdout (and optionally --out) as JSON-lines or CSV.  Exit code 0 when every
-check passes, 1 on a check failure or non-convergence, 2 on usage or
-configuration errors.
+Subcommands: mean, deriv, identity, lemma1, rate, suite.  Each accepts only
+the flags it reads, spelt in full; within identity, --r needs a finite-r tag
+and --r-schedule needs area-limit.  Reports go to stdout (and optionally
+--out) as JSON-lines or CSV.  Exit code 0 when every check passes, 1 on a
+check failure or non-convergence, 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -52,15 +53,8 @@ def _parse_schedule(text: str, kind: str) -> tuple[float, ...]:
 
 
 def _build_spec(args: argparse.Namespace) -> QuadratureSpec:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["rel_tol"] = args.tol
-    if args.theta_min is not None:
-        kwargs["n_theta_init"] = args.theta_min
-    if args.grade_depth is not None:
-        kwargs["max_grade_depth"] = args.grade_depth
     try:
-        return QuadratureSpec(**kwargs)
+        return QuadratureSpec() if args.tol is None else QuadratureSpec(rel_tol=args.tol)
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from None
 
@@ -83,9 +77,9 @@ def _radius(args: argparse.Namespace) -> float:
 def _new_report(args: argparse.Namespace, command: str) -> SuiteReport:
     config = {
         "command": command,
-        "fn": getattr(args, "fn", None),
-        "p": getattr(args, "p", None),
-        "q": getattr(args, "q", None),
+        "fn": args.fn,
+        "p": args.p,
+        "q": args.q,
         "tol": args.tol,
     }
     return SuiteReport(
@@ -102,32 +96,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_fn=True):
-        if needs_fn:
+    def subcommand(name, help, fn=True, r=False, r_schedule=False):
+        # no abbreviations: `rate --r X` must not read as `--r-schedule X`
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        if fn:
             sp.add_argument("--fn", required=True, help="function description, e.g. poly:0,0,1")
             sp.add_argument("--p", type=float, required=True)
             sp.add_argument("--q", type=float, default=0.0)
-        sp.add_argument("--r", type=float, default=None)
-        sp.add_argument("--r-schedule", default=None, help="j0..j1 for radii 1 - 2^-j")
+        if r:
+            sp.add_argument("--r", type=float, default=None)
+        if r_schedule:
+            sp.add_argument("--r-schedule", default=None, help="j0..j1 for radii 1 - 2^-j")
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--theta-min", type=int, default=None)
-        sp.add_argument("--grade-depth", type=int, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
+        return sp
 
-    common(sub.add_parser("mean", help="weighted circle mean at radius r"))
-    common(sub.add_parser("deriv", help="derivative of the circle mean at radius r"))
+    subcommand("mean", "weighted circle mean at radius r", r=True)
+    subcommand("deriv", "derivative of the circle mean at radius r", r=True)
 
-    sp = sub.add_parser("identity", help="check one or more integral identities")
-    common(sp)
+    sp = subcommand("identity", "check one or more integral identities", r=True, r_schedule=True)
     sp.add_argument(
         "--check",
         default="growth",
         help="comma-separated identity tags: " + ",".join(IDENTITY_TAGS),
     )
 
-    sp = sub.add_parser("lemma1", help="ring-integral limit probe around a point")
-    common(sp)
+    sp = subcommand("lemma1", "ring-integral limit probe around a point", r=True)
     sp.add_argument("--z0", default="0", help="ring centre (origin or a zero of f)")
     sp.add_argument(
         "--kernel",
@@ -136,11 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--eps-schedule", default="4..14", help="j0..j1 for eps = 2^-j")
 
-    sp = sub.add_parser("rate", help="growth-rate probe along r -> 1")
-    common(sp)
+    subcommand("rate", "growth-rate probe along r -> 1", r_schedule=True)
 
-    sp = sub.add_parser("suite", help="run the golden suite")
-    common(sp, needs_fn=False)
+    sp = subcommand("suite", "run the golden suite", fn=False)
     sp.add_argument("--golden", action="store_true", help="run the curated golden suite")
 
     return parser
@@ -176,7 +169,12 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
                 raise ConfigError(
                     f"check: unknown identity tag '{tag}' (expected one of {', '.join(IDENTITY_TAGS)})"
                 )
-        r = _radius(args) if any(t != "area-limit" for t in tags) else None
+        finite_r = any(t != "area-limit" for t in tags)
+        if args.r is not None and not finite_r:
+            raise ConfigError("r: area-limit reads --r-schedule, not --r")
+        if args.r_schedule is not None and "area-limit" not in tags:
+            raise ConfigError("r-schedule: only the area-limit check reads it")
+        r = _radius(args) if finite_r else None
         radii = (
             _parse_schedule(args.r_schedule, "radius")
             if args.r_schedule

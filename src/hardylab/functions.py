@@ -109,6 +109,8 @@ class Polynomial:
         coeffs = _as_complex_tuple(self.coeffs)
         if not coeffs:
             raise FunctionModelError("polynomial needs at least one coefficient")
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise FunctionModelError("coefficients must be finite")
         if all(c == 0 for c in coeffs):
             raise FunctionModelError("the zero polynomial is not an admissible test function")
         object.__setattr__(self, "coeffs", coeffs)
@@ -169,10 +171,10 @@ class BlaschkeProduct:
             raise FunctionModelError("multiplicities must match the zero list")
         if any(m < 1 for m in mult):
             raise FunctionModelError("multiplicities must be >= 1")
-        if any(abs(a) >= 1.0 for a in zeros):
+        if not all(abs(a) < 1.0 for a in zeros):
             raise FunctionModelError("blaschke zeros must satisfy |a| < 1")
         pref = complex(self.prefactor)
-        if abs(abs(pref) - 1.0) > 1e-9:
+        if not abs(abs(pref) - 1.0) <= 1e-9:
             raise FunctionModelError("blaschke prefactor must be unimodular")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "multiplicities", mult)
@@ -206,8 +208,8 @@ class Binomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not self.alpha > 0:
-            raise FunctionModelError("binomial exponent alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise FunctionModelError("binomial exponent alpha must be positive and finite")
 
     def _val(self, z: np.ndarray) -> np.ndarray:
         # 1 - z has positive real part on |z| < 1, so the principal power is
@@ -236,6 +238,10 @@ class ScaledRotation:
         object.__setattr__(self, "rotation", float(self.rotation))
         if self.scale == 0:
             raise FunctionModelError("scale must be nonzero (f must not vanish identically)")
+        if not cmath.isfinite(self.scale):
+            raise FunctionModelError("scale must be finite")
+        if not math.isfinite(self.rotation):
+            raise FunctionModelError("rotation must be finite")
 
     @property
     def phase(self) -> complex:

@@ -399,6 +399,8 @@ def run_identity_check(
     if tag in CHECKERS:
         return CHECKERS[tag](f, params, r, spec)
     if tag == "hardy-stein":
+        if params.q != 0:
+            raise ValueError(f"hardy-stein: needs q = 0, got q = {params.q}")
         return check_hardy_stein(f, params.p, r, spec)
     if tag == "area-limit":
         return check_area_limit_identity(f, params, spec, radii)

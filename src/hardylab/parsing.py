@@ -98,10 +98,10 @@ def parse_function(text: str) -> AnalyticFunction:
             f = Binomial(alpha)
         else:
             raise FunctionParseError(f"variant: unknown variant '{variant}'")
+        if scale != 1 or rotation != 0.0:
+            f = ScaledRotation(f, scale, rotation)
     except FunctionModelError as exc:
         raise FunctionParseError(str(exc)) from None
-    if scale != 1 or rotation != 0.0:
-        f = ScaledRotation(f, scale, rotation)
     return f
 
 

@@ -42,7 +42,7 @@ at a time.  Every other cell uses the periodic rule.
 
 A circle mean is the same choice for one radial node of weight 1: the
 graded-arc rule when the circle passes within 0.2 |w| of any feature w of f
-(on either side of it), the periodic rule from n_theta_init nodes otherwise.
+(on either side of it), the periodic rule from N_THETA_INIT nodes otherwise.
 
 Within a cell, node contributions are combined by compensated summation and
 cells are combined with a fixed binary reduction tree, so results are
@@ -72,12 +72,15 @@ from .functions import AnalyticFunction, Zero, feature_moduli, zeros_in_disk
 
 TWO_PI = 2.0 * math.pi
 
-# fixed mesh policy: angular doubling cap, uniform radial cells, Gauss nodes
-# per radial cell (and per angular arc), disk refinement levels
+# fixed mesh policy: initial angular nodes and doubling cap, uniform radial
+# cells, Gauss nodes per radial cell (and per angular arc), disk refinement
+# levels, and the depth cap of geometric radial grading and cell splitting
+N_THETA_INIT = 32
 N_THETA_MAX = 1 << 20
 N_RADIAL_BASE = 8
 N_GAUSS = 10
 MAX_LEVELS = 5
+MAX_GRADE_DEPTH = 40
 # cap on the points of one field call over a batch of periodic cells
 BATCH_POINTS = 1 << 14
 
@@ -96,23 +99,18 @@ class RadiusNearZeroError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Mesh and tolerance policy for circle, ring, and disk integrals.
+    """Relative tolerance of circle, ring, and disk integrals, finite in (0, 1).
 
-    Singular radii (zero locations, the origin under log kernels, rim
-    proximity) are derived from the integrand automatically.
+    The mesh policy is fixed by the module constants; singular radii (zero
+    locations, the origin under log kernels, rim proximity) are derived from
+    the integrand automatically.
     """
 
     rel_tol: float = 1e-7
-    n_theta_init: int = 32
-    max_grade_depth: int = 40
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.n_theta_init < 16 or self.n_theta_init & (self.n_theta_init - 1):
-            raise ValueError("n_theta_init must be a power of two >= 16")
-        if not 1 <= self.max_grade_depth <= 40:
-            raise ValueError("grading depth must lie in [1, 40]")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"tolerance must satisfy 0 < tol < 1, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,7 @@ def _circle_mean(
     scales = [(a, max(abs(r - m) / m, 1e-15)) for m, a in near]
     if not scales:
         total, delta, nodes, doublings, conv = _circle_quad(
-            lambda theta: gfun(r * np.exp(1j * theta)), spec.n_theta_init, tol, 0.0
+            lambda theta: gfun(r * np.exp(1j * theta)), N_THETA_INIT, tol, 0.0
         )
         return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
     try:
@@ -319,17 +317,17 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _grade_policy(mass_exp: float, tol: float, max_depth: int, log_bump: bool) -> tuple[float, int]:
+def _grade_policy(mass_exp: float, tol: float, log_bump: bool) -> tuple[float, int]:
     """Geometric ratio and depth so the truncated mass (ratio^depth)^mass_exp
     drops well below tol (the extra margin absorbs log factors and the
     Gauss rule's O(1) error share on the innermost cell)."""
     target = max(1e-4 * tol, 1e-18)
     m = max(mass_exp, 0.3)
     depth = int(math.ceil(math.log(target) / (m * math.log(0.5)))) + (1 if log_bump else 0)
-    if depth <= max_depth:
+    if depth <= MAX_GRADE_DEPTH:
         return 0.5, max(depth, 2)
-    ratio = target ** (1.0 / (max_depth * m))
-    return min(0.5, max(0.05, ratio)), max_depth
+    ratio = target ** (1.0 / (MAX_GRADE_DEPTH * m))
+    return min(0.5, max(0.05, ratio)), MAX_GRADE_DEPTH
 
 
 def _radial_partition(
@@ -350,7 +348,7 @@ def _radial_partition(
         if not lo <= s0 <= hi:
             continue
         pts.add(s0)
-        ratio, depth = _grade_policy(mass_exp, spec.rel_tol, spec.max_grade_depth, log_bump)
+        ratio, depth = _grade_policy(mass_exp, spec.rel_tol, log_bump)
         for sign, span in ((1.0, hi - s0), (-1.0, s0 - lo)):
             if span <= 1e-14:
                 continue
@@ -361,7 +359,7 @@ def _radial_partition(
             continue
         span = hi - lo
         k = 1
-        while span * 0.5**k > 0.6 * scale and k <= spec.max_grade_depth:
+        while span * 0.5**k > 0.6 * scale and k <= MAX_GRADE_DEPTH:
             pts.add(end + inward * span * 0.5**k)
             k += 1
     ordered = sorted(x for x in pts if lo <= x <= hi)
@@ -534,7 +532,7 @@ def _disk_once(
     theta_tol_cell: Sequence[float],
 ) -> tuple[list[float], list[float], int, list[bool]]:
     glx, glw = _gauss_rule(N_GAUSS)
-    n0 = spec.n_theta_init << min(level, 3)
+    n0 = N_THETA_INIT << min(level, 3)
 
     def run(cells: list[tuple[float, float, int]]) -> list[tuple]:
         """(values, changes, nodes, conv) of every leaf cell, in radial order."""
@@ -570,7 +568,7 @@ def _disk_once(
                 leaves.append(res)
                 continue
             # a node landed on a singular point: subdivide in place and retry
-            if depth >= spec.max_grade_depth:
+            if depth >= MAX_GRADE_DEPTH:
                 raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
             cut = 0.5 * (a + b)
             leaves += run([(a, cut, depth + 1), (cut, b, depth + 1)])
@@ -786,7 +784,7 @@ def ring_integral(
         return (kernel.radial(s) * dwdn - w * dkdn) * eps
 
     total, _delta, _nodes, _doublings, conv = _circle_quad(
-        fn, spec.n_theta_init, 0.25 * spec.rel_tol, 1e-300, ref_floor=0.0
+        fn, N_THETA_INIT, 0.25 * spec.rel_tol, 1e-300, ref_floor=0.0
     )
     if not conv:
         raise QuadratureError("ring integral did not converge within the doubling cap")

@@ -134,6 +134,24 @@ def test_rate_subcommand(capsys):
         ("rate", "--fn", "binom:2", "--p", "1", "--q", "0"),
         ("identity", "--fn", "poly:0,1", "--p", "2", "--check", "area-limit",
          "--r-schedule", "5..6"),
+        # each subcommand accepts only the flags it reads
+        ("rate", "--fn", "poly:0,1", "--p", "2", "--r", "0.9"),
+        ("mean", "--fn", "poly:0,1", "--p", "2", "--r", "0.5", "--r-schedule", "2..5"),
+        ("lemma1", "--fn", "poly:1,1", "--p", "2", "--r", "0.9", "--r-schedule", "2..5"),
+        ("suite", "--golden", "--r", "0.5"),
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--check", "growth", "--r", "0.8",
+         "--r-schedule", "2..5"),
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--check", "area-limit", "--r", "0.8",
+         "--r-schedule", "1..3"),
+        ("mean", "--fn", "poly:0,1", "--p", "2", "--r", "0.5", "--theta-min", "32"),
+        # no abbreviations, so `rate --r X` cannot read as `--r-schedule X`
+        ("rate", "--fn", "poly:0,1", "--p", "2", "--r-sched", "2..5"),
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--r", "0.8", "--check", "growth",
+         "--tol", "inf"),
+        ("mean", "--fn", "const:nan", "--p", "2", "--r", "0.5"),
+        # Hardy-Stein is the q = 0 identity
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--q", "1", "--r", "0.8",
+         "--check", "hardy-stein"),
     ],
 )
 def test_usage_and_config_errors_exit_2(capsys, argv):

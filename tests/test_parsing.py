@@ -68,6 +68,24 @@ def test_parse_errors_name_the_field():
         parse_function("rat:1,2")
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("const:nan", "coefficients"),
+        ("poly:nan,1", "coefficients"),
+        ("rat:1|nan,1", "coefficients"),
+        ("blaschke:nan", "zeros"),
+        ("blaschke:0.5*nan", "scale"),
+        ("binom:inf", "alpha"),
+        ("poly:0,1@nan", "rotation"),
+        ("poly:0,1@inf", "rotation"),
+    ],
+)
+def test_non_finite_parameters_name_the_field(text, field):
+    with pytest.raises(FunctionParseError, match=field):
+        parse_function(text)
+
+
 def test_parse_complex_forms():
     assert parse_complex("2") == 2
     assert parse_complex("-0.5i") == -0.5j

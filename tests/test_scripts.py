@@ -33,13 +33,14 @@ def test_script_help(script):
 def test_golden_suite_rejects_bad_tolerance(tmp_path):
     # a usage error: exit 2 with one error line, before any report directory
     outdir = tmp_path / "reports"
-    proc = run_script(
-        ROOT / "scripts" / "run_golden_suite.py", "--tol", "0", "--outdir", str(outdir)
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
-    assert not outdir.exists()
+    for tol in ("0", "inf"):
+        proc = run_script(
+            ROOT / "scripts" / "run_golden_suite.py", "--tol", tol, "--outdir", str(outdir)
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not outdir.exists()
 
 
 @pytest.mark.parametrize(
