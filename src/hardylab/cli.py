@@ -21,6 +21,7 @@ from .identities import (
     IDENTITY_TAGS,
     ring_limit_probe,
     run_identity_check,
+    validate_identity_check,
 )
 from .golden import golden_suite
 from .parsing import FunctionParseError, parse_complex, parse_function
@@ -180,6 +181,9 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
             if args.r_schedule
             else DEFAULT_LIMIT_SCHEDULE
         )
+        # every tag's preconditions before any tag's integrals
+        for tag in tags:
+            validate_identity_check(tag, f, params, radii)
         for tag in tags:
             report.entries.append(run_identity_check(tag, f, params, r, spec, radii))
     elif args.command == "lemma1":

@@ -320,6 +320,30 @@ def _richardson(values: list[float]) -> tuple[float, float, float]:
     return lim, order, spread
 
 
+def _area_limit_radii(
+    f: AnalyticFunction, params: MeanParams, radii: tuple[float, ...]
+) -> list[float]:
+    """The radii area-limit integrates to, after usable_radius has moved
+    them; raises ValueError unless there are at least three, strictly
+    increasing inside (0, 1), and f may belong to the space."""
+    if len(radii) < 3:
+        raise ValueError(
+            f"area-limit check needs at least 3 radii to extrapolate, got {len(radii)}"
+        )
+    if not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError(f"area-limit radii must lie in (0, 1), got {radii}")
+    if membership_hint(f, params.p, params.q) == MembershipHint.NON_MEMBER:
+        raise MembershipRequiredError(
+            "area-limit check requires membership_hint != non-member"
+        )
+    used = [usable_radius(f, r, params.p) for r in radii]
+    if any(b <= a for a, b in zip(used, used[1:])):
+        raise ValueError(
+            f"area-limit radii must be strictly increasing, got {tuple(used)}"
+        )
+    return used
+
+
 def check_area_limit_identity(
     f: AnalyticFunction,
     params: MeanParams,
@@ -337,21 +361,7 @@ def check_area_limit_identity(
     annulus integrals.  The rhs sequence is the running sum of the pieces,
     and its error the sum of every piece's error so far.  The record carries
     the last radius integrated."""
-    if len(radii) < 3:
-        raise ValueError(
-            f"area-limit check needs at least 3 radii to extrapolate, got {len(radii)}"
-        )
-    if not all(0.0 < r < 1.0 for r in radii):
-        raise ValueError(f"area-limit radii must lie in (0, 1), got {radii}")
-    if membership_hint(f, params.p, params.q) == MembershipHint.NON_MEMBER:
-        raise MembershipRequiredError(
-            "area-limit check requires membership_hint != non-member"
-        )
-    used = [usable_radius(f, r, params.p) for r in radii]
-    if any(b <= a for a, b in zip(used, used[1:])):
-        raise ValueError(
-            f"area-limit radii must be strictly increasing, got {tuple(used)}"
-        )
+    used = _area_limit_radii(f, params, radii)
     lhs_vals: list[float] = []
     rhs_vals: list[float] = []
     area = area_err = 0.0
@@ -396,15 +406,28 @@ def run_identity_check(
     spec: QuadratureSpec,
     radii: tuple[float, ...] = DEFAULT_R_SCHEDULE,
 ) -> IdentityReport:
+    validate_identity_check(tag, f, params, radii)
     if tag in CHECKERS:
         return CHECKERS[tag](f, params, r, spec)
     if tag == "hardy-stein":
-        if params.q != 0:
-            raise ValueError(f"hardy-stein: needs q = 0, got q = {params.q}")
         return check_hardy_stein(f, params.p, r, spec)
+    return check_area_limit_identity(f, params, spec, radii)
+
+
+def validate_identity_check(
+    tag: str,
+    f: AnalyticFunction,
+    params: MeanParams,
+    radii: tuple[float, ...] = DEFAULT_R_SCHEDULE,
+) -> None:
+    """Raise the ValueError that run_identity_check would raise on these
+    inputs, before any integral is computed."""
+    if tag not in IDENTITY_TAGS:
+        raise ValueError(f"unknown identity tag '{tag}'")
+    if tag == "hardy-stein" and params.q != 0:
+        raise ValueError(f"hardy-stein: needs q = 0, got q = {params.q}")
     if tag == "area-limit":
-        return check_area_limit_identity(f, params, spec, radii)
-    raise ValueError(f"unknown identity tag '{tag}'")
+        _area_limit_radii(f, params, radii)
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,14 @@
 Circle integrals use the equispaced periodic rule with node doubling (it
 converges geometrically for integrands analytic in a strip around the real
 angle, and node reuse makes doubling cheap).  Disk integrals use a polar
-product mesh: radial cells with Gauss-Legendre nodes, each circle of nodes
-integrated by the same adaptive periodic rule.  A disk level refines all its
+product mesh: radial cells with the 21 Gauss-Kronrod nodes that embed the
+10 Gauss-Legendre ones, each circle of nodes integrated by the same adaptive
+periodic rule.  A kernel's error estimate is the sum over cells of
+|K21 - G10|, the Kronrod value against the embedded Gauss value over the same
+circles, plus the cells' angular changes; the first mesh level whose estimate
+is within rel_tol * max(1, |value|), with every cell converged, is the
+result, and otherwise every radial cell splits in two, up to MAX_LEVELS
+levels.  A disk level refines all its
 periodic cells together: each doubling round makes one field call over the
 cells still refining, cut so that no call holds more than BATCH_POINTS
 points unless it is one cell's own round, and the sums, finiteness tests and
@@ -35,10 +41,11 @@ angles and grades each arc geometrically toward its ends, down to the
 angular scale dist/|w|; this converges exponentially where the uniform rule
 would need O(s/dist) nodes.  The graded pieces are cut in two, four, ...
 until they change by at most the cell tolerance in sum, so the arc rule
-estimates its own error as the periodic rule does.  Each pass gathers the
-Gauss nodes of all its arcs into one angle array and makes a single field
-call, so its cost is per point, not per arc; these banded cells run one
-at a time.  Every other cell uses the periodic rule.
+estimates its own error as the periodic rule does.  Each pass evaluates
+whole arcs' Gauss nodes together, in field calls of at most BATCH_POINTS
+points unless one arc alone exceeds it, so its cost is per point, not per
+arc; these banded cells run one at a time.  Every other cell uses the
+periodic rule.
 
 A circle mean is the same choice for one radial node of weight 1: the
 graded-arc rule when the circle passes within 0.2 |w| of any feature w of f
@@ -73,15 +80,16 @@ from .functions import AnalyticFunction, Zero, feature_moduli, zeros_in_disk
 TWO_PI = 2.0 * math.pi
 
 # fixed mesh policy: initial angular nodes and doubling cap, uniform radial
-# cells, Gauss nodes per radial cell (and per angular arc), disk refinement
-# levels, and the depth cap of geometric radial grading and cell splitting
+# cells, Gauss nodes per angular arc (and embedded in each radial cell's
+# Kronrod rule), disk refinement levels, and the depth cap of geometric
+# radial grading and cell splitting
 N_THETA_INIT = 32
 N_THETA_MAX = 1 << 20
 N_RADIAL_BASE = 8
 N_GAUSS = 10
 MAX_LEVELS = 5
 MAX_GRADE_DEPTH = 40
-# cap on the points of one field call over a batch of periodic cells
+# cap on the points of one field call over a batch of periodic cells or arcs
 BATCH_POINTS = 1 << 14
 
 
@@ -317,6 +325,57 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=1)
+def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Kronrod rule of 2n + 1 nodes on [-1, 1] that embeds Gauss-Legendre
+    of n nodes: (nodes, Kronrod weights, Gauss weights on the same nodes, 0 at
+    the Kronrod-only ones).
+
+    Laurie's algorithm (Math. Comp. 66, 1997) extends the Legendre recurrence
+    a_k = 0, b_k = k^2 / (4k^2 - 1) to the Jacobi-Kronrod matrix, whose
+    eigenvalues are the nodes and whose eigenvectors give the weights, as in
+    Golub-Welsch.  The n Gauss nodes interlace with the n + 1 others, so they
+    sit at the odd indices.  Computed on first use: importing the package
+    makes no LAPACK call.
+    """
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0], b[k] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        el = m - k
+        s[k + 1] = np.cumsum(
+            (a[k + n + 1] - a[el]) * t[k + 1] + b[k + n + 1] * s[k] - b[el] * s[k + 1]
+        )
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        el = m - k
+        j = n - 1 - el
+        s[j + 1] = np.cumsum(
+            -(a[k + n + 1] - a[el]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[el] * s[j + 2]
+        )
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    x, vec = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * vec[0] ** 2
+    # the rule is symmetric; averaging the mirror images removes eigh's
+    # rounding asymmetry
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    w_gauss = np.zeros_like(w)
+    w_gauss[1::2] = _gauss_rule(n)[1]
+    return x, w, w_gauss
+
+
 def _grade_policy(mass_exp: float, tol: float, log_bump: bool) -> tuple[float, int]:
     """Geometric ratio and depth so the truncated mass (ratio^depth)^mass_exp
     drops well below tol (the extra margin absorbs log factors and the
@@ -408,6 +467,7 @@ def _cells_theta(
     collision.  Returns (values, deltas, nodes, conv, collided) per cell.
     """
     n_cells, n_k = weights.shape[:2]
+    n_s = s_nodes.shape[1]
     h = np.zeros(s_nodes.shape)
     values, deltas = np.zeros((2, n_cells, n_k))
     conv = np.zeros((n_cells, n_k), dtype=bool)
@@ -417,8 +477,8 @@ def _cells_theta(
     n, offset = n0, 0.0
     while active.size:
         ring = np.exp(1j * (TWO_PI * (np.arange(n) + offset) / n))
-        per_call = max(1, BATCH_POINTS // (N_GAUSS * n))
-        sums = np.empty((active.size, N_GAUSS))
+        per_call = max(1, BATCH_POINTS // (n_s * n))
+        sums = np.empty((active.size, n_s))
         finite = np.empty(active.size, dtype=bool)
         for j in range(0, active.size, per_call):
             mat = np.asarray(gfun(s_nodes[active[j:j + per_call], :, None] * ring), dtype=float)
@@ -427,7 +487,7 @@ def _cells_theta(
                 sums[j:j + per_call] = mat.sum(axis=2)
         collided[active[~finite]] = True
         active, sums = active[finite], sums[finite]
-        nodes[active] += N_GAUSS * n
+        nodes[active] += n_s * n
         if not offset:
             h[active] = (TWO_PI / n) * sums
             values[active] = kahan_rows(weights[active] * h[active][:, None, :])
@@ -489,18 +549,25 @@ def _cell_theta_banded(
         b_j, sc_b = angles[j + 1] if j + 1 < len(angles) else (angles[0][0] + TWO_PI, angles[0][1])
         edges += _graded_segment(a_j, b_j, sc_j, sc_b)[int(j > 0):]
     lo_t, width = np.array(edges[:-1]), np.diff(edges)
+    n_s = len(s_nodes)
+    per_call = max(1, BATCH_POINTS // (n_s * N_GAUSS))
 
     def rule(k: int) -> tuple[np.ndarray, int]:
         half = np.repeat(0.5 * width / k, k)
         mids = (lo_t[:, None] + width[:, None] * ((np.arange(k) + 0.5) / k)[None, :]).ravel()
-        th = mids[:, None] + half[:, None] * glx[None, :]
-        mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * th.ravel())[None, :]), dtype=float)
-        if not np.all(np.isfinite(mat)):
-            raise _CellCollision
-        # (n_s, n_arcs, n_gauss) @ glw gives each arc's Gauss sum per radial
-        # node; the k cuts of each graded piece are summed back together
-        arc_sums = (mat.reshape(len(s_nodes), len(half), N_GAUSS) @ glw) * half
-        return arc_sums.reshape(len(s_nodes), len(width), k).sum(axis=2), mat.size
+        ring = np.exp(1j * (mids[:, None] + half[:, None] * glx[None, :]))
+        arc_sums = np.empty((n_s, len(half)))
+        # whole arcs per field call, at most BATCH_POINTS points unless one
+        # arc alone exceeds it
+        for j in range(0, len(half), per_call):
+            mat = np.asarray(gfun(s_nodes[:, None] * ring[j:j + per_call].ravel()), dtype=float)
+            if not np.all(np.isfinite(mat)):
+                raise _CellCollision
+            # (n_s, arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
+            arc_sums[:, j:j + per_call] = mat.reshape(n_s, -1, N_GAUSS) @ glw
+        # the k cuts of each graded piece are summed back together
+        arc_sums *= half
+        return arc_sums.reshape(n_s, len(width), k).sum(axis=2), n_s * ring.size
 
     pieces, nodes = rule(splits)
     doublings = 0
@@ -531,16 +598,23 @@ def _disk_once(
     level: int,
     theta_tol_cell: Sequence[float],
 ) -> tuple[list[float], list[float], int, list[bool]]:
-    glx, glw = _gauss_rule(N_GAUSS)
+    """One disk level: (values, error estimates, nodes, cells converged) per
+    kernel.  Each radial cell carries the Kronrod nodes; its Gauss weights
+    are extra kernel rows, so a kernel's error is the sum over cells of
+    |Kronrod - Gauss| plus the angular changes of its Kronrod row."""
+    kron_x, kron_w, gauss_w = _kronrod_rule(N_GAUSS)
     n0 = N_THETA_INIT << min(level, 3)
+    n_k = len(kernels)
+    row_tol = list(theta_tol_cell) * 2
 
     def run(cells: list[tuple[float, float, int]]) -> list[tuple]:
         """(values, changes, nodes, conv) of every leaf cell, in radial order."""
         ends = np.array([(a, b) for a, b, _ in cells])
         mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
-        s = mid[:, None] + half[:, None] * glx
-        w = glw * half[:, None]
-        weights = np.stack([w * kernel.radial(s) * s for kernel in kernels], axis=1)
+        s = mid[:, None] + half[:, None] * kron_x
+        radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
+        # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
+        weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
         # radial cells passing close to a peak (modulus, angle) get the
         # graded-arc angular rule instead of the periodic one
         band_scales: list[list[tuple[float, float]]] = [[] for _ in cells]
@@ -553,11 +627,11 @@ def _disk_once(
         for i, scales in enumerate(band_scales):
             if scales:
                 with suppress(_CellCollision):
-                    banded = _cell_theta_banded(gfun, s[i], weights[i], scales, 1, theta_tol_cell)
+                    banded = _cell_theta_banded(gfun, s[i], weights[i], scales, 1, row_tol)
                     out[i] = banded[:4]
         periodic = [i for i, scales in enumerate(band_scales) if not scales]
         if periodic:
-            batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, theta_tol_cell)
+            batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, row_tol)
             vals, derr, used, conv, collided = (arr.tolist() for arr in batch)
             for j, i in enumerate(periodic):
                 if not collided[j]:
@@ -575,12 +649,14 @@ def _disk_once(
         return leaves
 
     cells = _radial_partition(lo, hi, sings, end_scales, spec, level)
-    values, changes, used, convs = zip(*run([(a, b, 0) for a, b in cells]))
-    theta_err = [0.0] * len(kernels)
-    for change in changes:
-        theta_err = [e + d for e, d in zip(theta_err, change)]
-    all_conv = [all(c) for c in zip(*convs)]
-    return [tree_sum(col) for col in zip(*values)], theta_err, sum(used), all_conv
+    leaves = run([(a, b, 0) for a, b in cells])
+    values, changes, used, convs = (np.array(col) for col in zip(*leaves))
+    kronrod = values[:, :n_k]
+    err = np.abs(kronrod - values[:, n_k:]).sum(axis=0) + changes[:, :n_k].sum(axis=0)
+    conv = convs.all(axis=0)
+    all_conv = conv[:n_k] & conv[n_k:]
+    values = [tree_sum(col) for col in kronrod.T.tolist()]
+    return values, err.tolist(), int(used.sum()), all_conv.tolist()
 
 
 def _zero_singularities(
@@ -666,38 +742,23 @@ def _disk_integral(
             lo_scale = min(below)
     end_scales = (lo_scale, boundary_scale)
 
-    def results(values, errs, nodes, level, conv):
-        return [IntegralResult(v, e, nodes, level, c) for v, e, c in zip(values, errs, conv)]
-
     n_k = len(kernels)
-    if force_level is not None:
-        theta_tol = [0.125 * 0.25 * spec.rel_tol] * n_k
-        values, terr, nodes, conv = _disk_once(
-            gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, force_level, theta_tol,
-        )
-        return results(values, terr, nodes, force_level, conv)
-    prev = None
+    hint = [1.0] * n_k
     nodes_total = 0
-    err = [math.inf] * n_k
-    values = [math.nan] * n_k
-    conv = [False] * n_k
-    for level in range(MAX_LEVELS):
-        hint = [max(1.0, abs(v)) for v in prev] if prev is not None else [1.0] * n_k
+    for level in range(MAX_LEVELS) if force_level is None else (force_level,):
         theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
-        values, terr, nodes, cells_conv = _disk_once(
+        values, err, nodes, cells_conv = _disk_once(
             gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, level, theta_tol,
         )
         nodes_total += nodes
-        if prev is not None:
-            err = [abs(v - pv) + te for v, pv, te in zip(values, prev, terr)]
-            conv = [
-                e <= spec.rel_tol * max(1.0, abs(v)) and c
-                for e, v, c in zip(err, values, cells_conv)
-            ]
-            if all(conv):
-                return results(values, err, nodes_total, level, conv)
-        prev = values
-    return results(values, err, nodes_total, MAX_LEVELS - 1, conv)
+        conv = [
+            e <= spec.rel_tol * max(1.0, abs(v)) and c
+            for e, v, c in zip(err, values, cells_conv)
+        ]
+        if all(conv):
+            break
+        hint = [max(1.0, abs(v)) for v in values]
+    return [IntegralResult(v, e, nodes_total, level, c) for v, e, c in zip(values, err, conv)]
 
 
 def disk_integral_G(

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+import hardylab.quadrature as quadrature
 from hardylab.cli import main
+from hardylab.identities import evaluate_radius
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +160,23 @@ def test_usage_and_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+def test_identity_validates_every_tag_before_computing(capsys, monkeypatch):
+    # hardy-stein rejects q = 1 after growth and weighted-area in the list:
+    # the call must exit 2 without building a disk mesh for either of them
+    def no_disk(*args, **kwargs):
+        raise AssertionError("a disk integral was computed")
+
+    monkeypatch.setattr(quadrature, "_disk_integral", no_disk)
+    evaluate_radius.cache_clear()
+    code, _, err = run_cli(
+        capsys,
+        "identity", "--fn", "poly:-0.5,1", "--p", "0.5", "--q", "1", "--r", "0.5000005",
+        "--check", "growth,weighted-area,hardy-stein",
+    )
+    assert code == 2
+    assert "hardy-stein" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

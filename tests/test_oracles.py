@@ -1,0 +1,100 @@
+"""Oracle gate: a converged disk integral lies within its own error bar.
+
+Each case integrates G = Laplacian of W against the kernel 1 over |z| < r
+and compares it with 2 pi r M'(r), where M is the circle mean of W, taken
+from a closed form and differentiated analytically.  A converged result
+must satisfy |value - exact| <= max(error_estimate, rel_tol * max(1, |exact|));
+unconverged results and typed errors are allowed.
+"""
+
+import math
+
+import pytest
+
+from hardylab.fields import MeanParams
+from hardylab.functions import Binomial, Polynomial
+from hardylab.quadrature import KERNEL_ONE, QuadratureError, QuadratureSpec, disk_integral_G
+
+mpmath = pytest.importorskip("mpmath")
+
+SPEC = QuadratureSpec()
+
+
+def binomial_disk_g(alpha, params, r):
+    """(1 - z)^(-alpha): M = (1 - r^2)^q 2F1(a, a; 1; r^2) with a = alpha p / 2,
+    and d/dx 2F1(a, a; 1; x) = a^2 2F1(a + 1, a + 1; 2; x)."""
+    with mpmath.workdps(30):
+        a, x, q = mpmath.mpf(alpha * params.p) / 2, mpmath.mpf(r) ** 2, params.q
+        h, dh = mpmath.hyp2f1(a, a, 1, x), a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x)
+        dmean_dx = (1 - x) ** q * dh - q * (1 - x) ** (q - 1) * h
+        return float(2 * mpmath.pi * r * 2 * r * dmean_dx)
+
+
+def monomial_disk_g(n, params, r):
+    """z^n: M = r^s (1 - r^2)^q with s = n p."""
+    s, q = n * params.p, params.q
+    dmean = s * r ** (s - 1) * (1 - r * r) ** q - 2 * q * r ** (s + 1) * (1 - r * r) ** (q - 1)
+    return 2 * math.pi * r * dmean
+
+
+def shifted_zero_disk_g(a, p, r):
+    """z - a with 0 < a < r at q = 0: M = r^p 2F1(-p/2, -p/2; 1; (a/r)^2), and
+    d/dx 2F1(b, b; 1; x) = b^2 2F1(b + 1, b + 1; 2; x) with b = -p/2."""
+    with mpmath.workdps(30):
+        r_, b = mpmath.mpf(r), -mpmath.mpf(p) / 2
+        x = (mpmath.mpf(a) / r_) ** 2
+        h, dh = mpmath.hyp2f1(b, b, 1, x), b * b * mpmath.hyp2f1(b + 1, b + 1, 2, x)
+        dmean = p * r_ ** (p - 1) * h + r_**p * dh * (-2 * x / r_)
+        return float(2 * mpmath.pi * r_ * dmean)
+
+
+def binomial_case(alpha, p, q, r):
+    params = MeanParams(p, q)
+    return pytest.param(
+        Binomial(alpha), params, r, binomial_disk_g(alpha, params, r),
+        id=f"binom:{alpha}-p{p}-q{q}-r{r}",
+    )
+
+
+def monomial_case(n, p, q, r):
+    params = MeanParams(p, q)
+    return pytest.param(
+        Polynomial((0,) * n + (1,)), params, r, monomial_disk_g(n, params, r),
+        id=f"z^{n}-p{p}-q{q}-r{r}",
+    )
+
+
+def shifted_zero_case(p, r):
+    return pytest.param(
+        Polynomial((-0.5, 1)), MeanParams(p, 0), r, shifted_zero_disk_g(0.5, p, r),
+        id=f"z-0.5-p{p}-r{r}",
+    )
+
+
+CASES = (
+    [
+        binomial_case(alpha, p, q, r)
+        for alpha, p, q in ((0.9, 2, 0), (0.9, 2, 1), (0.5, 1.5, 0.5), (2, 1, 0))
+        for r in (0.5, 0.9, 0.99)
+    ]
+    + [
+        monomial_case(n, p, q, r)
+        for n, p, q in ((1, 2, 0), (1, 0.5, 0), (2, 1.5, 1), (3, 0.5, 0.5))
+        for r in (0.5, 0.9, 0.99)
+    ]
+    + [
+        shifted_zero_case(p, r)
+        for p, r in ((1.5, 0.7), (1.5, 0.9), (3, 0.7), (3, 0.9), (0.5, 0.9))
+    ]
+)
+
+
+@pytest.mark.parametrize("f,params,r,exact", CASES)
+def test_converged_disk_g_within_its_error_bar(f, params, r, exact):
+    try:
+        res = disk_integral_G(f, params, r, KERNEL_ONE, SPEC)
+    except QuadratureError:
+        return
+    if res.converged:
+        allowed = max(res.error_estimate, SPEC.rel_tol * max(1.0, abs(exact)))
+        assert abs(res.value - exact) <= allowed, (res.value, exact, res.error_estimate)

@@ -23,6 +23,7 @@ from hardylab.quadrature import (
     _disk_integral,
     _gauss_rule,
     _graded_segment,
+    _kronrod_rule,
     _radial_partition,
     _zero_singularities,
     BATCH_POINTS,
@@ -47,6 +48,7 @@ from hardylab.quadrature import (
 
 SPEC = QuadratureSpec()
 TWO_PI = 2 * math.pi
+KRONROD_X, KRONROD_W, KRONROD_GAUSS_W = _kronrod_rule(N_GAUSS)
 
 
 def monomial(n):
@@ -58,6 +60,27 @@ def test_spec_validation():
     for tol in (0.0, math.inf, math.nan, 1.0):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=tol)
+
+
+# ------------------------------------------------------- Kronrod radial rule
+
+def test_kronrod_rule_embeds_gauss():
+    gx, gw = np.polynomial.legendre.leggauss(N_GAUSS)
+    assert len(KRONROD_X) == 2 * N_GAUSS + 1
+    assert np.all(np.diff(KRONROD_X) > 0)
+    assert np.max(np.abs(KRONROD_X[1::2] - gx)) <= 1e-15
+    assert KRONROD_GAUSS_W[1::2].tolist() == gw.tolist()
+    assert not KRONROD_GAUSS_W[0::2].any()
+
+
+def test_kronrod_weights_positive_and_exact_to_degree_31():
+    assert np.all(KRONROD_W > 0)
+    assert abs(KRONROD_W.sum() - 2.0) <= 1e-14
+    for d in range(32):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert abs(np.dot(KRONROD_W, KRONROD_X**d) - exact) <= 1e-14, d
+    # the Gauss rule embedded on the same nodes is exact to degree 19 only
+    assert abs(np.dot(KRONROD_GAUSS_W, KRONROD_X**20) - 2.0 / 21) > 1e-6
 
 
 # --------------------------------------------------------------- circle mean
@@ -507,9 +530,11 @@ def banded_reference(gfun, s_nodes, weights, angle_scales, splits):
 
 
 def banded_cell(points, a, b):
-    """Radial nodes, weights and angle scales of the cell [a, b], built as
-    the disk rule builds them for features (sharp zeros or rim points) at
-    the given points."""
+    """Radial Gauss nodes, weights and angle scales of the cell [a, b], with
+    the arc scales the disk rule gives features (sharp zeros or rim points)
+    at the given points.  Some cells are centred on a zero's modulus, which
+    the disk rule's partition never makes; the Kronrod rule's middle node
+    would sit on the zero's circle there, so these cells take Gauss nodes."""
     glx, glw = _gauss_rule(N_GAUSS)
     s = 0.5 * (a + b) + 0.5 * (b - a) * glx
     weights = glw * 0.5 * (b - a) * s
@@ -618,14 +643,14 @@ def periodic_reference(gfun, s_nodes, weights, n0, tol_abs):
 
 
 def periodic_cells(cells, kernels):
-    """Radial nodes (n_cells, N_GAUSS) and weights (n_cells, n_kernels,
-    N_GAUSS) of the cells [a, b], built as the disk rule builds them."""
-    glx, glw = _gauss_rule(N_GAUSS)
+    """Radial nodes (n_cells, 2 N_GAUSS + 1) and weights (n_cells,
+    2 n_kernels, 2 N_GAUSS + 1) of the cells [a, b], built as the disk rule
+    builds them: every kernel's Kronrod row, then every kernel's Gauss row."""
     ends = np.array(cells)
     mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
-    s = mid[:, None] + half[:, None] * glx
-    w = glw * half[:, None]
-    return s, np.stack([w * kernel.radial(s) * s for kernel in kernels], axis=1)
+    s = mid[:, None] + half[:, None] * KRONROD_X
+    radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
+    return s, np.concatenate([radial * KRONROD_W, radial * KRONROD_GAUSS_W], axis=1)
 
 
 # (z - 1.1)(1 + 8.3e-6 z^40): cells toward the rim need more doublings
@@ -653,7 +678,8 @@ PERIODIC_KERNELS = (
 )
 def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
     s, weights = periodic_cells(cells, PERIODIC_KERNELS[:n_rows])
-    tol = [1e-10 * (k + 1) for k in range(n_rows)]
+    # one tolerance per Kronrod row and per Gauss row
+    tol = [1e-10 * (k + 1) for k in range(2 * n_rows)]
 
     def gfun(z):
         return g_values(f, params, z)
@@ -675,14 +701,18 @@ def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
 
 def disk_reference(gfun, cells, n0, tol, max_depth):
     """Per-cell driver of one disk level with every cell periodic: a cell
-    with a non-finite node is replaced in place by its two halves."""
+    with a non-finite node is replaced in place by its two halves.  The
+    error is the sum over cells of |Kronrod - Gauss| plus the sum of the
+    Kronrod row's angular changes."""
     work = [(a, b, 0) for a, b in cells]
-    leaves, values, err, nodes = [], [], 0.0, 0
+    leaves, values, radial_err, theta_err, nodes = [], [], 0.0, 0.0, 0
     while work:
         a, b, depth = work.pop(0)
         s, weights = periodic_cells([(a, b)], (KERNEL_ONE,))
         try:
-            (value,), (delta,), used, _conv = periodic_reference(gfun, s[0], weights[0], n0, tol)
+            (value, gauss), (delta, _), used, _conv = periodic_reference(
+                gfun, s[0], weights[0], n0, tol
+            )
         except _CellCollision:
             assert depth < max_depth
             mid = 0.5 * (a + b)
@@ -690,9 +720,10 @@ def disk_reference(gfun, cells, n0, tol, max_depth):
             continue
         leaves.append((a, b))
         values.append(value)
-        err += delta
+        radial_err += abs(value - gauss)
+        theta_err += delta
         nodes += used
-    return leaves, values, err, nodes
+    return leaves, values, radial_err + theta_err, nodes
 
 
 def test_disk_collision_splits_one_cell_in_place(monkeypatch):
@@ -738,7 +769,7 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     def gfun(z):
         return field(f, params, z)
 
-    tol = [0.125 * 0.25 * SPEC.rel_tol]
+    tol = [0.125 * 0.25 * SPEC.rel_tol] * 2
     leaves, values, err, nodes = disk_reference(gfun, cells, N_THETA_INIT, tol, 40)
     assert leaves == cells[:hit] + [(a, cut), (cut, b)] + cells[hit + 1:]
     assert summed == [values]
@@ -773,11 +804,47 @@ def test_disk_field_calls_respect_batch_cap():
     assert res.converged
     assert res.value == disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC).value
     for shape in shapes:
-        # (cells, N_GAUSS, angles): over the cap only as one cell's own round
-        assert len(shape) == 3 and shape[1] == N_GAUSS
+        # (cells, Kronrod nodes, angles): over the cap only as one cell's own round
+        assert len(shape) == 3 and shape[1] == len(KRONROD_X)
         assert math.prod(shape) <= BATCH_POINTS or shape[0] == 1
     assert any(shape[0] > 1 for shape in shapes)
     assert any(math.prod(shape) > BATCH_POINTS for shape in shapes)
+
+
+def test_banded_field_calls_respect_batch_cap(monkeypatch):
+    # G of blaschke:0.5 at p = 1.5 is unbounded at the zero, so the cells
+    # around |z| = 0.5 take the arc rule, whose later passes hold more than
+    # BATCH_POINTS points: each pass is cut into calls of whole arcs
+    f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.0)
+    passes, shapes = [], []
+    arc_rule = quadrature._cell_theta_banded
+
+    def banded(*args, **kwargs):
+        out = arc_rule(*args, **kwargs)
+        passes.append(out[4] + 1)
+        return out
+
+    def field(f, params, z):
+        shapes.append(z.shape)
+        return g_values(f, params, z)
+
+    monkeypatch.setattr(quadrature, "_cell_theta_banded", banded)
+    (res,) = _disk_integral(field, 0.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
+    assert res.converged
+    arc_calls = [shape for shape in shapes if len(shape) == 2]
+    assert passes and len(arc_calls) > sum(passes)
+    for n_s, points in arc_calls:
+        # (Kronrod nodes, angles) of whole arcs, within the cap
+        assert n_s == len(KRONROD_X) and points % N_GAUSS == 0
+        assert n_s * points <= BATCH_POINTS
+
+    # a lone circle next to the zero still makes one call per pass
+    passes.clear()
+    shapes.clear()
+    monkeypatch.setattr(quadrature, "w_values", field)
+    mean = circle_mean(f, params, 0.5 + 1e-6, SPEC)
+    assert mean.converged
+    assert len(shapes) == sum(passes) == mean.levels + 1
 
 
 # ------------------------------------------------------------- ring integrals
