@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from .asymptotics import DEFAULT_RATE_SCHEDULE, rate_probe
 from .fields import MeanParams
@@ -89,7 +90,10 @@ def _new_report(args: argparse.Namespace, command: str) -> SuiteReport:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and building it formats help for every flag."""
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="Weighted circle means of analytic functions: values, "

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import hardylab.quadrature as quadrature
-from hardylab.cli import main
+from hardylab.cli import build_parser, main
 from hardylab.identities import evaluate_radius
 
 
@@ -242,3 +242,18 @@ def test_repeat_runs_byte_identical_modulo_timestamp(capsys):
     body1 = out1.strip().splitlines()[1:]
     body2 = out2.strip().splitlines()[1:]
     assert body1 == body2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    # a usage error first, so a parser left in a bad state would show below
+    assert run_cli(capsys, "mean", "--fn", "const:1", "--p", "2", "--r", "x")[0] == 2
+    args = ("mean", "--fn", "poly:1,1", "--p", "2", "--q", "0.5", "--r", "0.7")
+    code1, out1, err1 = run_cli(capsys, *args)
+    code2, out2, err2 = run_cli(capsys, *args)
+    assert code1 == code2 == 0 and err1 == err2 == ""
+    recs1, recs2 = records(out1), records(out2)
+    for recs in (recs1, recs2):
+        del recs[0]["timestamp"]
+    assert recs1 == recs2
+    assert out1.splitlines()[1:] == out2.splitlines()[1:]
