@@ -30,6 +30,9 @@ def kahan_rows(terms: np.ndarray) -> np.ndarray:
     """kahan_sum over the last axis of an array, vectorised over the leading
     axes: every entry goes through the same IEEE operations, in the same
     order, as kahan_sum of that row."""
+    if terms.shape[-1] == 1:
+        # the one step of the loop below: 0 + (t - 0), carry unused
+        return terms[..., 0] + 0.0
     total = np.zeros(terms.shape[:-1])
     carry = np.zeros_like(total)
     for i in range(terms.shape[-1]):

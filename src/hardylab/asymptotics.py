@@ -12,8 +12,10 @@ error.  The verdict vocabulary is "consistent-with-theorem", never
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .functions import (
     membership_hint,
 )
 from .parsing import render_function
-from .quadrature import QuadratureSpec, circle_mean, circle_mean_deriv
+from .quadrature import QuadratureSpec, circle_integrals
 
 VERDICT_CONSISTENT = "consistent-with-theorem"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -51,6 +53,17 @@ class RateProbeResult:
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
+
+
+def _means(
+    f: AnalyticFunction, params: MeanParams, radii: Sequence[float], spec: QuadratureSpec
+) -> list[float]:
+    """Circle means along a schedule, in one batch; raises the error of the
+    first failing radius."""
+    means, error = circle_integrals(f, params, radii, spec)
+    if error is not None:
+        raise error
+    return [res.value for res in means]
 
 
 def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -80,19 +93,18 @@ def rate_probe(
         raise MembershipRequiredError(
             "rate probe requires membership_hint(f, p, q) = member"
         )
-    used_r: list[float] = []
-    d_vals: list[float] = []
-    for r in radii:
-        res = circle_mean_deriv(f, params, r, spec)
-        if not res.converged:
-            break  # truncate the schedule at the first unconverged radius
-        used_r.append(r)
-        d_vals.append(res.value)
+    derivs, error = circle_integrals(f, params, radii, spec, deriv=True)
+    # truncate the schedule at the first unconverged radius; a radius that
+    # fails after it is never reached
+    d_vals = [res.value for res in itertools.takewhile(lambda res: res.converged, derivs)]
+    if len(d_vals) == len(derivs) and error is not None:
+        raise error
+    used_r = list(radii[:len(d_vals)])
     products = [(1.0 - r) * d for r, d in zip(used_r, d_vals)]
-    norm_d = []
-    for r, d in zip(used_r, d_vals):
-        m = circle_mean(f, params, r, spec).value
-        norm_d.append(d / params.p * m ** (1.0 / params.p - 1.0) if m > 0 else math.nan)
+    norm_d = [
+        d / params.p * m ** (1.0 / params.p - 1.0) if m > 0 else math.nan
+        for d, m in zip(d_vals, _means(f, params, used_r, spec))
+    ]
 
     def build(verdict: str, beta: float = math.nan, se: float = math.nan) -> RateProbeResult:
         return RateProbeResult(
@@ -177,7 +189,7 @@ def monotonicity_check(
     if len(radii) < 16:
         raise ValueError("monotonicity grid needs at least 16 radii")
     params = MeanParams(p, 0.0)
-    vals = [circle_mean(f, params, r, spec).value ** (1.0 / p) for r in radii]
+    vals = [m ** (1.0 / p) for m in _means(f, params, radii, spec)]
     worst = 0.0
     for a, b in zip(vals, vals[1:]):
         worst = max(worst, a - b)
@@ -202,7 +214,7 @@ def logconvexity_check(
     differences on a geometric grid stay above -1e-8."""
     radii = radii or default_geometric_grid()
     params = MeanParams(p, 0.0)
-    vals = [circle_mean(f, params, r, spec).value ** (1.0 / p) for r in radii]
+    vals = [m ** (1.0 / p) for m in _means(f, params, radii, spec)]
     if min(vals) <= 0.0:
         raise ValueError("log-convexity check needs strictly positive means on the grid")
     logs = [math.log(v) for v in vals]
@@ -245,9 +257,7 @@ def membership_scan(
     supremum moved by less than 1e-3 relative over the last step (covers
     means that decrease toward the boundary, where the sup is interior).
     """
-    vals = [
-        circle_mean(f, params, r, spec).value ** (1.0 / params.p) for r in radii
-    ]
+    vals = [m ** (1.0 / params.p) for m in _means(f, params, radii, spec)]
     sups = np.maximum.accumulate(vals)
     if vals[-1] > 10.0 * max(vals[0], 1e-300):
         cls = "diverging"

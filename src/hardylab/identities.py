@@ -47,13 +47,14 @@ from .quadrature import (
     Kernel,
     TWO_PI,
     QuadratureSpec,
+    circle_integrals,
     circle_mean,
     circle_mean_deriv,
     disk_integral_G,
     disk_integral_W,
     disk_integrals_G,
     kernel_log_r_over_abs,
-    ring_integral,
+    ring_integrals,
 )
 
 IDENTITY_TAGS = (
@@ -366,8 +367,11 @@ def check_area_limit_identity(
     rhs_vals: list[float] = []
     area = area_err = 0.0
     converged = True
-    for r_prev, r in zip([0.0, *used], used):
-        cm = circle_mean(f, params, r, spec)
+    means, mean_error = circle_integrals(f, params, used, spec)
+    for k, (r_prev, r) in enumerate(zip([0.0, *used], used)):
+        if k == len(means):
+            raise mean_error
+        cm = means[k]
         g = disk_integral_G(f, params, r, KERNEL_ONE_MINUS_ABS_SQ, spec, s_lo=r_prev)
         w = disk_integral_W(f, params, r, KERNEL_ONE, spec, s_lo=r_prev)
         area += g.value + 4.0 * w.value
@@ -479,9 +483,7 @@ def ring_limit_probe(
         if dist > 1e-8:
             raise ValueError(f"z0 = {z0} is neither the origin nor a zero of f")
     eps = tuple(sorted(eps_schedule, reverse=True))
-    values = tuple(
-        ring_integral(f, params, z0, e, kernel, r, spec) for e in eps
-    )
+    values = tuple(ring_integrals(f, params, z0, eps, kernel, r, spec))
     if z0 == 0 and kernel.singular_at_origin:
         target = TWO_PI * abs(eval_at(f, 0.0)) ** params.p
     else:

@@ -1,59 +1,37 @@
 """Singularity-aware quadrature on circles, rings, and disks.
 
-Circle integrals use the equispaced periodic rule with node doubling (it
-converges geometrically for integrands analytic in a strip around the real
-angle, and node reuse makes doubling cheap).  Disk integrals use a polar
-product mesh: radial cells with the 21 Gauss-Kronrod nodes that embed the
-10 Gauss-Legendre ones, each circle of nodes integrated by the same adaptive
-periodic rule.  A kernel's error estimate is the sum over cells of
-|K21 - G10|, the Kronrod value against the embedded Gauss value over the same
-circles, plus the cells' angular changes; the first mesh level whose estimate
-is within rel_tol * max(1, |value|), with every cell converged, is the
-result, and otherwise every radial cell splits in two, up to MAX_LEVELS
-levels.  A disk level refines all its
-periodic cells together: each doubling round makes one field call over the
-cells still refining, cut so that no call holds more than BATCH_POINTS
-points unless it is one cell's own round, and the sums, finiteness tests and
-change estimates run on arrays over those cells.  Each cell keeps its own
-stop rule and node count, and its bits are those of a lone run.
+One periodic engine integrates over the angle: the equispaced rule with node
+doubling, geometric for integrands analytic in a strip around the real
+angle.  It runs a batch of cells, each with radial nodes s, rows of weights
+and an integrand of s and the unit-circle node u: a disk cell's integrand is
+a field at s u, a circle mean is a cell with one radial node of weight 1,
+and a ring a cell whose integrand is the flux through |z - z0| = s.  The
+cells double together, one field call per round of at most BATCH_POINTS
+points unless it is one cell's own; each cell keeps its own stop rule, and
+its bits are those of a lone run.  The circles of a schedule (rate probe,
+scans, the area-limit lhs) are one batch, and so are the rings of an eps
+schedule.  Node contributions are combined by compensated summation and
+cells by a fixed binary tree, so results are bit-identical between runs.
 
-One disk mesh serves a stack of radial kernels.  The kernels are weight rows
-over the same radial nodes: the angular sums of a cell are computed once and
-each row reduces them, so several kernels cost one set of field evaluations.
-Every kernel keeps its own tolerance, error estimate and converged flag, and
-a cell or level refines until every kernel meets its own; the radial grading
-is the union of what the kernels need.
+A disk integral is a polar product mesh of radial cells with the 21
+Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
+estimate is the sum over cells of |K21 - G10| plus the angular changes; the
+first level within rel_tol * max(1, |value|) is the result, else every
+radial cell splits, up to MAX_LEVELS levels.  A stack of kernels shares one
+mesh as weight rows, each with its own tolerance, estimate and converged
+flag.  Radial cells are graded geometrically toward the origin for log
+kernels, toward the modulus of every zero of f where the integrand is not
+smooth (G scales like |z-z0|^{kp-2} at a zero of order k), and toward the
+rim when the weight (1-|z|^2)^q, or a zero, pole or boundary singularity of
+f, lies just outside.
 
-Radial cells are graded geometrically
-
-  * toward the origin for logarithmic kernels,
-  * toward the modulus of every zero of f whose local mass exponent makes the
-    integrand non-smooth there (G scales like |z-z0|^{kp-2} at a zero of
-    order k, which is 2D-integrable but pointwise unbounded when kp < 2),
-  * toward the outer rim when the weight (1-|z|^2)^q, or a zero, pole or
-    boundary singularity of f, lives just outside the domain.
-
-Disk cells have one angular rule for every feature whose angle is known in
-closed form: off-origin zeros with kp < 2 (for G), and zeros, poles and the
-binomial singularity on or outside the rim.  A radial cell that passes
-within 0.2 |w| of such a feature w splits its circles at the features'
-angles and grades each arc geometrically toward its ends, down to the
-angular scale dist/|w|; this converges exponentially where the uniform rule
-would need O(s/dist) nodes.  The graded pieces are cut in two, four, ...
-until they change by at most the cell tolerance in sum, so the arc rule
-estimates its own error as the periodic rule does.  Each pass evaluates
-whole arcs' Gauss nodes together, in field calls of at most BATCH_POINTS
-points unless one arc alone exceeds it, so its cost is per point, not per
-arc; these banded cells run one at a time.  Every other cell uses the
-periodic rule.
-
-A circle mean is the same choice for one radial node of weight 1: the
-graded-arc rule when the circle passes within 0.2 |w| of any feature w of f
-(on either side of it), the periodic rule from N_THETA_INIT nodes otherwise.
-
-Within a cell, node contributions are combined by compensated summation and
-cells are combined with a fixed binary reduction tree, so results are
-bit-identical between runs.
+Circles within 0.2 |w| of a feature w of known angle take the graded-arc
+rule instead, one at a time (disk cells: off-origin zeros with kp < 2 for G,
+and features on or outside the rim; circle means: any feature).  It splits
+the circle at the features' angles and grades each arc geometrically down to
+the scale dist/|w|, where the uniform rule would need O(s/dist) nodes, then
+cuts the pieces in two, four, ... until they change by at most the
+tolerance, each pass in field calls of whole arcs of at most BATCH_POINTS.
 """
 
 from __future__ import annotations
@@ -196,60 +174,107 @@ def kernel_log_r_over_abs(r: float) -> Kernel:
 
 
 def kernel_by_name(name: str, r: float) -> Kernel:
-    table = {
-        "one": lambda: KERNEL_ONE,
-        "one-minus-abs-sq": lambda: KERNEL_ONE_MINUS_ABS_SQ,
-        "log-unit": lambda: KERNEL_LOG_ONE_OVER_ABS,
-        "log-r": lambda: kernel_log_r_over_abs(r),
-    }
-    if name not in table:
+    for kernel in (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ, KERNEL_LOG_ONE_OVER_ABS):
+        if kernel.name == name:
+            return kernel
+    if name != "log-r":
         raise ValueError(f"unknown kernel '{name}'")
-    return table[name]()
+    return kernel_log_r_over_abs(r)
 
 
 # --------------------------------------------------------------------------
 # periodic rule with doubling
 # --------------------------------------------------------------------------
 
-def _circle_quad(
-    fn: Callable[[np.ndarray], np.ndarray],
-    n0: int,
-    rel_tol: float,
-    abs_tol: float,
-    ref_floor: float = 1.0,
-) -> tuple[float, float, int, int, bool]:
-    """Integral of fn over [0, 2pi) by the equispaced rule with doubling.
+class _CellCollision(Exception):
+    pass
 
-    Stops when the doubling increment drops below
-    max(abs_tol, rel_tol * max(ref_floor, |value|, 1e-6 * L1)); the L1 term
-    keeps the criterion meaningful for signed integrands with cancellation.
-    Returns (value, last increment, nodes used, doublings, converged).
+
+@lru_cache(maxsize=16)
+def _unit_nodes(n: int, offsets: tuple[float, ...]) -> np.ndarray:
+    """e^{i theta} at theta = 2 pi (j + o) / n, j < n, per offset o; shared, so read-only."""
+    nodes = np.concatenate([np.exp(1j * (TWO_PI * (np.arange(n) + o) / n)) for o in offsets])
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _cells_theta(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    s_nodes: np.ndarray,
+    weights: np.ndarray,
+    n0: int,
+    tol_abs: Sequence[float],
+    rel_tol: float = 0.0,
+    ref_floor: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Periodic-rule values of many cells: values[c, k] is sum_i
+    weights[c, k, i] * (integral over theta of integrand(s_nodes[c, i], u),
+    u = e^{i theta}).
+
+    All cells start at n0 angular nodes and double together: the first call
+    holds the n0 nodes and their n0 midpoints, which the first change needs,
+    and each later round the new midpoints, in calls of at most BATCH_POINTS
+    points (a call of one cell may exceed it).  A cell stops once every row's
+    change is within max(tol_abs[k], rel_tol * max(ref_floor, |value_k|,
+    1e-6 L1_k)), L1_k the row over |integrand| (meaningful for signed
+    integrands with cancellation), or at N_THETA_MAX nodes; a cell with a
+    non-finite node stops as a collision.  Returns (values, deltas, nodes,
+    conv, collided) per cell.
     """
-    n = n0
-    theta = TWO_PI * np.arange(n) / n
-    vals = np.asarray(fn(theta), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite integrand value on circle")
-    total = (TWO_PI / n) * float(np.sum(vals))
-    l1 = (TWO_PI / n) * float(np.sum(np.abs(vals)))
-    nodes = n
-    doublings = 0
-    while True:
-        mid = TWO_PI * (np.arange(n) + 0.5) / n
-        vals = np.asarray(fn(mid), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("non-finite integrand value on circle")
-        new_total = 0.5 * total + (math.pi / n) * float(np.sum(vals))
-        l1 = 0.5 * l1 + (math.pi / n) * float(np.sum(np.abs(vals)))
-        delta = abs(new_total - total)
-        total = new_total
-        nodes += n
-        n *= 2
-        doublings += 1
-        if delta <= max(abs_tol, rel_tol * max(ref_floor, abs(total), 1e-6 * l1)):
-            return total, delta, nodes, doublings, True
-        if n >= N_THETA_MAX:
-            return total, delta, nodes, doublings, False
+    n_cells, n_k, n_s = weights.shape
+    values, deltas = np.zeros((n_cells, n_k)), np.zeros((n_cells, n_k))
+    conv, nodes = np.zeros((n_cells, n_k), dtype=bool), np.zeros(n_cells, dtype=np.int64)
+    # the cells still refining, with their nodes, weights and running sums
+    cells, s_col, w = np.arange(n_cells), s_nodes[:, :, None], weights
+    h = l1 = value = np.zeros(s_nodes.shape)  # set by the first round
+    # max(t, r max(f, a, b)) = max(max(t, r f), r max(a, b)): rounding is monotone
+    floor = np.maximum(tol_abs, rel_tol * ref_floor)
+    n, used, offsets = n0, 0, (0.0, 0.5)
+    # rows holding inf - inf are collisions
+    with np.errstate(invalid="ignore"):
+        while cells.size:
+            ring = _unit_nodes(n, offsets)
+            per_call = max(1, BATCH_POINTS // (n_s * ring.size))
+            parts = []
+            for j in range(0, cells.size, per_call):
+                # (cells, radial nodes, offsets, n): one sum per offset
+                mat = np.asarray(integrand(s_col[j:j + per_call], ring), dtype=float).reshape(
+                    -1, n_s, len(offsets), n)
+                sums = mat.sum(axis=3)
+                parts.append((np.isfinite(mat).all(axis=(1, 2, 3)), sums,
+                              np.abs(mat).sum(axis=3) if rel_tol else sums))
+            finite, sums, abs_sums = map(np.concatenate, zip(*parts)) if parts[1:] else parts[0]
+            if not finite.all():
+                cells, s_col, w, sums, abs_sums, h, l1, value = (
+                    arr[finite] for arr in (cells, s_col, w, sums, abs_sums, h, l1, value)
+                )
+            used += n_s * ring.size
+            if len(offsets) == 2:
+                h, l1 = (TWO_PI / n) * sums[..., 0], (TWO_PI / n) * abs_sums[..., 0]
+                value = kahan_rows(w * h[:, None, :])
+            h = 0.5 * h + (math.pi / n) * sums[..., -1]
+            new = kahan_rows(w * h[:, None, :])
+            delta, value = np.abs(new - value), new
+            bound = floor
+            if rel_tol:
+                l1 = 0.5 * l1 + (math.pi / n) * abs_sums[..., -1]
+                l1_rows = (np.abs(w) * l1[:, None, :]).sum(axis=2)
+                bound = np.maximum(floor, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
+            ok = delta <= bound
+            n, offsets = 2 * n, (0.5,)
+            if n >= N_THETA_MAX or ok.all():
+                values[cells], deltas[cells], conv[cells], nodes[cells] = value, delta, ok, used
+                break
+            done = ok.all(axis=1)
+            if done.any():
+                stop, keep = cells[done], ~done
+                values[stop], deltas[stop], conv[stop] = value[done], delta[done], ok[done]
+                nodes[stop] = used
+                cells, s_col, w, h, l1, value = (
+                    arr[keep] for arr in (cells, s_col, w, h, l1, value)
+                )
+    # every cell that stops without a collision has used nodes
+    return values, deltas, nodes, conv, nodes == 0
 
 
 # --------------------------------------------------------------------------
@@ -263,56 +288,84 @@ def _check_radius(r: float) -> float:
     return r
 
 
-def _circle_mean(
-    field: Callable[[AnalyticFunction, MeanParams, np.ndarray], np.ndarray],
+def circle_integrals(
     f: AnalyticFunction,
     params: MeanParams,
-    r: float,
+    radii: Sequence[float],
     spec: QuadratureSpec,
-) -> IntegralResult:
-    """(1/2pi) * integral of field(r e^{i theta}) d theta: the banded cell
-    rule (one radial node r of weight 1) when r is within 0.2 |w| of a
-    feature w of f, graded down to |r - |w|| / |w|, else the periodic rule."""
+    deriv: bool = False,
+) -> tuple[list[IntegralResult], Exception | None]:
+    """circle_mean (circle_mean_deriv with deriv) at each radius of a schedule,
+    as a loop over the radii gives them: the results of the radii before the
+    first that fails, and that radius's error (None if none fails).
 
-    def gfun(z):
-        return field(f, params, z)
+    The radii within 0.2 |w| of a feature w of f take the graded-arc rule one
+    at a time, graded down to |r - |w|| / |w|; the others are one batch."""
+    field = radial_deriv_w_values if deriv else w_values
+    radii, error = list(radii), None
+    for k, r in enumerate(radii):
+        try:
+            radii[k] = r = _check_radius(r)
+            if deriv and params.p < 1.0:
+                for zero in zeros_in_disk(f, min(1.0 - 1e-12, r + 0.5 * (1 - r))):
+                    if abs(abs(zero.location) - r) < 1e-6:
+                        raise RadiusNearZeroError(
+                            f"zero at {zero.location} within 1e-6 of |z| = {r} with p < 1"
+                        )
+        except ValueError as exc:
+            radii, error = radii[:k], exc
+            break
+
+    def gfun(s, u):
+        return field(f, params, s * u)
 
     tol = 0.5 * spec.rel_tol
-    near = [(m, a) for m, a in feature_moduli(f) if abs(r - m) < 0.2 * m]
-    scales = [(a, max(abs(r - m) / m, 1e-15)) for m, a in near]
-    if not scales:
-        total, delta, nodes, doublings, conv = _circle_quad(
-            lambda theta: gfun(r * np.exp(1j * theta)), N_THETA_INIT, tol, 0.0
-        )
-        return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
-    try:
-        (total,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
-            gfun, np.array([r]), np.ones((1, 1)), scales, 1, [tol], rel_tol=tol
-        )
-    except _CellCollision:
-        raise QuadratureError("non-finite integrand value on circle") from None
-    return IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+    features = feature_moduli(f) if radii else ()
+    scales = [
+        [(a, max(abs(r - m) / m, 1e-15)) for m, a in features if abs(r - m) < 0.2 * m]
+        for r in radii
+    ]
+    periodic = [k for k, near in enumerate(scales) if not near]
+    s, m = np.array([[radii[k]] for k in periodic]), len(periodic)
+    batch = _cells_theta(gfun, s, np.ones((m, 1, 1)), N_THETA_INIT, [0.0], tol) if m else ()
+    runs = dict(zip(periodic, zip(*(arr.tolist() for arr in batch))))
+    out: list[IntegralResult] = []
+    for k, r in enumerate(radii):
+        try:
+            if scales[k]:
+                (total,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
+                    gfun, np.array([r]), np.ones((1, 1)), scales[k], 1, [tol], rel_tol=tol
+                )
+            else:
+                (total,), (delta,), nodes, (conv,), collided = runs[k]
+                if collided:
+                    raise _CellCollision
+                # nodes = N_THETA_INIT * 2^doublings
+                doublings = nodes.bit_length() - N_THETA_INIT.bit_length()
+        except _CellCollision:
+            return out, QuadratureError("non-finite integrand value on circle")
+        out.append(IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv))
+    return out, error
+
+
+def _lone(results: list[IntegralResult], error: Exception | None) -> IntegralResult:
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def circle_mean(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """(1/2pi) * integral of W(r e^{i theta}) d theta."""
-    return _circle_mean(w_values, f, params, _check_radius(r), spec)
+    return _lone(*circle_integrals(f, params, (r,), spec))
 
 
 def circle_mean_deriv(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """d/dr of the circle mean, by differentiating under the integral."""
-    r = _check_radius(r)
-    if params.p < 1.0:
-        for zero in zeros_in_disk(f, min(1.0 - 1e-12, r + 0.5 * (1 - r))):
-            if abs(abs(zero.location) - r) < 1e-6:
-                raise RadiusNearZeroError(
-                    f"zero at {zero.location} within 1e-6 of |z| = {r} with p < 1"
-                )
-    return _circle_mean(radial_deriv_w_values, f, params, r, spec)
+    return _lone(*circle_integrals(f, params, (r,), spec, deriv=True))
 
 
 # --------------------------------------------------------------------------
@@ -413,12 +466,10 @@ def _radial_partition(
                 continue
             for k in range(1, depth + 1):
                 pts.add(s0 + sign * span * ratio**k)
+    span = hi - lo
     for end, scale, inward in ((lo, end_scales[0], 1.0), (hi, end_scales[1], -1.0)):
-        if scale is None:
-            continue
-        span = hi - lo
         k = 1
-        while span * 0.5**k > 0.6 * scale and k <= MAX_GRADE_DEPTH:
+        while scale is not None and span * 0.5**k > 0.6 * scale and k <= MAX_GRADE_DEPTH:
             pts.add(end + inward * span * 0.5**k)
             k += 1
     ordered = sorted(x for x in pts if lo <= x <= hi)
@@ -445,85 +496,21 @@ def _radial_partition(
 # disk integration
 # --------------------------------------------------------------------------
 
-class _CellCollision(Exception):
-    pass
-
-
-def _cells_theta(
-    gfun: Callable[[np.ndarray], np.ndarray],
-    s_nodes: np.ndarray,
-    weights: np.ndarray,
-    n0: int,
-    tol_abs: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Periodic-rule values of many radial cells: values[c, k] is
-    sum_i weights[c, k, i] * (theta-integral of g on circle s_nodes[c, i]).
-
-    All cells start at n0 angular nodes and double together; each round
-    evaluates the cells still refining in field calls of at most
-    BATCH_POINTS points (a call of one cell may exceed it).  A cell stops
-    once every kernel row's change is within its own tol_abs[k], or at
-    N_THETA_MAX nodes, and a cell with a non-finite node stops as a
-    collision.  Returns (values, deltas, nodes, conv, collided) per cell.
-    """
-    n_cells, n_k = weights.shape[:2]
-    n_s = s_nodes.shape[1]
-    h = np.zeros(s_nodes.shape)
-    values, deltas = np.zeros((2, n_cells, n_k))
-    conv = np.zeros((n_cells, n_k), dtype=bool)
-    nodes = np.zeros(n_cells, dtype=np.int64)
-    collided = np.zeros(n_cells, dtype=bool)
-    active = np.arange(n_cells)
-    n, offset = n0, 0.0
-    while active.size:
-        ring = np.exp(1j * (TWO_PI * (np.arange(n) + offset) / n))
-        per_call = max(1, BATCH_POINTS // (n_s * n))
-        sums = np.empty((active.size, n_s))
-        finite = np.empty(active.size, dtype=bool)
-        for j in range(0, active.size, per_call):
-            mat = np.asarray(gfun(s_nodes[active[j:j + per_call], :, None] * ring), dtype=float)
-            finite[j:j + per_call] = np.isfinite(mat).all(axis=(1, 2))
-            with np.errstate(invalid="ignore"):  # rows with inf - inf are collisions
-                sums[j:j + per_call] = mat.sum(axis=2)
-        collided[active[~finite]] = True
-        active, sums = active[finite], sums[finite]
-        nodes[active] += n_s * n
-        if not offset:
-            h[active] = (TWO_PI / n) * sums
-            values[active] = kahan_rows(weights[active] * h[active][:, None, :])
-            offset = 0.5
-            continue
-        h[active] = 0.5 * h[active] + (math.pi / n) * sums
-        new = kahan_rows(weights[active] * h[active][:, None, :])
-        deltas[active] = np.abs(new - values[active])
-        values[active] = new
-        conv[active] = deltas[active] <= np.asarray(tol_abs)
-        n *= 2
-        if n >= N_THETA_MAX:
-            break
-        active = active[~conv[active].all(axis=1)]
-    return values, deltas, nodes, conv, collided
-
-
 def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[float]:
     """Breakpoints of [a, b] geometric toward both ends, down to the given scales."""
     span = b - a
     pts = {a, b}
-    for k in range(1, 64):
-        frac = span * 0.5**k
-        if frac <= 0.6 * max(scale_a, 1e-18 * span):
-            break
-        pts.add(a + frac)
-    for k in range(1, 64):
-        frac = span * 0.5**k
-        if frac <= 0.6 * max(scale_b, 1e-18 * span):
-            break
-        pts.add(b - frac)
+    for end, scale, sign in ((a, scale_a, 1.0), (b, scale_b, -1.0)):
+        for k in range(1, 64):
+            frac = span * 0.5**k
+            if frac <= 0.6 * max(scale, 1e-18 * span):
+                break
+            pts.add(end + sign * frac)
     return sorted(pts)
 
 
 def _cell_theta_banded(
-    gfun: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
     weights: np.ndarray,
     angle_scales: Sequence[tuple[float, float]],
@@ -560,7 +547,7 @@ def _cell_theta_banded(
         # whole arcs per field call, at most BATCH_POINTS points unless one
         # arc alone exceeds it
         for j in range(0, len(half), per_call):
-            mat = np.asarray(gfun(s_nodes[:, None] * ring[j:j + per_call].ravel()), dtype=float)
+            mat = np.asarray(integrand(s_nodes[:, None], ring[j:j + per_call].ravel()), dtype=float)
             if not np.all(np.isfinite(mat)):
                 raise _CellCollision
             # (n_s, arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
@@ -587,7 +574,7 @@ def _cell_theta_banded(
 
 
 def _disk_once(
-    gfun: Callable[[np.ndarray], np.ndarray],
+    gfun: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kernels: Sequence[Kernel],
     lo: float,
     hi: float,
@@ -623,24 +610,20 @@ def _disk_once(
             for scales, d in zip(band_scales, dist):
                 if d < 0.2 * s0:
                     scales.append((theta0, max(d / s0, 1e-15)))
-        out: list[tuple | None] = [None] * len(cells)
-        for i, scales in enumerate(band_scales):
-            if scales:
-                with suppress(_CellCollision):
-                    banded = _cell_theta_banded(gfun, s[i], weights[i], scales, 1, row_tol)
-                    out[i] = banded[:4]
         periodic = [i for i, scales in enumerate(band_scales) if not scales]
-        if periodic:
-            batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, row_tol)
-            vals, derr, used, conv, collided = (arr.tolist() for arr in batch)
-            for j, i in enumerate(periodic):
-                if not collided[j]:
-                    out[i] = (vals[j], derr[j], used[j], conv[j])
+        batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, row_tol)
+        # (values, changes, nodes, conv, collided) of each periodic cell
+        runs = dict(zip(periodic, zip(*(arr.tolist() for arr in batch))))
         leaves = []
-        for (a, b, depth), res in zip(cells, out):
-            if res is not None:
-                leaves.append(res)
-                continue
+        for i, (a, b, depth) in enumerate(cells):
+            with suppress(_CellCollision):
+                if band_scales[i]:
+                    banded = _cell_theta_banded(gfun, s[i], weights[i], band_scales[i], 1, row_tol)
+                    leaves.append(banded[:4])
+                    continue
+                if not runs[i][4]:
+                    leaves.append(runs[i][:4])
+                    continue
             # a node landed on a singular point: subdivide in place and retry
             if depth >= MAX_GRADE_DEPTH:
                 raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
@@ -732,15 +715,11 @@ def _disk_integral(
     peaks = [(m, a) for m, a in features if m >= r]
     peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
 
-    def gfun(z):
-        return field(f, params, z)
+    def gfun(s, u):
+        return field(f, params, s * u)
 
-    lo_scale = None
-    if s_lo > 0.0:
-        below = [s_lo - s0 for s0, _, _ in sings if s0 < s_lo]
-        if below:
-            lo_scale = min(below)
-    end_scales = (lo_scale, boundary_scale)
+    below = [s_lo - s0 for s0, _, _ in sings if s0 < s_lo]
+    end_scales = (min(below, default=None), boundary_scale)
 
     n_k = len(kernels)
     hint = [1.0] * n_k
@@ -807,6 +786,56 @@ def disk_integral_W(
 # ring integrals
 # --------------------------------------------------------------------------
 
+def ring_integrals(
+    f: AnalyticFunction,
+    params: MeanParams,
+    z0: complex,
+    eps: Sequence[float],
+    kernel: Kernel,
+    r: float,
+    spec: QuadratureSpec,
+) -> list[float]:
+    """ring_integral for each radius of an eps schedule, all rings in one
+    batch; raises the error of the first failing ring, in schedule order."""
+    r, z0 = _check_radius(r), complex(z0)
+    if kernel.name not in ("log-r", "log-unit", "one-minus-abs-sq"):
+        raise ValueError(f"ring integral does not support kernel '{kernel.name}'")
+    eps, error = [float(e) for e in eps], None
+    for k, e in enumerate(eps):
+        if e <= 10.0 * GUARD_RADIUS:
+            error = f"ring radius {e} must exceed 10x the field guard radius"
+        elif abs(z0) + e >= r:
+            error = f"ring around {z0} with radius {e} leaves the disk of radius {r}"
+        elif kernel.singular_at_origin and z0 != 0 and abs(abs(z0) - e) < 1e-12:
+            error = "ring passes through the kernel singularity at the origin"
+        if error:
+            eps = eps[:k]
+            break
+
+    def flux(e, u):
+        # K dW/dn - W dK/dn at z = z0 + e u, normal u, times d ell / d psi = e
+        z = z0 + e * u
+        gx, gy = grad_w_values(f, params, z)
+        dwdn = gx * u.real + gy * u.imag
+        s = np.abs(z)
+        dkdn = kernel.radial_deriv(s) * (np.conj(z) * u).real / s
+        w = w_values(f, params, z)
+        return (kernel.radial(s) * dwdn - w * dkdn) * e
+
+    values, _deltas, _nodes, conv, collided = _cells_theta(
+        flux, np.array(eps).reshape(-1, 1), np.ones((len(eps), 1, 1)), N_THETA_INIT,
+        [1e-300], 0.25 * spec.rel_tol, ref_floor=0.0,
+    )
+    for hit, ok in zip(collided, conv[:, 0]):
+        if hit:
+            raise QuadratureError("non-finite integrand value on circle")
+        if not ok:
+            raise QuadratureError("ring integral did not converge within the doubling cap")
+    if error:
+        raise GeometryError(error)
+    return values[:, 0].tolist()
+
+
 def ring_integral(
     f: AnalyticFunction,
     params: MeanParams,
@@ -820,33 +849,4 @@ def ring_integral(
 
     The normal points away from z0; d ell = eps d psi.
     """
-    r = _check_radius(r)
-    z0 = complex(z0)
-    eps = float(eps)
-    if kernel.name not in ("log-r", "log-unit", "one-minus-abs-sq"):
-        raise ValueError(f"ring integral does not support kernel '{kernel.name}'")
-    if eps <= 10.0 * GUARD_RADIUS:
-        raise GeometryError(f"ring radius {eps} must exceed 10x the field guard radius")
-    if abs(z0) + eps >= r:
-        raise GeometryError(
-            f"ring around {z0} with radius {eps} leaves the disk of radius {r}"
-        )
-    if kernel.singular_at_origin and z0 != 0 and abs(abs(z0) - eps) < 1e-12:
-        raise GeometryError("ring passes through the kernel singularity at the origin")
-
-    def fn(psi):
-        direction = np.exp(1j * psi)
-        z = z0 + eps * direction
-        gx, gy = grad_w_values(f, params, z)
-        dwdn = gx * direction.real + gy * direction.imag
-        s = np.abs(z)
-        dkdn = kernel.radial_deriv(s) * (np.conj(z) * direction).real / s
-        w = w_values(f, params, z)
-        return (kernel.radial(s) * dwdn - w * dkdn) * eps
-
-    total, _delta, _nodes, _doublings, conv = _circle_quad(
-        fn, N_THETA_INIT, 0.25 * spec.rel_tol, 1e-300, ref_floor=0.0
-    )
-    if not conv:
-        raise QuadratureError("ring integral did not converge within the doubling cap")
-    return total
+    return ring_integrals(f, params, z0, (eps,), kernel, r, spec)[0]

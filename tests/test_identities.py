@@ -231,6 +231,26 @@ def test_area_limit_integrates_each_annulus_once(monkeypatch):
     assert points < 5_000_000
 
 
+def test_area_limit_raises_a_circle_failure_where_the_loop_meets_it(monkeypatch):
+    # the circle means of the schedule are one batch; a non-finite node on
+    # the third circle still raises after the first two radii's disk pieces
+    w_values, disk_g = quadrature.w_values, identities.disk_integral_G
+    radii, pieces = (0.5, 0.75, 0.875, 0.9375), []
+
+    def broken(f, params, z):
+        vals = w_values(f, params, z)
+        vals[abs(abs(z) - 0.875) < 1e-12] = math.nan
+        return vals
+
+    monkeypatch.setattr(quadrature, "w_values", broken)
+    monkeypatch.setattr(
+        identities, "disk_integral_G", lambda *a, **k: pieces.append(a[2]) or disk_g(*a, **k)
+    )
+    with pytest.raises(quadrature.QuadratureError, match="non-finite"):
+        check_area_limit_identity(Polynomial((1, 1)), MeanParams(2, 0), SPEC, radii)
+    assert pieces == [0.5, 0.75]
+
+
 def test_one_membership_error_class_for_all_checks():
     assert identities.MembershipRequiredError is asymptotics.MembershipRequiredError
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hardylab.accum import kahan_sum, tree_sum
-from hardylab.fields import MeanParams, g_values, w_values
+from hardylab.asymptotics import rate_probe
+from hardylab.fields import (
+    MeanParams,
+    g_values,
+    grad_w_values,
+    radial_deriv_w_values,
+    w_values,
+)
 from hardylab.functions import (
     Binomial,
     BlaschkeProduct,
@@ -37,6 +44,7 @@ from hardylab.quadrature import (
     QuadratureError,
     QuadratureSpec,
     RadiusNearZeroError,
+    circle_integrals,
     circle_mean,
     circle_mean_deriv,
     disk_integral_G,
@@ -44,6 +52,7 @@ from hardylab.quadrature import (
     disk_integrals_G,
     kernel_log_r_over_abs,
     ring_integral,
+    ring_integrals,
 )
 
 SPEC = QuadratureSpec()
@@ -495,6 +504,11 @@ def test_circle_mean_nondecreasing_in_r(r):
 
 # ---------------------------------------------------------- banded cell rule
 
+def on_circle(gfun):
+    """The angular rules' integrand(s, u) of a field gfun(z) at z = s u."""
+    return lambda s, u: gfun(s * u)
+
+
 def banded_reference(gfun, s_nodes, weights, angle_scales, splits):
     """One pass of the banded rule, arc by arc: one field call per graded arc.
 
@@ -584,7 +598,7 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
     for a, b in cells:
         s, weights, scales = banded_cell(points, a, b)
         (value,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
-            gfun, s, weights[None, :], scales, splits, [math.inf]
+            on_circle(gfun), s, weights[None, :], scales, splits, [math.inf]
         )
         coarse, coarse_nodes = banded_reference(gfun, s, weights, scales, splits)
         fine, fine_nodes = banded_reference(gfun, s, weights, scales, 2 * splits)
@@ -605,7 +619,7 @@ def test_banded_rule_non_finite_node_is_a_collision():
         return g
 
     with pytest.raises(_CellCollision):
-        _cell_theta_banded(gfun, s, weights[None, :], scales, 1, [math.inf])
+        _cell_theta_banded(on_circle(gfun), s, weights[None, :], scales, 1, [math.inf])
     with pytest.raises(_CellCollision):
         banded_reference(gfun, s, weights, scales, 1)
 
@@ -684,7 +698,7 @@ def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
     def gfun(z):
         return g_values(f, params, z)
 
-    values, deltas, nodes, conv, collided = _cells_theta(gfun, s, weights, 32, tol)
+    values, deltas, nodes, conv, collided = _cells_theta(on_circle(gfun), s, weights, 32, tol)
     assert not collided.any()
     for c in range(len(cells)):
         ref_values, ref_deltas, ref_nodes, ref_conv = periodic_reference(
@@ -893,3 +907,214 @@ def test_ring_geometry_errors():
         ring_integral(f, params, 0, 1e-10, KERNEL_ONE_MINUS_ABS_SQ, 0.9, SPEC)
     with pytest.raises(ValueError):
         ring_integral(f, params, 0, 0.01, KERNEL_ONE, 0.9, SPEC)
+
+
+# ------------------------------------------------------- batched schedules
+
+def circle_reference(fn, rel_tol, abs_tol, ref_floor):
+    """The periodic rule on one circle with scalar bookkeeping: (integral of
+    fn(theta) over [0, 2 pi), last change, nodes, doublings, converged).
+
+    It starts at N_THETA_INIT nodes, adds the midpoints until the change is
+    within max(abs_tol, rel_tol * max(ref_floor, |value|, 1e-6 L1)) or the
+    nodes reach N_THETA_MAX, and raises _CellCollision at a non-finite node.
+    """
+    n, total, l1 = N_THETA_INIT, None, None
+    theta = TWO_PI * np.arange(n) / n
+    while True:
+        vals = np.asarray(fn(theta), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise _CellCollision
+        if total is None:
+            total = (TWO_PI / n) * float(np.sum(vals))
+            l1 = (TWO_PI / n) * float(np.sum(np.abs(vals)))
+            nodes, doublings = n, 0
+        else:
+            new = 0.5 * total + (math.pi / n) * float(np.sum(vals))
+            l1 = 0.5 * l1 + (math.pi / n) * float(np.sum(np.abs(vals)))
+            delta, total = abs(new - total), new
+            nodes, n, doublings = nodes + n, 2 * n, doublings + 1
+            if delta <= max(abs_tol, rel_tol * max(ref_floor, abs(total), 1e-6 * l1)):
+                return total, delta, nodes, doublings, True
+            if n >= N_THETA_MAX:
+                return total, delta, nodes, doublings, False
+        theta = TWO_PI * (np.arange(n) + 0.5) / n
+
+
+def bits(res):
+    """Everything a circle result reports, floats as exact hex."""
+    return res.value.hex(), res.error_estimate.hex(), res.nodes, res.levels, res.converged
+
+
+@pytest.mark.parametrize(
+    "fn,p,q,r",
+    [
+        ("poly:1,1", 2, 0, 0.5),
+        ("binom:0.7", 1.5, 0.5, 0.75),
+        ("blaschke:0.3+0.2i", 2, 1, 0.9),
+        ("rat:0.5,1|2,1", 3, 0, 0.99),
+        ("const:1+1i", 2, 0, 0.6),
+    ],
+)
+def test_lone_periodic_circle_matches_scalar_reference(fn, p, q, r):
+    # a circle is a one-node cell of the batched engine; its bits, nodes and
+    # stop are those of the scalar rule
+    f, params = parse_function(fn), MeanParams(p, q)
+    tol = 0.5 * SPEC.rel_tol
+    for integral, field in ((circle_mean, w_values), (circle_mean_deriv, radial_deriv_w_values)):
+        total, delta, nodes, doublings, conv = circle_reference(
+            lambda theta: field(f, params, r * np.exp(1j * theta)), tol, 0.0, 1.0
+        )
+        ref = quadrature.IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+        assert bits(integral(f, params, r, SPEC)) == bits(ref)
+
+
+def test_periodic_stop_rule_counts_the_l1_term():
+    # 1e12 cos(theta) integrates to 0 on every grid but makes L1 about 4e12,
+    # so the stop at 64 nodes comes from 1e-6 L1, not from |value| (about 20)
+    def integrand(s, u):
+        return 1e12 * u.real + 1.0 / (1.05 - u.real)
+
+    tol = 0.25 * SPEC.rel_tol
+    values, deltas, nodes, conv, collided = _cells_theta(
+        integrand, np.ones((1, 1)), np.ones((1, 1, 1)), N_THETA_INIT, [0.0], tol, ref_floor=0.0
+    )
+    total, delta, ref_nodes, _, ref_conv = circle_reference(
+        lambda theta: integrand(1.0, np.exp(1j * theta)), tol, 0.0, 0.0
+    )
+    assert not collided[0] and conv[0, 0] and ref_conv and ref_nodes == 64
+    assert (values[0, 0].hex(), deltas[0, 0].hex(), nodes[0]) == (total.hex(), delta.hex(), 64)
+
+
+def ring_reference(f, params, z0, eps, kernel):
+    def flux(psi):
+        direction = np.exp(1j * psi)
+        z = z0 + eps * direction
+        gx, gy = grad_w_values(f, params, z)
+        dwdn = gx * direction.real + gy * direction.imag
+        s = np.abs(z)
+        dkdn = kernel.radial_deriv(s) * (np.conj(z) * direction).real / s
+        return (kernel.radial(s) * dwdn - w_values(f, params, z) * dkdn) * eps
+
+    return circle_reference(flux, 0.25 * SPEC.rel_tol, 1e-300, 0.0)
+
+
+RING_CASES = [
+    (Polynomial((1, 1)), MeanParams(2, 0), 0.0, kernel_log_r_over_abs(0.9)),
+    (Polynomial((-0.5, 1)), MeanParams(1.5, 0.5), 0.5, KERNEL_ONE_MINUS_ABS_SQ),
+    (BlaschkeProduct((0.5,)), MeanParams(3, 1), 0.5, KERNEL_LOG_ONE_OVER_ABS),
+]
+
+
+@pytest.mark.parametrize("f,params,z0,kernel", RING_CASES)
+def test_ring_schedule_matches_lone_rings_and_scalar_reference(f, params, z0, kernel):
+    eps = tuple(2.0**-j for j in range(4, 13))
+    values = ring_integrals(f, params, z0, eps, kernel, 0.9, SPEC)
+    lone = [ring_integral(f, params, z0, e, kernel, 0.9, SPEC) for e in eps]
+    assert [v.hex() for v in values] == [v.hex() for v in lone]
+    for e, value in zip(eps, values):
+        total, _, _, _, conv = ring_reference(f, params, z0, e, kernel)
+        assert conv and value.hex() == total.hex()
+
+
+# blaschke:0.5 has its zero at |w| = 0.5, so r = 0.55 takes the arc rule and
+# the other radii are one periodic batch
+SCHEDULE = (0.3, 0.55, 0.7, 0.9)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+def test_circle_schedule_matches_lone_runs(deriv, monkeypatch):
+    f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.5)
+    field_name = "radial_deriv_w_values" if deriv else "w_values"
+    field = getattr(quadrature, field_name)
+    calls, arcs = [], []
+    arc_rule = quadrature._cell_theta_banded
+    monkeypatch.setattr(quadrature, field_name, lambda *a: calls.append(1) or field(*a))
+    monkeypatch.setattr(
+        quadrature, "_cell_theta_banded", lambda *a, **k: arcs.append(1) or arc_rule(*a, **k)
+    )
+    results, error = circle_integrals(f, params, SCHEDULE, SPEC, deriv=deriv)
+    batch_calls = len(calls)
+    assert error is None and len(arcs) == 1
+    lone = circle_mean_deriv if deriv else circle_mean
+    assert [bits(res) for res in results] == [bits(lone(f, params, r, SPEC)) for r in SCHEDULE]
+    # the three periodic circles share their field calls
+    assert batch_calls < len(calls) - batch_calls
+
+
+def nan_on_circles(field, radii, centre=0.0):
+    """field with non-finite values on the circles |z - centre| = r."""
+    def out(f, params, z):
+        vals = field(f, params, z)
+        bad = np.isin(np.round(np.abs(z - centre), 12), np.round(radii, 12))
+        if isinstance(vals, tuple):
+            return tuple(np.where(bad, np.nan, v) for v in vals)
+        return np.where(bad, np.nan, vals)
+    return out
+
+
+def wiggle_on_circle(field, radius):
+    """field times an aperiodic wiggle on |z| = radius, which no number of
+    doublings resolves, so that circle ends unconverged."""
+    def out(f, params, z):
+        vals = field(f, params, z)
+        on = np.abs(np.abs(z) - radius) < 1e-12
+        return np.where(on, vals * (1.0 + 0.5 * np.sin(1234567.891 * np.angle(z))), vals)
+    return out
+
+
+def test_circle_schedule_stops_at_the_first_failing_radius(monkeypatch):
+    f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.5)
+    monkeypatch.setattr(quadrature, "w_values", nan_on_circles(w_values, (0.7,)))
+    results, error = circle_integrals(f, params, SCHEDULE, SPEC)
+    assert isinstance(error, QuadratureError) and "non-finite" in str(error)
+    assert [bits(res) for res in results] == [
+        bits(circle_mean(f, params, r, SPEC)) for r in SCHEDULE[:2]
+    ]
+    # a radius outside (0, 1) ends the schedule where a loop would meet it
+    results, error = circle_integrals(f, params, (0.3, 1.5, 0.7), SPEC)
+    assert len(results) == 1 and isinstance(error, ValueError)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        circle_mean(f, params, 0.7, SPEC)
+
+
+def test_rate_probe_truncates_before_a_later_failure(monkeypatch):
+    f, params = Polynomial((0, 0, 1)), MeanParams(2, 0)
+    radii = (0.5, 0.6, 0.7, 0.8, 0.9)
+    deriv = radial_deriv_w_values
+    monkeypatch.setattr(
+        quadrature, "radial_deriv_w_values",
+        nan_on_circles(wiggle_on_circle(deriv, 0.8), (0.9,)),
+    )
+    assert rate_probe(f, params, SPEC, radii).radii == (0.5, 0.6, 0.7)
+    # without the unconverged radius the loop reaches the non-finite one
+    monkeypatch.setattr(quadrature, "radial_deriv_w_values", nan_on_circles(deriv, (0.9,)))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        rate_probe(f, params, SPEC, radii)
+
+
+def test_rate_probe_radius_next_to_a_zero_raises_only_when_reached(monkeypatch):
+    # p < 1 and a zero within 1e-6 of the last radius
+    f, params = Polynomial((-0.8, 1)), MeanParams(0.5, 0)
+    radii = (0.3, 0.4, 0.5, 0.8 + 1e-7)
+    with pytest.raises(RadiusNearZeroError):
+        rate_probe(f, params, SPEC, radii)
+    monkeypatch.setattr(
+        quadrature, "radial_deriv_w_values", wiggle_on_circle(radial_deriv_w_values, 0.5)
+    )
+    assert rate_probe(f, params, SPEC, radii).radii == (0.3, 0.4)
+
+
+def test_ring_schedule_raises_the_first_failing_ring(monkeypatch):
+    f, params, kernel = Polynomial((1, 1)), MeanParams(2, 0), kernel_log_r_over_abs(0.9)
+    eps = (0.1, 0.05, 1e-10, 0.01)  # the third ring is below the guard radius
+    with pytest.raises(GeometryError):
+        ring_integrals(f, params, 0, eps, kernel, 0.9, SPEC)
+    # a non-finite node on the second ring comes first in schedule order
+    monkeypatch.setattr(quadrature, "grad_w_values", nan_on_circles(grad_w_values, (0.05,)))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        ring_integrals(f, params, 0, eps, kernel, 0.9, SPEC)
+    # one on the fourth ring comes after the geometry error
+    monkeypatch.setattr(quadrature, "grad_w_values", nan_on_circles(grad_w_values, (0.01,)))
+    with pytest.raises(GeometryError):
+        ring_integrals(f, params, 0, eps, kernel, 0.9, SPEC)

@@ -49,6 +49,8 @@ def test_golden_suite_rejects_bad_tolerance(tmp_path):
         ("rate_sweep.py", ("--tol", "0")),
         ("rate_sweep.py", ("--ps", "x")),
         ("ring_decay.py", ("--fn", "nope")),
+        ("body_digest.py", ()),
+        ("body_digest.py", ("--cli-seeds", "1,x")),
     ],
 )
 def test_script_rejects_bad_input(script, args):
@@ -70,3 +72,14 @@ def test_rate_sweep_writes_one_field_per_column():
         ["poly:0,0,1", "2.0", "0.0"],
         ["poly:0,0,1", "2.0", "1.0"],
     ]
+
+
+def test_body_digest_is_reproducible():
+    # two interpreters hashing the same cli-probes ops print the same digest
+    outs = [run_script(ROOT / "scripts" / "body_digest.py", "--cli-seeds", "1")
+            for _ in range(2)]
+    for proc in outs:
+        assert proc.returncode == 0, proc.stderr
+    (line,) = outs[0].stdout.splitlines()
+    assert line.startswith("cli-probes seed 1 ") and len(line.split()[-1]) == 64
+    assert outs[0].stdout == outs[1].stdout
