@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .fields import FieldValue, GradientValue, MeanParams
+from .fields import MeanParams
 from .functions import (
     AnalyticFunction,
     Binomial,

@@ -40,8 +40,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_schedule(text: str, kind: str) -> tuple[float, ...]:
-    """`j0..j1` -> geometric schedule (radii 1 - 2^-j or epsilons 2^-j)."""
+def _parse_schedule(
+    text: str | None, kind: str, default: tuple[float, ...]
+) -> tuple[float, ...]:
+    """`j0..j1` -> geometric schedule (radii 1 - 2^-j or epsilons 2^-j);
+    default when the flag is absent, but an empty value is malformed."""
+    if text is None:
+        return default
     try:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -134,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("log-r", "log-unit", "one-minus-abs-sq"),
         default="log-r",
     )
-    sp.add_argument("--eps-schedule", default="4..14", help="j0..j1 for eps = 2^-j")
+    sp.add_argument("--eps-schedule", default=None, help="j0..j1 for eps = 2^-j")
 
     subcommand("rate", "growth-rate probe along r -> 1", r_schedule=True)
 
@@ -169,6 +174,8 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
         )
     elif args.command == "identity":
         tags = [t.strip() for t in args.check.split(",") if t.strip()]
+        if not tags:
+            raise ConfigError("check: expected at least one identity tag")
         for tag in tags:
             if tag not in IDENTITY_TAGS:
                 raise ConfigError(
@@ -180,11 +187,7 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
         if args.r_schedule is not None and "area-limit" not in tags:
             raise ConfigError("r-schedule: only the area-limit check reads it")
         r = _radius(args) if finite_r else None
-        radii = (
-            _parse_schedule(args.r_schedule, "radius")
-            if args.r_schedule
-            else DEFAULT_LIMIT_SCHEDULE
-        )
+        radii = _parse_schedule(args.r_schedule, "radius", DEFAULT_LIMIT_SCHEDULE)
         # every tag's preconditions before any tag's integrals
         for tag in tags:
             validate_identity_check(tag, f, params, radii)
@@ -194,18 +197,10 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
         r = _radius(args)
         z0 = parse_complex(args.z0, "z0")
         kernel = kernel_by_name(args.kernel, r)
-        eps = (
-            _parse_schedule(args.eps_schedule, "eps")
-            if args.eps_schedule
-            else DEFAULT_EPS_SCHEDULE
-        )
+        eps = _parse_schedule(args.eps_schedule, "eps", DEFAULT_EPS_SCHEDULE)
         report.entries.append(ring_limit_probe(f, params, z0, kernel, r, spec, eps))
     elif args.command == "rate":
-        radii = (
-            _parse_schedule(args.r_schedule, "radius")
-            if args.r_schedule
-            else DEFAULT_RATE_SCHEDULE
-        )
+        radii = _parse_schedule(args.r_schedule, "radius", DEFAULT_RATE_SCHEDULE)
         report.entries.append(rate_probe(f, params, spec, radii))
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command}")

@@ -14,9 +14,10 @@ grad(1-|z|^2)^q = -2 q (1-|z|^2)^{q-1} (x, y).
 Array entry points (`*_values`) evaluate on numpy arrays of complex points
 and are what the quadrature nodes call.  Each makes one pass over f: W uses
 `_val`, and the fields that need f' get f and f' together from `_val_dval`.
-The scalar wrappers add domain checks and singularity flagging near zeros
-of f (guard radius 1e-10).  Near a zero of order k the gradient scales like
-|z-z0|^{kp-1} and G like |z-z0|^{kp-2}, so the flags are order-aware.
+Near a zero of order k the gradient scales like |z-z0|^{kp-1} and G like
+|z-z0|^{kp-2}, so how singular a zero is depends on its order as well as on
+p.  Exactly at a zero, the fields that use f' are non-finite for every
+p < 2, whatever the order, and finite for p >= 2.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import AnalyticFunction, eval_at, nearest_zero
-
-GUARD_RADIUS = 1e-10
-
-
-class SingularPointError(ValueError):
-    """Field evaluated exactly at a zero where it is unbounded."""
+from .functions import AnalyticFunction
 
 
 @dataclass(frozen=True)
@@ -49,21 +44,6 @@ class MeanParams:
             raise ValueError(f"p must satisfy 0 < p < inf, got {self.p}")
         if not (0.0 <= self.q < math.inf):
             raise ValueError(f"q must satisfy 0 <= q < inf, got {self.q}")
-
-
-@dataclass(frozen=True)
-class FieldValue:
-    value: float
-    singular: bool
-    nearest_zero_distance: float
-
-
-@dataclass(frozen=True)
-class GradientValue:
-    dx: float
-    dy: float
-    singular: bool
-    nearest_zero_distance: float
 
 
 def _abs_pow(m: np.ndarray, e: float) -> np.ndarray:
@@ -145,72 +125,3 @@ def radial_deriv_w_values(
             radial = rho**q * radial + _abs_pow(m, p) * (-2.0 * q) * s * rho ** (q - 1.0)
     return radial
 
-
-# --------------------------------------------------------------------------
-# scalar API with singularity flagging
-# --------------------------------------------------------------------------
-
-def _interior(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"field evaluation requires |z| < 1, got |z| = {abs(z)}")
-    return z
-
-
-def _zero_context(f: AnalyticFunction, z: complex) -> tuple[float, int]:
-    dist, zero = nearest_zero(f, z)
-    return dist, (zero.order if zero is not None else 0)
-
-
-def eval_W(f: AnalyticFunction, params: MeanParams, z: complex) -> float:
-    z = _interior(z)
-    return float(w_values(f, params, np.asarray(z)))
-
-
-def eval_grad_W(f: AnalyticFunction, params: MeanParams, z: complex) -> GradientValue:
-    z = _interior(z)
-    dist, order = _zero_context(f, z)
-    kp = order * params.p
-    if dist == 0.0:
-        if kp > 1.0:
-            return GradientValue(0.0, 0.0, False, 0.0)
-        return GradientValue(math.nan, math.nan, True, 0.0)
-    gx, gy = grad_w_values(f, params, np.asarray(z))
-    singular = dist <= GUARD_RADIUS and kp < 1.0
-    return GradientValue(float(gx), float(gy), singular, dist)
-
-
-def eval_G(f: AnalyticFunction, params: MeanParams, z: complex) -> FieldValue:
-    z = _interior(z)
-    dist, order = _zero_context(f, z)
-    if dist == 0.0 and params.p < 2.0:
-        raise SingularPointError(
-            f"G is evaluated exactly at a zero of f (z = {z}) with p = {params.p} < 2"
-        )
-    value = float(g_values(f, params, np.asarray(z)))
-    singular = dist <= GUARD_RADIUS and order * params.p < 2.0
-    return FieldValue(value, singular, dist)
-
-
-def eval_radial_deriv_W(f: AnalyticFunction, params: MeanParams, z: complex) -> FieldValue:
-    z = _interior(z)
-    if z == 0:
-        raise ValueError("radial derivative needs 0 < |z| < 1")
-    dist, order = _zero_context(f, z)
-    kp = order * params.p
-    if dist == 0.0:
-        if kp > 1.0:
-            # |f|^p term vanishes to order kp; only the weight term survives
-            val = 0.0
-            if params.q != 0.0:
-                val = float(
-                    _abs_pow(np.asarray(abs(eval_at(f, z))), params.p)
-                    * (-2.0 * params.q)
-                    * abs(z)
-                    * (1.0 - abs(z) ** 2) ** (params.q - 1.0)
-                )
-            return FieldValue(val, False, 0.0)
-        return FieldValue(math.nan, True, 0.0)
-    value = float(radial_deriv_w_values(f, params, np.asarray(z)))
-    singular = dist <= GUARD_RADIUS and kp < 1.0
-    return FieldValue(value, singular, dist)

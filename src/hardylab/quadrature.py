@@ -45,14 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .accum import kahan_rows, tree_sum
-from .fields import (
-    GUARD_RADIUS,
-    MeanParams,
-    g_values,
-    grad_w_values,
-    radial_deriv_w_values,
-    w_values,
-)
+from .fields import MeanParams, g_values, grad_w_values, radial_deriv_w_values, w_values
 from .functions import AnalyticFunction, Zero, feature_moduli, zeros_in_disk
 
 TWO_PI = 2.0 * math.pi
@@ -785,6 +778,10 @@ def disk_integral_W(
 # --------------------------------------------------------------------------
 # ring integrals
 # --------------------------------------------------------------------------
+
+# a ring's radius must exceed 10x this guard radius around z0
+GUARD_RADIUS = 1e-10
+
 
 def ring_integrals(
     f: AnalyticFunction,

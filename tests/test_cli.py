@@ -154,6 +154,14 @@ def test_rate_subcommand(capsys):
         # Hardy-Stein is the q = 0 identity
         ("identity", "--fn", "poly:0,1", "--p", "2", "--q", "1", "--r", "0.8",
          "--check", "hardy-stein"),
+        # an empty tag list would pass vacuously
+        ("identity", "--fn", "poly:1,1", "--p", "2", "--check="),
+        ("identity", "--fn", "poly:1,1", "--p", "2", "--check=,"),
+        # an empty schedule is malformed, not the default
+        ("rate", "--fn", "poly:0,1", "--p", "2", "--r-schedule="),
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--check", "area-limit",
+         "--r-schedule="),
+        ("lemma1", "--fn", "poly:1,1", "--p", "2", "--r", "0.9", "--eps-schedule="),
     ],
 )
 def test_usage_and_config_errors_exit_2(capsys, argv):

@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 
 from hardylab.fields import (
     MeanParams,
-    SingularPointError,
-    eval_G,
-    eval_W,
-    eval_grad_W,
-    eval_radial_deriv_W,
+    g_values,
+    grad_w_values,
+    radial_deriv_w_values,
+    w_values,
 )
 from hardylab.functions import (
     Binomial,
@@ -24,18 +23,18 @@ from hardylab.functions import (
 
 
 def fd_grad(f, params, z, h=1e-5):
-    gx = (eval_W(f, params, z + h) - eval_W(f, params, z - h)) / (2 * h)
-    gy = (eval_W(f, params, z + 1j * h) - eval_W(f, params, z - 1j * h)) / (2 * h)
+    gx = (w_values(f, params, z + h) - w_values(f, params, z - h)) / (2 * h)
+    gy = (w_values(f, params, z + 1j * h) - w_values(f, params, z - 1j * h)) / (2 * h)
     return gx, gy
 
 
 def fd_laplacian(f, params, z, h=1e-4):
     return (
-        eval_W(f, params, z + h)
-        + eval_W(f, params, z - h)
-        + eval_W(f, params, z + 1j * h)
-        + eval_W(f, params, z - 1j * h)
-        - 4.0 * eval_W(f, params, z)
+        w_values(f, params, z + h)
+        + w_values(f, params, z - h)
+        + w_values(f, params, z + 1j * h)
+        + w_values(f, params, z - 1j * h)
+        - 4.0 * w_values(f, params, z)
     ) / (h * h)
 
 
@@ -46,68 +45,72 @@ def test_mean_params_validation():
         MeanParams(1.0, -0.5)
 
 
-# ------------------------------------------------------------------- eval_W
+# ----------------------------------------------------------------- w_values
 
 def test_w_constant():
-    assert eval_W(Polynomial((1,)), MeanParams(2, 2), 0) == pytest.approx(1.0)
+    assert w_values(Polynomial((1,)), MeanParams(2, 2), 0) == pytest.approx(1.0)
 
 
 def test_w_monomial():
-    assert eval_W(Polynomial((0, 1)), MeanParams(2, 0), 0.5j) == pytest.approx(0.25)
+    assert w_values(Polynomial((0, 1)), MeanParams(2, 0), 0.5j) == pytest.approx(0.25)
 
 
 def test_w_binomial_weighted():
     # |1/(1-z)|^2 (1-|z|^2) at z = 0.5
-    assert eval_W(Binomial(1), MeanParams(2, 1), 0.5) == pytest.approx(3.0)
+    assert w_values(Binomial(1), MeanParams(2, 1), 0.5) == pytest.approx(3.0)
 
 
-# --------------------------------------------------------------- eval_grad_W
+# ------------------------------------------------------------ grad_w_values
 
 def test_grad_weight_only():
-    g = eval_grad_W(Polynomial((1,)), MeanParams(2, 1), 0.3)
-    assert (g.dx, g.dy) == (pytest.approx(-0.6), pytest.approx(0.0))
+    gx, gy = grad_w_values(Polynomial((1,)), MeanParams(2, 1), 0.3)
+    assert (gx, gy) == (pytest.approx(-0.6), pytest.approx(0.0))
 
 
 def test_grad_abs_square():
-    g = eval_grad_W(Polynomial((0, 1)), MeanParams(2, 0), 0.3 + 0.4j)
-    assert (g.dx, g.dy) == (pytest.approx(0.6), pytest.approx(0.8))
+    gx, gy = grad_w_values(Polynomial((0, 1)), MeanParams(2, 0), 0.3 + 0.4j)
+    assert (gx, gy) == (pytest.approx(0.6), pytest.approx(0.8))
 
 
 def test_grad_matches_fd_binomial():
     f, params, z = Binomial(1), MeanParams(2, 1), 0.4 + 0.2j
-    g = eval_grad_W(f, params, z)
+    gx, gy = grad_w_values(f, params, z)
     fx, fy = fd_grad(f, params, z)
-    assert abs(g.dx - fx) <= 1e-6 * max(1, abs(g.dx))
-    assert abs(g.dy - fy) <= 1e-6 * max(1, abs(g.dy))
+    assert abs(gx - fx) <= 1e-6 * max(1, abs(gx))
+    assert abs(gy - fy) <= 1e-6 * max(1, abs(gy))
 
 
-# ------------------------------------------------------------------- eval_G
+# ----------------------------------------------------------------- g_values
 
 def test_g_monomial_constant_laplacian():
     for z in (0.1, 0.3 + 0.2j, -0.5j):
-        assert eval_G(Polynomial((0, 1)), MeanParams(2, 0), z).value == pytest.approx(4.0)
+        assert g_values(Polynomial((0, 1)), MeanParams(2, 0), z) == pytest.approx(4.0)
 
 
 def test_g_weight_only():
-    assert eval_G(Polynomial((1,)), MeanParams(2, 1), 0.37j).value == pytest.approx(-4.0)
+    assert g_values(Polynomial((1,)), MeanParams(2, 1), 0.37j) == pytest.approx(-4.0)
 
 
 def test_g_z_squared():
-    got = eval_G(Polynomial((0, 0, 1)), MeanParams(2, 0), 0.5)
-    assert got.value == pytest.approx(4.0)
+    got = g_values(Polynomial((0, 0, 1)), MeanParams(2, 0), 0.5)
+    assert got == pytest.approx(4.0)
     fd = fd_laplacian(Polynomial((0, 0, 1)), MeanParams(2, 0), 0.5)
-    assert abs(got.value - fd) <= 1e-5 * max(1, abs(got.value))
+    assert abs(got - fd) <= 1e-5 * max(1, abs(got))
 
 
-def test_g_exact_zero_raises_for_small_p():
-    with pytest.raises(SingularPointError):
-        eval_G(Polynomial((0, 1)), MeanParams(1.5, 0), 0.0)
-
-
-def test_g_singular_flag_near_zero():
-    v = eval_G(Polynomial((0, 1)), MeanParams(1.5, 0), 1e-11)
-    assert v.singular
-    assert v.nearest_zero_distance == pytest.approx(1e-11)
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_g_is_non_finite_at_an_exact_zero_only_for_p_below_2(q):
+    # quadrature reads a non-finite node as a cell collision and splits the
+    # cell: at an exact zero G is non-finite for every p < 2, even where
+    # kp >= 2, and finite for p >= 2
+    z = np.zeros(1)
+    simple, double = Polynomial((0, 1)), Polynomial((0, 0, 1))
+    assert not np.isfinite(g_values(simple, MeanParams(1.5, q), z)).any()
+    assert np.isnan(g_values(double, MeanParams(1, q), z)).all()
+    assert g_values(simple, MeanParams(2, q), z).tolist() == [4.0]
+    assert g_values(simple, MeanParams(2.5, q), z).tolist() == [0.0]
+    if q == 0.0:
+        assert g_values(simple, MeanParams(1.5, q), z).tolist() == [math.inf]
 
 
 def test_g_nonnegative_unweighted():
@@ -117,20 +120,20 @@ def test_g_nonnegative_unweighted():
         z = complex(*rng.uniform(-0.6, 0.6, 2))
         if nearest_zero(f, z)[0] < 0.05:
             continue
-        assert eval_G(f, MeanParams(1.3, 0), z).value >= 0.0
+        assert g_values(f, MeanParams(1.3, 0), z) >= 0.0
 
 
-# ------------------------------------------------------- eval_radial_deriv_W
+# ---------------------------------------------------- radial_deriv_w_values
 
 def test_radial_deriv_weight_only():
-    got = eval_radial_deriv_W(Polynomial((1,)), MeanParams(2, 1), 0.5)
-    assert got.value == pytest.approx(-1.0)
+    got = radial_deriv_w_values(Polynomial((1,)), MeanParams(2, 1), 0.5)
+    assert got == pytest.approx(-1.0)
 
 
 def test_radial_deriv_monomial():
     # d/dr r^{np} at r=0.5 for n=2, p=2
-    got = eval_radial_deriv_W(Polynomial((0, 0, 1)), MeanParams(2, 0), 0.5)
-    assert got.value == pytest.approx(0.5)
+    got = radial_deriv_w_values(Polynomial((0, 0, 1)), MeanParams(2, 0), 0.5)
+    assert got == pytest.approx(0.5)
 
 
 @given(
@@ -147,9 +150,9 @@ def test_radial_deriv_is_radial_component_of_gradient(re, im, p, q):
     if nearest_zero(f, z)[0] < 0.05:
         return
     params = MeanParams(p, q)
-    g = eval_grad_W(f, params, z)
-    radial = (g.dx * z.real + g.dy * z.imag) / abs(z)
-    got = eval_radial_deriv_W(f, params, z).value
+    gx, gy = grad_w_values(f, params, z)
+    radial = (gx * z.real + gy * z.imag) / abs(z)
+    got = radial_deriv_w_values(f, params, z)
     assert abs(got - radial) <= 1e-12 * max(1.0, abs(got))
 
 
@@ -176,11 +179,11 @@ def test_gradient_matches_finite_differences(idx, re, im, p, q):
     if nearest_zero(f, z)[0] < 0.05:
         return
     params = MeanParams(p, q)
-    g = eval_grad_W(f, params, z)
+    gx, gy = grad_w_values(f, params, z)
     fx, fy = fd_grad(f, params, z)
-    scale = max(1.0, abs(g.dx), abs(g.dy))
-    assert abs(g.dx - fx) <= 1e-6 * scale
-    assert abs(g.dy - fy) <= 1e-6 * scale
+    scale = max(1.0, abs(gx), abs(gy))
+    assert abs(gx - fx) <= 1e-6 * scale
+    assert abs(gy - fy) <= 1e-6 * scale
 
 
 @given(
@@ -196,7 +199,7 @@ def test_laplacian_matches_finite_differences(idx, re, im, p, q):
     if nearest_zero(f, z)[0] < 0.05 or abs(z) > 0.8:
         return
     params = MeanParams(p, q)
-    g = eval_G(f, params, z).value
+    g = g_values(f, params, z)
     fd = fd_laplacian(f, params, z)
     assert abs(g - fd) <= 1e-4 * max(1.0, abs(g))
 
@@ -215,15 +218,17 @@ def test_scaling_covariance(scale_re, scale_im, p):
     params = MeanParams(p, 1.0)
     z = 0.3 + 0.2j
     factor = abs(c) ** p
-    assert eval_W(f, params, z) == pytest.approx(factor * eval_W(inner, params, z), rel=1e-12)
-    assert eval_G(f, params, z).value == pytest.approx(
-        factor * eval_G(inner, params, z).value, rel=1e-12
+    assert w_values(f, params, z) == pytest.approx(
+        factor * w_values(inner, params, z), rel=1e-12
     )
-    g, gi = eval_grad_W(f, params, z), eval_grad_W(inner, params, z)
-    assert g.dx == pytest.approx(factor * gi.dx, rel=1e-12, abs=1e-14)
-    assert g.dy == pytest.approx(factor * gi.dy, rel=1e-12, abs=1e-14)
-    got = eval_radial_deriv_W(f, params, z).value
-    assert got == pytest.approx(factor * eval_radial_deriv_W(inner, params, z).value, rel=1e-12)
+    assert g_values(f, params, z) == pytest.approx(
+        factor * g_values(inner, params, z), rel=1e-12
+    )
+    (gx, gy), (gix, giy) = grad_w_values(f, params, z), grad_w_values(inner, params, z)
+    assert gx == pytest.approx(factor * gix, rel=1e-12, abs=1e-14)
+    assert gy == pytest.approx(factor * giy, rel=1e-12, abs=1e-14)
+    got = radial_deriv_w_values(f, params, z)
+    assert got == pytest.approx(factor * radial_deriv_w_values(inner, params, z), rel=1e-12)
 
 
 @given(phi=st.floats(0, 2 * math.pi), re=st.floats(-0.5, 0.5), im=st.floats(-0.5, 0.5))
@@ -232,6 +237,6 @@ def test_rotation_covariance(phi, re, im):
     f = ScaledRotation(inner, 1.0, phi)
     params = MeanParams(1.5, 1.0)
     z = complex(re, im)
-    assert eval_W(f, params, z) == pytest.approx(
-        eval_W(inner, params, cmath.exp(1j * phi) * z), rel=1e-12, abs=1e-300
+    assert w_values(f, params, z) == pytest.approx(
+        w_values(inner, params, cmath.exp(1j * phi) * z), rel=1e-12, abs=1e-300
     )
