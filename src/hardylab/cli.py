@@ -176,11 +176,13 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
         tags = [t.strip() for t in args.check.split(",") if t.strip()]
         if not tags:
             raise ConfigError("check: expected at least one identity tag")
-        for tag in tags:
+        for i, tag in enumerate(tags):
             if tag not in IDENTITY_TAGS:
                 raise ConfigError(
                     f"check: unknown identity tag '{tag}' (expected one of {', '.join(IDENTITY_TAGS)})"
                 )
+            if tag in tags[:i]:
+                raise ConfigError(f"check: duplicate identity tag '{tag}'")
         finite_r = any(t != "area-limit" for t in tags)
         if args.r is not None and not finite_r:
             raise ConfigError("r: area-limit reads --r-schedule, not --r")

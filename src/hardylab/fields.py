@@ -14,6 +14,9 @@ grad(1-|z|^2)^q = -2 q (1-|z|^2)^{q-1} (x, y).
 Array entry points (`*_values`) evaluate on numpy arrays of complex points
 and are what the quadrature nodes call.  Each makes one pass over f: W uses
 `_val`, and the fields that need f' get f and f' together from `_val_dval`.
+Each computes every power of |f| and of 1-|z|^2 once and updates its own
+temporaries in place, keeping the operations of the formulas above in the
+order written.
 Near a zero of order k the gradient scales like |z-z0|^{kp-1} and G like
 |z-z0|^{kp-2}, so how singular a zero is depends on its order as well as on
 p.  Exactly at a zero, the fields that use f' are non-finite for every
@@ -46,22 +49,23 @@ class MeanParams:
             raise ValueError(f"q must satisfy 0 <= q < inf, got {self.q}")
 
 
-def _abs_pow(m: np.ndarray, e: float) -> np.ndarray:
-    """m**e for m >= 0 with the conventional limits at m == 0.
-
-    0**e is 0 for e > 0, 1 for e == 0 and +inf for e < 0 (the p > 2
-    underflow branch of |f|^{p-2} therefore returns 0 at zeros of f).
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.power(m, e)
+# 0**e is 0 for e > 0, 1 for e == 0 and +inf for e < 0, so |f|^{p-2} is 0 at
+# a zero of f when p > 2.  Each field runs under one errstate: those limits,
+# and the inf * 0 they can meet, come back as values, not warnings.  In-place
+# updates use augmented assignment, not `out=`: on 0-d input numpy returns
+# scalars, which `out=` rejects.
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def w_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
-    m = np.abs(f._val(z))
-    w = _abs_pow(m, params.p)
-    if params.q != 0.0:
-        w = w * (1.0 - np.abs(z) ** 2) ** params.q
+    p, q = params.p, params.q
+    with np.errstate(**_QUIET):
+        w = np.power(np.abs(f._val(z)), p)
+        if q != 0.0:
+            s2 = np.abs(z)
+            s2 *= s2
+            w *= (1.0 - s2) ** q
     return w
 
 
@@ -72,17 +76,25 @@ def grad_w_values(
     p, q = params.p, params.q
     fv, dv = f._val_dval(z)
     m = np.abs(fv)
-    s2 = np.abs(z) ** 2
-    rho = 1.0 - s2
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(**_QUIET):
         cross = dv * np.conj(fv)
-        mp2 = _abs_pow(m, p - 2.0)
-        gx = p * mp2 * cross.real
-        gy = p * mp2 * (-cross.imag)
+        pm = np.power(m, p - 2.0)
+        pm *= p
+        gx = pm * cross.real
+        gy = pm * cross.imag
+        gy *= -1.0
         if q != 0.0:
+            s2 = np.abs(z)
+            s2 *= s2
+            rho = 1.0 - s2
             wq = rho**q
-            gx = wq * gx + _abs_pow(m, p) * (-2.0 * q) * rho ** (q - 1.0) * z.real
-            gy = wq * gy + _abs_pow(m, p) * (-2.0 * q) * rho ** (q - 1.0) * z.imag
+            t = np.power(m, p)
+            t *= -2.0 * q
+            t *= rho ** (q - 1.0)
+            gx *= wq
+            gx += t * z.real
+            gy *= wq
+            gy += t * z.imag
     return gx, gy
 
 
@@ -94,17 +106,32 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     p, q = params.p, params.q
     fv, dv = f._val_dval(z)
     m = np.abs(fv)
-    s2 = np.abs(z) ** 2
-    rho = 1.0 - s2
-    with np.errstate(invalid="ignore", over="ignore"):
-        mp2 = _abs_pow(m, p - 2.0)
-        g = p * p * mp2 * np.abs(dv) ** 2
+    with np.errstate(**_QUIET):
+        mp2 = np.power(m, p - 2.0)
+        d2 = np.abs(dv)
+        d2 *= d2
+        g = mp2 * (p * p)
+        g *= d2
         if q != 0.0:
-            g = rho**q * g
-            g = g - 4.0 * p * q * rho ** (q - 1.0) * mp2 * (z * dv * np.conj(fv)).real
-            g = g + _abs_pow(m, p) * 4.0 * q * (
-                (q - 1.0) * s2 * rho ** (q - 2.0) - rho ** (q - 1.0)
-            )
+            s2 = np.abs(z)
+            s2 *= s2
+            rho = 1.0 - s2
+            rq1 = rho ** (q - 1.0)
+            g *= rho**q
+            cross = z * dv
+            cross *= np.conj(fv)
+            t = rq1 * (4.0 * p * q)
+            t *= mp2
+            t *= cross.real
+            g -= t
+            bracket = s2 * (q - 1.0)
+            bracket *= rho ** (q - 2.0)
+            bracket -= rq1
+            t = np.power(m, p)
+            t *= 4.0
+            t *= q
+            t *= bracket
+            g += t
     return g
 
 
@@ -117,11 +144,20 @@ def radial_deriv_w_values(
     fv, dv = f._val_dval(z)
     m = np.abs(fv)
     s = np.abs(z)
-    rho = 1.0 - s * s
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(**_QUIET):
         # e^{i theta} = z / s
-        radial = p * _abs_pow(m, p - 2.0) * ((z / s) * dv * np.conj(fv)).real
+        cross = z / s
+        cross *= dv
+        cross *= np.conj(fv)
+        radial = np.power(m, p - 2.0)
+        radial *= p
+        radial *= cross.real
         if q != 0.0:
-            radial = rho**q * radial + _abs_pow(m, p) * (-2.0 * q) * s * rho ** (q - 1.0)
+            rho = 1.0 - s * s
+            radial *= rho**q
+            t = np.power(m, p)
+            t *= -2.0 * q
+            t *= s
+            t *= rho ** (q - 1.0)
+            radial += t
     return radial
-

@@ -5,9 +5,11 @@ the closed disk, finite Blaschke products, the binomial family (1-z)^(-alpha),
 and a scale/rotate wrapper c*f(e^{i phi} z).  Every family evaluates itself
 (`_val`) and, jointly, itself and its first derivative (`_val_dval`) exactly,
 with no numerical differencing.  The joint evaluation shares its work: one
-complex power for the binomial (f' = alpha f / (1-z)), one product-rule pass
-for a Blaschke product, one Horner pass for a polynomial; its value is
-bit-identical to `_val`.  Every family can enumerate its zeros inside
+power for the binomial (f' = alpha f / (1-z)), one product-rule pass for a
+Blaschke product, one Horner pass for a polynomial; its value is
+bit-identical to `_val`.  The binomial power is formed in polar form, from a
+real power of |1-z| and the argument of 1-z, and a simple Blaschke factor
+takes no power at all.  Every family can enumerate its zeros inside
 |z| < r, so the quadrature layer always knows where the integrands degenerate.
 
 All values are immutable after construction.
@@ -74,22 +76,31 @@ def _as_complex_tuple(values) -> tuple[complex, ...]:
 
 
 def _poly_val(coeffs: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
-    """Horner evaluation, ascending coefficients."""
-    acc = np.zeros_like(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    """Horner evaluation, ascending coefficients.
+
+    The first step makes the accumulator (a numpy scalar for 0-d z) and the
+    later steps update it in place, with the operations of `acc * z + c`.
+    """
+    acc = np.zeros_like(z, dtype=complex) * z + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc *= z
+        acc += c
     return acc
 
 
 def _poly_val_dval(
     coeffs: tuple[complex, ...], z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint Horner evaluation of the polynomial and its derivative."""
-    val = np.zeros_like(z)
-    der = np.zeros_like(z)
-    for c in reversed(coeffs):
-        der = der * z + val
-        val = val * z + c
+    """Joint Horner evaluation of the polynomial and its derivative, in
+    place after the first step like `_poly_val`."""
+    val = np.zeros_like(z, dtype=complex)
+    der = val * z + val
+    val = val * z + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        der *= z
+        der += val
+        val *= z
+        val += c
     return val, der
 
 
@@ -183,7 +194,8 @@ class BlaschkeProduct:
     def _val(self, z: np.ndarray) -> np.ndarray:
         val = np.full_like(z, self.prefactor)
         for a, m in zip(self.zeros, self.multiplicities):
-            val = val * ((a - z) / (1.0 - np.conj(a) * z)) ** m
+            b = (a - z) / (1.0 - np.conj(a) * z)
+            val = val * (b if m == 1 else b**m)
         return val
 
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +205,11 @@ class BlaschkeProduct:
             den = 1.0 - np.conj(a) * z
             b = (a - z) / den
             db = (abs(a) ** 2 - 1.0) / (den * den)
-            pv = b**m
-            pd = m * b ** (m - 1) * db
+            if m == 1:
+                pv, pd = b, db
+            else:
+                pv = b**m
+                pd = m * b ** (m - 1) * db
             der = der * pv + val * pd
             val = val * pv
         return val, der
@@ -212,17 +227,35 @@ class Binomial:
             raise FunctionModelError("binomial exponent alpha must be positive and finite")
 
     def _val(self, z: np.ndarray) -> np.ndarray:
-        # 1 - z has positive real part on |z| < 1, so the principal power is
-        # single-valued there.
-        return (1.0 - z) ** (-self.alpha)
+        return _principal_power(1.0 - z, -self.alpha)
 
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # f' = alpha f / (1 - z): the one complex power serves both
+        # f' = alpha f / (1 - z): the one power serves both
         u = 1.0 - z
-        val = u ** (-self.alpha)
+        val = _principal_power(u, -self.alpha)
         der = val / u
         der *= self.alpha
         return val, der
+
+
+def _principal_power(u: np.ndarray, e: float) -> np.ndarray:
+    """u**e on the principal branch, for u with positive real part.
+
+    1 - z has positive real part on |z| < 1, so the power is single-valued
+    there.  It is formed in polar form, |u|^e times the unit phase e*arg(u):
+    numpy's complex power goes through exp(e log u), whose rounding grows
+    with |e log|u||, and it costs about four times as much.
+    """
+    phase = np.arctan2(u.imag, u.real)
+    phase *= e
+    # val is an array even for 0-d u, so its parts can take `out=`
+    val = np.empty(np.shape(u), dtype=complex)
+    np.cos(phase, out=val.real)
+    np.sin(phase, out=val.imag)
+    mod = np.abs(u)
+    mod **= e
+    val *= mod
+    return val
 
 
 @dataclass(frozen=True)

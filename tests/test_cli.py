@@ -157,6 +157,8 @@ def test_rate_subcommand(capsys):
         # an empty tag list would pass vacuously
         ("identity", "--fn", "poly:1,1", "--p", "2", "--check="),
         ("identity", "--fn", "poly:1,1", "--p", "2", "--check=,"),
+        # a repeated tag would report one check twice
+        ("identity", "--fn", "poly:0,1", "--p", "2", "--r", "0.8", "--check", "growth,growth"),
         # an empty schedule is malformed, not the default
         ("rate", "--fn", "poly:0,1", "--p", "2", "--r-schedule="),
         ("identity", "--fn", "poly:0,1", "--p", "2", "--check", "area-limit",

@@ -240,3 +240,153 @@ def test_rotation_covariance(phi, re, im):
     assert w_values(f, params, z) == pytest.approx(
         w_values(inner, params, cmath.exp(1j * phi) * z), rel=1e-12, abs=1e-300
     )
+
+
+# ----------------------------------------- bit-for-bit reference formulas
+#
+# The field functions assemble W, grad W, G and dW/dr with in-place updates,
+# Horner's rule updates its accumulators in place, and a simple Blaschke
+# factor skips its powers.  Below are the out-of-place formulas and the
+# power-based Blaschke product, kept as the reference: the same operations
+# on the same operands in the same order, so every bit must match.
+
+def reference_val_dval(f, z):
+    if isinstance(f, ScaledRotation):
+        val, der = reference_val_dval(f.inner, f.phase * z)
+        return f.scale * val, f.scale * f.phase * der
+    if isinstance(f, Rational):
+        nv, nd = reference_val_dval(f.num, z)
+        dv, dd = reference_val_dval(f.den, z)
+        return nv / dv, (nd * dv - nv * dd) / (dv * dv)
+    if isinstance(f, Polynomial):
+        val = np.zeros_like(z)
+        der = np.zeros_like(z)
+        for c in reversed(f.coeffs):
+            der = der * z + val
+            val = val * z + c
+        return val, der
+    val = np.full_like(z, f.prefactor)
+    der = np.zeros_like(z)
+    for a, m in zip(f.zeros, f.multiplicities):
+        den = 1.0 - np.conj(a) * z
+        b = (a - z) / den
+        db = (abs(a) ** 2 - 1.0) / (den * den)
+        pv = b**m
+        pd = m * b ** (m - 1) * db
+        der = der * pv + val * pd
+        val = val * pv
+    return val, der
+
+
+def reference_abs_pow(m, e):
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.power(m, e)
+
+
+def reference_w(f, params, z):
+    z = np.asarray(z, dtype=complex)
+    # the joint formulas' value is bit for bit that of the value formulas
+    w = reference_abs_pow(np.abs(reference_val_dval(f, z)[0]), params.p)
+    if params.q != 0.0:
+        with np.errstate(invalid="ignore"):
+            w = w * (1.0 - np.abs(z) ** 2) ** params.q
+    return w
+
+
+def reference_grad_w(f, params, z):
+    z = np.asarray(z, dtype=complex)
+    p, q = params.p, params.q
+    fv, dv = reference_val_dval(f, z)
+    m = np.abs(fv)
+    rho = 1.0 - np.abs(z) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        cross = dv * np.conj(fv)
+        mp2 = reference_abs_pow(m, p - 2.0)
+        gx = p * mp2 * cross.real
+        gy = p * mp2 * (-cross.imag)
+        if q != 0.0:
+            wq = rho**q
+            gx = wq * gx + reference_abs_pow(m, p) * (-2.0 * q) * rho ** (q - 1.0) * z.real
+            gy = wq * gy + reference_abs_pow(m, p) * (-2.0 * q) * rho ** (q - 1.0) * z.imag
+    return gx, gy
+
+
+def reference_g(f, params, z):
+    z = np.asarray(z, dtype=complex)
+    p, q = params.p, params.q
+    fv, dv = reference_val_dval(f, z)
+    m = np.abs(fv)
+    s2 = np.abs(z) ** 2
+    rho = 1.0 - s2
+    with np.errstate(invalid="ignore", over="ignore"):
+        mp2 = reference_abs_pow(m, p - 2.0)
+        g = p * p * mp2 * np.abs(dv) ** 2
+        if q != 0.0:
+            g = rho**q * g
+            g = g - 4.0 * p * q * rho ** (q - 1.0) * mp2 * (z * dv * np.conj(fv)).real
+            g = g + reference_abs_pow(m, p) * 4.0 * q * (
+                (q - 1.0) * s2 * rho ** (q - 2.0) - rho ** (q - 1.0)
+            )
+    return g
+
+
+def reference_radial_deriv_w(f, params, z):
+    z = np.asarray(z, dtype=complex)
+    p, q = params.p, params.q
+    fv, dv = reference_val_dval(f, z)
+    m = np.abs(fv)
+    s = np.abs(z)
+    rho = 1.0 - s * s
+    with np.errstate(invalid="ignore", over="ignore"):
+        radial = p * reference_abs_pow(m, p - 2.0) * ((z / s) * dv * np.conj(fv)).real
+        if q != 0.0:
+            radial = rho**q * radial + reference_abs_pow(m, p) * (-2.0 * q) * s * rho ** (q - 1.0)
+    return radial
+
+
+REFERENCE_PAIRS = [
+    (w_values, reference_w),
+    (g_values, reference_g),
+    (radial_deriv_w_values, reference_radial_deriv_w),
+    (lambda f, params, z: np.stack(grad_w_values(f, params, z)),
+     lambda f, params, z: np.stack(reference_grad_w(f, params, z))),
+]
+
+
+def reference_points():
+    # the zeros themselves (0 and 0.5), points next to them, the rim, and a
+    # fixed cloud of disk points
+    rng = np.random.default_rng(14)
+    cloud = 0.999 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    edges = [0.0, 0.5, 1e-300, 1e-9j, 0.5 + 1e-12j, 0.5 - 1e-7, 0.9999999, -0.7j, 0.99 + 0.1j]
+    return np.concatenate([cloud, edges])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Polynomial((0.3 - 0.2j, -0.5, 0.1 + 0.4j, 0.8, -0.6j, 2.1)),
+        Polynomial((0, 1)),
+        Polynomial((0, 0, 1)),
+        Polynomial((1.3 - 0.4j,)),
+        Rational(Polynomial((1, 1)), Polynomial((1.001, -1))),
+        Rational(Polynomial((-0.5, 1)), Polynomial((2, 1, 0.5))),
+        BlaschkeProduct((0.5,)),
+        ScaledRotation(BlaschkeProduct((0.3j,)), 2 - 1j, 0.4),
+    ],
+    ids=lambda f: type(f).__name__,
+)
+def test_fields_match_reference_formulas_bit_for_bit(f):
+    z = reference_points()
+    for p in (0.5, 1.5, 2.0, 3.0):
+        for q in (0.0, 0.5, 1.0, 2.0):
+            params = MeanParams(p, q)
+            for field, reference in REFERENCE_PAIRS:
+                got, want = field(f, params, z), reference(f, params, z)
+                assert got.tobytes() == want.tobytes(), (field, p, q)
+                # 0-d input, where numpy returns scalars: a disk point and the
+                # zeros 0 and 0.5
+                for z0 in (np.asarray(z[0]), np.asarray(z[-9]), np.asarray(z[-8])):
+                    got, want = field(f, params, z0), reference(f, params, z0)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (field, p, q)

@@ -1,4 +1,5 @@
-"""Oracle gate: a converged disk integral lies within its own error bar.
+"""Oracle gate: a converged disk integral lies within its own error bar, and
+the binomial family's pointwise values match mpmath.
 
 Each case integrates G = Laplacian of W against the kernel 1 over |z| < r
 and compares it with 2 pi r M'(r), where M is the circle mean of W, taken
@@ -9,10 +10,11 @@ unconverged results and typed errors are allowed.
 
 import math
 
+import numpy as np
 import pytest
 
 from hardylab.fields import MeanParams
-from hardylab.functions import Binomial, Polynomial
+from hardylab.functions import Binomial, Polynomial, ScaledRotation
 from hardylab.quadrature import KERNEL_ONE, QuadratureError, QuadratureSpec, disk_integral_G
 
 mpmath = pytest.importorskip("mpmath")
@@ -112,3 +114,43 @@ def test_sharp_zero_estimate_bounds_its_error():
     exact = shifted_zero_disk_g(0.5, params.p, r)
     assert res.converged
     assert abs(res.value - exact) <= res.error_estimate, (res.value, exact, res.error_estimate)
+
+
+def binomial_points():
+    # interior points, and points with |1 - z| = 2^-k, k = 1..30, where the
+    # rounding of exp(-alpha log(1 - z)) grows with |alpha log|1 - z||
+    near_one = [1.0 - 2.0**-k * np.exp(1j * t) for k in range(1, 31) for t in (0.0, 0.7, -1.2, 1.5)]
+    points = [0j, 0.5, -0.9, 0.3 + 0.4j, 0.99j, -0.6 - 0.7j] + near_one
+    return np.array([z for z in points if abs(z) < 1.0])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 2.5])
+def test_binomial_values_match_mpmath(alpha):
+    # (1 - z)^(-alpha) and its derivative alpha (1 - z)^(-alpha - 1) within
+    # 2e-15 relative of a 30-digit value, directly and through c f(e^{i phi} z)
+    def relative_errors(got, points, factor, dfactor):
+        out = []
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)  # -alpha - 1 in floats would be rounded
+            for value, z in zip(got, points):
+                u = 1 - mpmath.mpc(z.real, z.imag)
+                exact = (factor * u**-a, dfactor * a * u ** (-a - 1))
+                for v, e in zip(value, exact):
+                    out.append(float(abs(mpmath.mpc(v.real, v.imag) - e) / abs(e)))
+        return max(out)
+
+    f, z = Binomial(alpha), binomial_points()
+    val, der = f._val_dval(z)
+    assert val.tobytes() == f._val(z).tobytes()
+    err = relative_errors(zip(val, der), z, 1, 1)
+    assert err < 2e-15
+
+    # the wrapper evaluates its inner function at w = e^{i phi} z, rounded
+    g = ScaledRotation(f, 1.5 - 0.5j, 0.8)
+    z = np.conj(g.phase) * binomial_points()
+    w = g.phase * z
+    scale, dscale = mpmath.mpc(g.scale), mpmath.mpc(g.scale) * mpmath.mpc(g.phase)
+    val, der = g._val_dval(z)
+    assert val.tobytes() == g._val(z).tobytes()
+    err = relative_errors(zip(val, der), w, scale, dscale)
+    assert err < 2e-15

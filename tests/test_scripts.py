@@ -51,6 +51,7 @@ def test_golden_suite_rejects_bad_tolerance(tmp_path):
         ("ring_decay.py", ("--fn", "nope")),
         ("body_digest.py", ()),
         ("body_digest.py", ("--cli-seeds", "1,x")),
+        ("field_cost.py", ("--repeats", "0")),
     ],
 )
 def test_script_rejects_bad_input(script, args):
