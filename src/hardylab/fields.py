@@ -53,7 +53,10 @@ class MeanParams:
 # a zero of f when p > 2.  Each field runs under one errstate: those limits,
 # and the inf * 0 they can meet, come back as values, not warnings.  In-place
 # updates use augmented assignment, not `out=`: on 0-d input numpy returns
-# scalars, which `out=` rejects.
+# scalars, which `out=` rejects.  Each field also drops its temporaries (`del`)
+# as soon as they are used up: the memory a call holds at once decides how
+# many fresh pages it touches, and on a batch of 2^14 points those page
+# faults cost about as much as the arithmetic.
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
@@ -78,6 +81,7 @@ def grad_w_values(
     m = np.abs(fv)
     with np.errstate(**_QUIET):
         cross = dv * np.conj(fv)
+        del fv, dv
         pm = np.power(m, p - 2.0)
         pm *= p
         gx = pm * cross.real
@@ -108,30 +112,33 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     m = np.abs(fv)
     with np.errstate(**_QUIET):
         mp2 = np.power(m, p - 2.0)
-        d2 = np.abs(dv)
-        d2 *= d2
-        g = mp2 * (p * p)
-        g *= d2
+        g = np.abs(dv)
+        g *= g
+        g *= mp2 * (p * p)
         if q != 0.0:
+            cross = z * dv
+            cross *= np.conj(fv)
+            del fv, dv
             s2 = np.abs(z)
             s2 *= s2
             rho = 1.0 - s2
-            rq1 = rho ** (q - 1.0)
             g *= rho**q
-            cross = z * dv
-            cross *= np.conj(fv)
+            rq1 = rho ** (q - 1.0)
             t = rq1 * (4.0 * p * q)
             t *= mp2
             t *= cross.real
             g -= t
-            bracket = s2 * (q - 1.0)
-            bracket *= rho ** (q - 2.0)
-            bracket -= rq1
-            t = np.power(m, p)
-            t *= 4.0
-            t *= q
-            t *= bracket
-            g += t
+            del cross, mp2
+            # the weight bracket (q-1) |z|^2 rho^{q-2} - rho^{q-1}
+            t = s2 * (q - 1.0)
+            t *= rho ** (q - 2.0)
+            t -= rq1
+            del s2, rho, rq1
+            mp = np.power(m, p)
+            mp *= 4.0
+            mp *= q
+            mp *= t
+            g += mp
     return g
 
 
@@ -149,9 +156,11 @@ def radial_deriv_w_values(
         cross = z / s
         cross *= dv
         cross *= np.conj(fv)
+        del fv, dv
         radial = np.power(m, p - 2.0)
         radial *= p
         radial *= cross.real
+        del cross
         if q != 0.0:
             rho = 1.0 - s * s
             radial *= rho**q
