@@ -35,6 +35,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 DEFAULT_RATE_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(2, 11))
 DEFAULT_SCAN_SCHEDULE = tuple(1.0 - 2.0**-j for j in range(1, 13))
+# 16 radii each: equispaced over [0.08, 0.93], and geometric over [0.12, 0.93]
+DEFAULT_MONOTONICITY_GRID = tuple(0.08 + (0.93 - 0.08) * k / 15 for k in range(16))
+DEFAULT_GEOMETRIC_GRID = tuple(0.12 * ((0.93 / 0.12) ** (1.0 / 15)) ** k for k in range(16))
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,7 @@ def _means(
 ) -> list[float]:
     """Circle means along a schedule, in one batch; raises the error of the
     first failing radius."""
-    means, error = circle_integrals(f, params, radii, spec)
-    if error is not None:
-        raise error
-    return [res.value for res in means]
+    return [res.value for res in circle_integrals(f, params, radii, spec)]
 
 
 def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -93,12 +93,10 @@ def rate_probe(
         raise MembershipRequiredError(
             "rate probe requires membership_hint(f, p, q) = member"
         )
-    derivs, error = circle_integrals(f, params, radii, spec, deriv=True)
     # truncate the schedule at the first unconverged radius; a radius that
     # fails after it is never reached
+    derivs = circle_integrals(f, params, radii, spec, deriv=True)
     d_vals = [res.value for res in itertools.takewhile(lambda res: res.converged, derivs)]
-    if len(d_vals) == len(derivs) and error is not None:
-        raise error
     used_r = list(radii[:len(d_vals)])
     products = [(1.0 - r) * d for r, d in zip(used_r, d_vals)]
     norm_d = [
@@ -169,15 +167,6 @@ class LogConvexityResult:
     passed: bool
 
 
-def default_monotonicity_grid(n: int = 16) -> tuple[float, ...]:
-    return tuple(0.08 + (0.93 - 0.08) * k / (n - 1) for k in range(n))
-
-
-def default_geometric_grid(n: int = 16, lo: float = 0.12, hi: float = 0.93) -> tuple[float, ...]:
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return tuple(lo * ratio**k for k in range(n))
-
-
 def monotonicity_check(
     f: AnalyticFunction,
     p: float,
@@ -185,7 +174,7 @@ def monotonicity_check(
     radii: tuple[float, ...] | None = None,
 ) -> MonotonicityResult:
     """Unweighted means must be nondecreasing in r (slack 1e-10)."""
-    radii = radii or default_monotonicity_grid()
+    radii = radii or DEFAULT_MONOTONICITY_GRID
     if len(radii) < 16:
         raise ValueError("monotonicity grid needs at least 16 radii")
     params = MeanParams(p, 0.0)
@@ -212,7 +201,7 @@ def logconvexity_check(
 ) -> LogConvexityResult:
     """log of the unweighted mean must be convex in log r: discrete second
     differences on a geometric grid stay above -1e-8."""
-    radii = radii or default_geometric_grid()
+    radii = radii or DEFAULT_GEOMETRIC_GRID
     params = MeanParams(p, 0.0)
     vals = [m ** (1.0 / p) for m in _means(f, params, radii, spec)]
     if min(vals) <= 0.0:

@@ -367,11 +367,8 @@ def check_area_limit_identity(
     rhs_vals: list[float] = []
     area = area_err = 0.0
     converged = True
-    means, mean_error = circle_integrals(f, params, used, spec)
-    for k, (r_prev, r) in enumerate(zip([0.0, *used], used)):
-        if k == len(means):
-            raise mean_error
-        cm = means[k]
+    # a circle's error is raised after the disk pieces of the earlier radii
+    for r_prev, r, cm in zip([0.0, *used], used, circle_integrals(f, params, used, spec)):
         g = disk_integral_G(f, params, r, KERNEL_ONE_MINUS_ABS_SQ, spec, s_lo=r_prev)
         w = disk_integral_W(f, params, r, KERNEL_ONE, spec, s_lo=r_prev)
         area += g.value + 4.0 * w.value

@@ -1,37 +1,37 @@
 """Singularity-aware quadrature on circles, rings, and disks.
 
-One periodic engine integrates over the angle: the equispaced rule with node
-doubling, geometric for integrands analytic in a strip around the real
-angle.  It runs a batch of cells, each with radial nodes s, rows of weights
-and an integrand of s and the unit-circle node u: a disk cell's integrand is
-a field at s u, a circle mean is a cell with one radial node of weight 1,
-and a ring a cell whose integrand is the flux through |z - z0| = s.  The
-cells double together, one field call per round of at most BATCH_POINTS
-points unless it is one cell's own; each cell keeps its own stop rule, and
-its bits are those of a lone run.  The circles of a schedule (rate probe,
-scans, the area-limit lhs) are one batch, and so are the rings of an eps
-schedule.  Node contributions are combined by compensated summation and
-cells by a fixed binary tree, so results are bit-identical between runs.
+One dispatcher, _angular, integrates every circle, ring and radial disk cell
+over the angle.  A cell has radial nodes s, rows of weights and an integrand
+of s and the unit-circle node u: a disk cell's integrand is a field at s u, a
+circle mean is a cell with one radial node of weight 1, and a ring a cell
+whose integrand is the flux through |z - z0| = s.  Cells within 0.2 |w| of a
+feature w of known angle (disk cells: off-origin zeros with kp < 2 for G,
+and features on or outside the rim; circle means: any feature; rings: none)
+take the graded-arc rule one at a time.  It splits the circle at the
+features' angles and grades each arc geometrically down to the scale
+dist/|w|, where the uniform rule would need O(s/dist) nodes, then cuts the
+pieces in two, four, ... until they change by at most the tolerance.
+
+The other cells are one batch of the periodic engine: the equispaced rule
+with node doubling, geometric for integrands analytic in a strip around the
+real angle.  The cells double together; each stops once every row changes by
+at most max(tol_abs, rel_tol * max(|value|, 1e-6 L1)), and its bits are
+those of a lone run.  Both rules make field calls of at most BATCH_POINTS
+points unless one cell or arc alone exceeds it.  Node contributions are
+combined by compensated summation and cells by a fixed binary tree, so
+results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
 estimate is the sum over cells of |K21 - G10| plus the angular changes; the
 first level within rel_tol * max(1, |value|) is the result, else every
-radial cell splits, up to MAX_LEVELS levels.  A stack of kernels shares one
-mesh as weight rows, each with its own tolerance, estimate and converged
-flag.  Radial cells are graded geometrically toward the origin for log
+radial cell splits, up to MAX_LEVELS levels or until a level lowers no
+unconverged kernel's estimate.  A stack of kernels shares one mesh as weight
+rows.  Radial cells are graded geometrically toward the origin for log
 kernels, toward the modulus of every zero of f where the integrand is not
 smooth (G scales like |z-z0|^{kp-2} at a zero of order k), and toward the
 rim when the weight (1-|z|^2)^q, or a zero, pole or boundary singularity of
 f, lies just outside.
-
-Circles within 0.2 |w| of a feature w of known angle take the graded-arc
-rule instead, one at a time (disk cells: off-origin zeros with kp < 2 for G,
-and features on or outside the rim; circle means: any feature).  It splits
-the circle at the features' angles and grades each arc geometrically down to
-the scale dist/|w|, where the uniform rule would need O(s/dist) nodes, then
-cuts the pieces in two, four, ... until they change by at most the
-tolerance, each pass in field calls of whole arcs of at most BATCH_POINTS.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .accum import kahan_rows, tree_sum
 from .fields import MeanParams, g_values, grad_w_values, radial_deriv_w_values, w_values
-from .functions import AnalyticFunction, Zero, feature_moduli, zeros_in_disk
+from .functions import AnalyticFunction, Zero, _unit_disk_zeros, feature_moduli, zeros_in_disk
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,63 +107,22 @@ class IntegralResult:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Radial kernel K(|z|); grad K = K'(s) * (x, y)/s."""
+    """Radial kernel K(|z|) and its derivative K'(s); grad K = K'(s) * (x, y)/s."""
 
     name: str
+    radial: Callable[[np.ndarray], np.ndarray]
+    radial_deriv: Callable[[np.ndarray], np.ndarray]
     singular_at_origin: bool = False
 
-    def radial(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
-    def radial_deriv(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _LogROverAbs(Kernel):
-    r: float = 1.0
-
-    def radial(self, s):
-        return np.log(self.r / s)
-
-    def radial_deriv(self, s):
-        return -1.0 / s
-
-
-@dataclass(frozen=True)
-class _LogOneOverAbs(Kernel):
-    def radial(self, s):
-        return -np.log(s)
-
-    def radial_deriv(self, s):
-        return -1.0 / s
-
-
-@dataclass(frozen=True)
-class _One(Kernel):
-    def radial(self, s):
-        return np.ones_like(s)
-
-    def radial_deriv(self, s):
-        return np.zeros_like(s)
-
-
-@dataclass(frozen=True)
-class _OneMinusAbsSq(Kernel):
-    def radial(self, s):
-        return 1.0 - s * s
-
-    def radial_deriv(self, s):
-        return -2.0 * s
-
-
-KERNEL_ONE = _One("one")
-KERNEL_ONE_MINUS_ABS_SQ = _OneMinusAbsSq("one-minus-abs-sq")
-KERNEL_LOG_ONE_OVER_ABS = _LogOneOverAbs("log-unit", singular_at_origin=True)
+KERNEL_ONE = Kernel("one", np.ones_like, np.zeros_like)
+KERNEL_ONE_MINUS_ABS_SQ = Kernel("one-minus-abs-sq", lambda s: 1.0 - s * s, lambda s: -2.0 * s)
+KERNEL_LOG_ONE_OVER_ABS = Kernel("log-unit", lambda s: -np.log(s), lambda s: -1.0 / s, True)
 
 
 def kernel_log_r_over_abs(r: float) -> Kernel:
-    return _LogROverAbs("log-r", singular_at_origin=True, r=float(r))
+    r = float(r)
+    return Kernel("log-r", lambda s: np.log(r / s), lambda s: -1.0 / s, True)
 
 
 def kernel_by_name(name: str, r: float) -> Kernel:
@@ -176,7 +135,7 @@ def kernel_by_name(name: str, r: float) -> Kernel:
 
 
 # --------------------------------------------------------------------------
-# periodic rule with doubling
+# angular rules: periodic with doubling, and graded arcs
 # --------------------------------------------------------------------------
 
 class _CellCollision(Exception):
@@ -198,7 +157,6 @@ def _cells_theta(
     n0: int,
     tol_abs: Sequence[float],
     rel_tol: float = 0.0,
-    ref_floor: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Periodic-rule values of many cells: values[c, k] is sum_i
     weights[c, k, i] * (integral over theta of integrand(s_nodes[c, i], u),
@@ -208,11 +166,11 @@ def _cells_theta(
     holds the n0 nodes and their n0 midpoints, which the first change needs,
     and each later round the new midpoints, in calls of at most BATCH_POINTS
     points (a call of one cell may exceed it).  A cell stops once every row's
-    change is within max(tol_abs[k], rel_tol * max(ref_floor, |value_k|,
-    1e-6 L1_k)), L1_k the row over |integrand| (meaningful for signed
-    integrands with cancellation), or at N_THETA_MAX nodes; a cell with a
-    non-finite node stops as a collision.  Returns (values, deltas, nodes,
-    conv, collided) per cell.
+    change is within max(tol_abs[k], rel_tol * max(|value_k|, 1e-6 L1_k)),
+    L1_k the row over |integrand| (meaningful for signed integrands with
+    cancellation), or at N_THETA_MAX nodes; a cell with a non-finite node
+    stops as a collision.  Returns (values, deltas, nodes, conv, collided)
+    per cell.
     """
     n_cells, n_k, n_s = weights.shape
     values, deltas = np.zeros((n_cells, n_k)), np.zeros((n_cells, n_k))
@@ -220,8 +178,7 @@ def _cells_theta(
     # the cells still refining, with their nodes, weights and running sums
     cells, s_col, w = np.arange(n_cells), s_nodes[:, :, None], weights
     h = l1 = value = np.zeros(s_nodes.shape)  # set by the first round
-    # max(t, r max(f, a, b)) = max(max(t, r f), r max(a, b)): rounding is monotone
-    floor = np.maximum(tol_abs, rel_tol * ref_floor)
+    tol_abs = np.asarray(tol_abs, dtype=float)
     n, used, offsets = n0, 0, (0.0, 0.5)
     # rows holding inf - inf are collisions
     with np.errstate(invalid="ignore"):
@@ -248,11 +205,11 @@ def _cells_theta(
             h = 0.5 * h + (math.pi / n) * sums[..., -1]
             new = kahan_rows(w * h[:, None, :])
             delta, value = np.abs(new - value), new
-            bound = floor
+            bound = tol_abs
             if rel_tol:
                 l1 = 0.5 * l1 + (math.pi / n) * abs_sums[..., -1]
                 l1_rows = (np.abs(w) * l1[:, None, :]).sum(axis=2)
-                bound = np.maximum(floor, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
+                bound = np.maximum(tol_abs, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
             ok = delta <= bound
             n, offsets = 2 * n, (0.5,)
             if n >= N_THETA_MAX or ok.all():
@@ -268,6 +225,126 @@ def _cells_theta(
                 )
     # every cell that stops without a collision has used nodes
     return values, deltas, nodes, conv, nodes == 0
+
+
+def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[float]:
+    """Breakpoints of [a, b] geometric toward both ends, down to the given scales."""
+    span = b - a
+    pts = {a, b}
+    for end, scale, sign in ((a, scale_a, 1.0), (b, scale_b, -1.0)):
+        for k in range(1, 64):
+            frac = span * 0.5**k
+            if frac <= 0.6 * max(scale, 1e-18 * span):
+                break
+            pts.add(end + sign * frac)
+    return sorted(pts)
+
+
+def _cell_theta_banded(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    s_nodes: np.ndarray,
+    weights: np.ndarray,
+    angle_scales: Sequence[tuple[float, float]],
+    splits: int,
+    tol_abs: Sequence[float],
+    rel_tol: float = 0.0,
+) -> tuple[list[float], list[float], int, list[bool], int]:
+    """Cell values for a radial cell that passes close to angular features.
+
+    The circle is split into arcs between the features' angles and each arc
+    is integrated by composite Gauss-Legendre graded geometrically toward its
+    endpoints, down to each feature's angular scale; this converges
+    exponentially where the uniform periodic rule would need O(s/d) nodes.
+    Every graded piece is cut into `splits` equal parts, and the cuts double
+    until, for every kernel row k of weights, the pieces' values change by
+    at most max(tol_abs[k], rel_tol * |value_k|) in sum.  Returns (values,
+    changes, nodes, conv, doublings).
+    """
+    glx, glw = _gauss_rule(N_GAUSS)
+    angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
+    edges: list[float] = []
+    for j, (a_j, sc_j) in enumerate(angles):
+        b_j, sc_b = angles[j + 1] if j + 1 < len(angles) else (angles[0][0] + TWO_PI, angles[0][1])
+        edges += _graded_segment(a_j, b_j, sc_j, sc_b)[int(j > 0):]
+    lo_t, width = np.array(edges[:-1]), np.diff(edges)
+    n_s = len(s_nodes)
+    per_call = max(1, BATCH_POINTS // (n_s * N_GAUSS))
+
+    def rule(k: int) -> tuple[np.ndarray, int]:
+        half = np.repeat(0.5 * width / k, k)
+        mids = (lo_t[:, None] + width[:, None] * ((np.arange(k) + 0.5) / k)[None, :]).ravel()
+        ring = np.exp(1j * (mids[:, None] + half[:, None] * glx[None, :]))
+        arc_sums = np.empty((n_s, len(half)))
+        # whole arcs per field call, at most BATCH_POINTS points unless one
+        # arc alone exceeds it
+        for j in range(0, len(half), per_call):
+            mat = np.asarray(integrand(s_nodes[:, None], ring[j:j + per_call].ravel()), dtype=float)
+            if not np.all(np.isfinite(mat)):
+                raise _CellCollision
+            # (n_s, arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
+            arc_sums[:, j:j + per_call] = mat.reshape(n_s, -1, N_GAUSS) @ glw
+        # the k cuts of each graded piece are summed back together
+        arc_sums *= half
+        return arc_sums.reshape(n_s, len(width), k).sum(axis=2), n_s * ring.size
+
+    pieces, nodes = rule(splits)
+    doublings = 0
+    while True:
+        splits *= 2
+        doublings += 1
+        new_pieces, used = rule(splits)
+        change = new_pieces - pieces
+        # compared piece by piece, so errors of opposite sign cannot cancel
+        deltas = [float(np.sum(np.abs(row[:, None] * change))) for row in weights]
+        pieces = new_pieces
+        nodes += used
+        values = kahan_rows(weights * pieces.sum(axis=1)).tolist()
+        conv = [d <= max(t, rel_tol * abs(v)) for d, t, v in zip(deltas, tol_abs, values)]
+        if all(conv) or len(width) * splits * N_GAUSS >= N_THETA_MAX:
+            return values, deltas, nodes, conv, doublings
+
+
+def _angular(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    s_nodes: np.ndarray,
+    weights: np.ndarray,
+    peaks: Sequence[tuple[float, float]],
+    n0: int,
+    tol_abs: Sequence[float],
+    rel_tol: float = 0.0,
+) -> list[tuple[list[float], list[float], int, list[bool], int] | None]:
+    """(values, changes, nodes, conv, doublings) of each cell of s_nodes and
+    weights, as _cells_theta takes them, or None where a node was non-finite.
+    A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes the
+    graded-arc rule, graded down to dist/|w|; the others are one batch."""
+    n_cells, n_s = s_nodes.shape
+    bands: list[list[tuple[float, float]]] = [[] for _ in range(n_cells)]
+    for s0, theta0 in peaks:
+        dist = np.abs(s_nodes - s0).min(axis=1).tolist()
+        for scales, d in zip(bands, dist):
+            if d < 0.2 * s0:
+                scales.append((theta0, max(d / s0, 1e-15)))
+    out: list = [None] * n_cells
+    periodic = [i for i, scales in enumerate(bands) if not scales]
+    if periodic:
+        # indexing copies, so an all-periodic batch (the common case) skips it
+        cells = (s_nodes, weights)
+        if len(periodic) < n_cells:
+            cells = (s_nodes[periodic], weights[periodic])
+        batch = _cells_theta(integrand, *cells, n0, tol_abs, rel_tol)
+        for i, (values, changes, nodes, conv, collided) in zip(
+            periodic, zip(*(arr.tolist() for arr in batch))
+        ):
+            # nodes = n0 * n_s * 2^doublings
+            if not collided:
+                out[i] = values, changes, nodes, conv, (nodes // (n0 * n_s)).bit_length() - 1
+    for i, scales in enumerate(bands):
+        if scales:
+            with suppress(_CellCollision):
+                out[i] = _cell_theta_banded(
+                    integrand, s_nodes[i], weights[i], scales, 1, tol_abs, rel_tol
+                )
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -287,10 +364,10 @@ def circle_integrals(
     radii: Sequence[float],
     spec: QuadratureSpec,
     deriv: bool = False,
-) -> tuple[list[IntegralResult], Exception | None]:
+) -> Iterator[IntegralResult]:
     """circle_mean (circle_mean_deriv with deriv) at each radius of a schedule,
-    as a loop over the radii gives them: the results of the radii before the
-    first that fails, and that radius's error (None if none fails).
+    yielded in schedule order; a radius that fails raises its error when the
+    iteration reaches it.
 
     The radii within 0.2 |w| of a feature w of f take the graded-arc rule one
     at a time, graded down to |r - |w|| / |w|; the others are one batch."""
@@ -300,7 +377,7 @@ def circle_integrals(
         try:
             radii[k] = r = _check_radius(r)
             if deriv and params.p < 1.0:
-                for zero in zeros_in_disk(f, min(1.0 - 1e-12, r + 0.5 * (1 - r))):
+                for zero in _unit_disk_zeros(f):
                     if abs(abs(zero.location) - r) < 1e-6:
                         raise RadiusNearZeroError(
                             f"zero at {zero.location} within 1e-6 of |z| = {r} with p < 1"
@@ -314,51 +391,31 @@ def circle_integrals(
 
     tol = 0.5 * spec.rel_tol
     features = feature_moduli(f) if radii else ()
-    scales = [
-        [(a, max(abs(r - m) / m, 1e-15)) for m, a in features if abs(r - m) < 0.2 * m]
-        for r in radii
-    ]
-    periodic = [k for k, near in enumerate(scales) if not near]
-    s, m = np.array([[radii[k]] for k in periodic]), len(periodic)
-    batch = _cells_theta(gfun, s, np.ones((m, 1, 1)), N_THETA_INIT, [0.0], tol) if m else ()
-    runs = dict(zip(periodic, zip(*(arr.tolist() for arr in batch))))
-    out: list[IntegralResult] = []
-    for k, r in enumerate(radii):
-        try:
-            if scales[k]:
-                (total,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
-                    gfun, np.array([r]), np.ones((1, 1)), scales[k], 1, [tol], rel_tol=tol
-                )
-            else:
-                (total,), (delta,), nodes, (conv,), collided = runs[k]
-                if collided:
-                    raise _CellCollision
-                # nodes = N_THETA_INIT * 2^doublings
-                doublings = nodes.bit_length() - N_THETA_INIT.bit_length()
-        except _CellCollision:
-            return out, QuadratureError("non-finite integrand value on circle")
-        out.append(IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv))
-    return out, error
-
-
-def _lone(results: list[IntegralResult], error: Exception | None) -> IntegralResult:
+    runs = _angular(
+        gfun, np.array(radii).reshape(-1, 1), np.ones((len(radii), 1, 1)), features,
+        N_THETA_INIT, [tol], tol,
+    )
+    for run in runs:
+        if run is None:
+            raise QuadratureError("non-finite integrand value on circle")
+        (total,), (delta,), nodes, (conv,), doublings = run
+        yield IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
     if error is not None:
         raise error
-    return results[0]
 
 
 def circle_mean(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """(1/2pi) * integral of W(r e^{i theta}) d theta."""
-    return _lone(*circle_integrals(f, params, (r,), spec))
+    return next(circle_integrals(f, params, (r,), spec))
 
 
 def circle_mean_deriv(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """d/dr of the circle mean, by differentiating under the integral."""
-    return _lone(*circle_integrals(f, params, (r,), spec, deriv=True))
+    return next(circle_integrals(f, params, (r,), spec, deriv=True))
 
 
 # --------------------------------------------------------------------------
@@ -489,83 +546,6 @@ def _radial_partition(
 # disk integration
 # --------------------------------------------------------------------------
 
-def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[float]:
-    """Breakpoints of [a, b] geometric toward both ends, down to the given scales."""
-    span = b - a
-    pts = {a, b}
-    for end, scale, sign in ((a, scale_a, 1.0), (b, scale_b, -1.0)):
-        for k in range(1, 64):
-            frac = span * 0.5**k
-            if frac <= 0.6 * max(scale, 1e-18 * span):
-                break
-            pts.add(end + sign * frac)
-    return sorted(pts)
-
-
-def _cell_theta_banded(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    s_nodes: np.ndarray,
-    weights: np.ndarray,
-    angle_scales: Sequence[tuple[float, float]],
-    splits: int,
-    tol_abs: Sequence[float],
-    rel_tol: float = 0.0,
-) -> tuple[list[float], list[float], int, list[bool], int]:
-    """Cell values for a radial cell that passes close to angular features.
-
-    The circle is split into arcs between the features' angles and each arc
-    is integrated by composite Gauss-Legendre graded geometrically toward its
-    endpoints, down to each feature's angular scale; this converges
-    exponentially where the uniform periodic rule would need O(s/d) nodes.
-    Every graded piece is cut into `splits` equal parts, and the cuts double
-    until, for every kernel row k of weights, the pieces' values change by
-    at most max(tol_abs[k], rel_tol * |value_k|) in sum.  Returns (values,
-    changes, nodes, conv, doublings).
-    """
-    glx, glw = _gauss_rule(N_GAUSS)
-    angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
-    edges: list[float] = []
-    for j, (a_j, sc_j) in enumerate(angles):
-        b_j, sc_b = angles[j + 1] if j + 1 < len(angles) else (angles[0][0] + TWO_PI, angles[0][1])
-        edges += _graded_segment(a_j, b_j, sc_j, sc_b)[int(j > 0):]
-    lo_t, width = np.array(edges[:-1]), np.diff(edges)
-    n_s = len(s_nodes)
-    per_call = max(1, BATCH_POINTS // (n_s * N_GAUSS))
-
-    def rule(k: int) -> tuple[np.ndarray, int]:
-        half = np.repeat(0.5 * width / k, k)
-        mids = (lo_t[:, None] + width[:, None] * ((np.arange(k) + 0.5) / k)[None, :]).ravel()
-        ring = np.exp(1j * (mids[:, None] + half[:, None] * glx[None, :]))
-        arc_sums = np.empty((n_s, len(half)))
-        # whole arcs per field call, at most BATCH_POINTS points unless one
-        # arc alone exceeds it
-        for j in range(0, len(half), per_call):
-            mat = np.asarray(integrand(s_nodes[:, None], ring[j:j + per_call].ravel()), dtype=float)
-            if not np.all(np.isfinite(mat)):
-                raise _CellCollision
-            # (n_s, arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
-            arc_sums[:, j:j + per_call] = mat.reshape(n_s, -1, N_GAUSS) @ glw
-        # the k cuts of each graded piece are summed back together
-        arc_sums *= half
-        return arc_sums.reshape(n_s, len(width), k).sum(axis=2), n_s * ring.size
-
-    pieces, nodes = rule(splits)
-    doublings = 0
-    while True:
-        splits *= 2
-        doublings += 1
-        new_pieces, used = rule(splits)
-        change = new_pieces - pieces
-        # compared piece by piece, so errors of opposite sign cannot cancel
-        deltas = [float(np.sum(np.abs(row[:, None] * change))) for row in weights]
-        pieces = new_pieces
-        nodes += used
-        values = kahan_rows(weights * pieces.sum(axis=1)).tolist()
-        conv = [d <= max(t, rel_tol * abs(v)) for d, t, v in zip(deltas, tol_abs, values)]
-        if all(conv) or len(width) * splits * N_GAUSS >= N_THETA_MAX:
-            return values, deltas, nodes, conv, doublings
-
-
 def _disk_once(
     gfun: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kernels: Sequence[Kernel],
@@ -595,28 +575,11 @@ def _disk_once(
         radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
         # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
         weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
-        # radial cells passing close to a peak (modulus, angle) get the
-        # graded-arc angular rule instead of the periodic one
-        band_scales: list[list[tuple[float, float]]] = [[] for _ in cells]
-        for s0, theta0 in peaks:
-            dist = np.abs(s - s0).min(axis=1).tolist()
-            for scales, d in zip(band_scales, dist):
-                if d < 0.2 * s0:
-                    scales.append((theta0, max(d / s0, 1e-15)))
-        periodic = [i for i, scales in enumerate(band_scales) if not scales]
-        batch = _cells_theta(gfun, s[periodic], weights[periodic], n0, row_tol)
-        # (values, changes, nodes, conv, collided) of each periodic cell
-        runs = dict(zip(periodic, zip(*(arr.tolist() for arr in batch))))
         leaves = []
-        for i, (a, b, depth) in enumerate(cells):
-            with suppress(_CellCollision):
-                if band_scales[i]:
-                    banded = _cell_theta_banded(gfun, s[i], weights[i], band_scales[i], 1, row_tol)
-                    leaves.append(banded[:4])
-                    continue
-                if not runs[i][4]:
-                    leaves.append(runs[i][:4])
-                    continue
+        for (a, b, depth), leaf in zip(cells, _angular(gfun, s, weights, peaks, n0, row_tol)):
+            if leaf is not None:
+                leaves.append(leaf[:4])
+                continue
             # a node landed on a singular point: subdivide in place and retry
             if depth >= MAX_GRADE_DEPTH:
                 raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
@@ -692,7 +655,8 @@ def _disk_integral(
     The kernels are weight rows over the same nodes, and the mesh grades
     toward the union of their singular radii.  Each kernel has its own
     tolerance, error estimate and converged flag; refinement stops once
-    every kernel meets its own.  mass_shift is the field's extra local mass
+    every kernel meets its own, or unconverged once a level lowers none of
+    the estimates still above it.  mass_shift is the field's extra local mass
     exponent at a zero (0 for G, 2 for W).  Cells near a feature of f on or
     outside the rim, or near an interior zero where the field is unbounded
     (kp + mass_shift < 2, so G only), get the graded-arc angular rule.
@@ -715,7 +679,7 @@ def _disk_integral(
     end_scales = (min(below, default=None), boundary_scale)
 
     n_k = len(kernels)
-    hint = [1.0] * n_k
+    hint, last_err = [1.0] * n_k, [math.inf] * n_k
     nodes_total = 0
     for level in range(MAX_LEVELS) if force_level is None else (force_level,):
         theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
@@ -727,9 +691,10 @@ def _disk_integral(
             e <= spec.rel_tol * max(1.0, abs(v)) and c
             for e, v, c in zip(err, values, cells_conv)
         ]
-        if all(conv):
+        # a level that lowers no unconverged kernel's estimate ends refinement
+        if all(conv) or not any(e < e0 for e, e0, c in zip(err, last_err, conv) if not c):
             break
-        hint = [max(1.0, abs(v)) for v in values]
+        hint, last_err = [max(1.0, abs(v)) for v in values], err
     return [IntegralResult(v, e, nodes_total, level, c) for v, e, c in zip(values, err, conv)]
 
 
@@ -819,18 +784,18 @@ def ring_integrals(
         w = w_values(f, params, z)
         return (kernel.radial(s) * dwdn - w * dkdn) * e
 
-    values, _deltas, _nodes, conv, collided = _cells_theta(
-        flux, np.array(eps).reshape(-1, 1), np.ones((len(eps), 1, 1)), N_THETA_INIT,
-        [1e-300], 0.25 * spec.rel_tol, ref_floor=0.0,
+    runs = _angular(
+        flux, np.array(eps).reshape(-1, 1), np.ones((len(eps), 1, 1)), (), N_THETA_INIT,
+        [1e-300], 0.25 * spec.rel_tol,
     )
-    for hit, ok in zip(collided, conv[:, 0]):
-        if hit:
+    for run in runs:
+        if run is None:
             raise QuadratureError("non-finite integrand value on circle")
-        if not ok:
+        if not run[3][0]:
             raise QuadratureError("ring integral did not converge within the doubling cap")
     if error:
         raise GeometryError(error)
-    return values[:, 0].tolist()
+    return [run[0][0] for run in runs]
 
 
 def ring_integral(

@@ -120,6 +120,28 @@ def test_rate_subcommand(capsys):
     assert rec["verdict"] == "consistent-with-theorem"
 
 
+# at p < 1 the derivative rejects only a zero within 1e-6 of its own circle;
+# a zero on the circle halfway to the rim, |z| = r + (1 - r)/2, is no obstacle
+
+def test_deriv_below_p_one_with_a_zero_halfway_to_the_rim(capsys):
+    code, out, _ = run_cli(capsys, "deriv", "--fn", "poly:-0.75,1", "--p", "0.5", "--r", "0.5")
+    assert code == 0
+    rec = records(out)[1]
+    assert rec["converged"]
+    assert rec["value"] == pytest.approx(0.11210878901618665, rel=1e-12)
+
+
+def test_rate_below_p_one_with_a_zero_halfway_to_the_last_radius_rim(capsys):
+    # the last radius is 1 - 2^-5 and the zero sits at 1 - 2^-6
+    code, out, _ = run_cli(
+        capsys, "rate", "--fn", "poly:-0.984375,1", "--p", "0.5", "--r-schedule", "2..5"
+    )
+    assert code == 0
+    rec = records(out)[1]
+    assert len(rec["radii"]) == 4
+    assert rec["verdict"] == "consistent-with-theorem"
+
+
 # ---------------------------------------------------------------- exit codes
 
 @pytest.mark.parametrize(

@@ -482,6 +482,51 @@ def test_halve_mesh_stability():
         assert abs(finer.value - res.value) < max(res.error_estimate, 1e-13 * abs(res.value))
 
 
+@pytest.mark.parametrize(
+    "script,levels,converged",
+    [
+        # the estimates of blaschke:0.5 at p = 0.3: the rise ends refinement
+        ([(2.17e-6,), (3.84e-6,), (1.2e-2,)], 1, (False,)),
+        # a flat estimate is no progress either
+        ([(1e-6,), (1e-6,), (1e-9,)], 1, (False,)),
+        # a steady fall runs to MAX_LEVELS, and one that reaches tol converges
+        ([(5e-6,), (4e-6,), (3e-6,), (2e-6,), (1e-6,)], 4, (False,)),
+        ([(1e-5,), (1e-6,), (1e-7,)], 2, (True,)),
+        # a converged kernel whose estimate rises does not stop the others
+        ([(1e-9, 1e-5), (5e-8, 1e-6), (6e-8, 1e-7)], 2, (True, True)),
+        # the fall of the first kernel runs on; then only the second is left
+        ([(1e-5, 1e-5), (1e-6, 2e-5), (1e-7, 3e-5), (1e-8, 1e-9)], 2, (True, False)),
+    ],
+)
+def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged, monkeypatch):
+    calls = []
+
+    def disk_once(gfun, kernels, lo, hi, sings, end_scales, peaks, spec, level, theta_tol):
+        calls.append(level)
+        return [1.0] * len(kernels), list(script[level]), 10, [True] * len(kernels)
+
+    monkeypatch.setattr(quadrature, "_disk_once", disk_once)
+    kernels = (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ)[:len(converged)]
+    results = _disk_integral(
+        g_values, 0.0, monomial(1), MeanParams(2, 0), 0.9, kernels, SPEC, 0.0, None
+    )
+    assert calls == list(range(levels + 1))
+    assert [res.converged for res in results] == list(converged)
+    assert [res.error_estimate for res in results] == list(script[levels])
+    assert all(res.levels == levels and res.nodes == 10 * (levels + 1) for res in results)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_disk_refinement_reaches_a_level_that_lowers_the_estimate(q):
+    # at tol 1e-12 level 0 estimates 2.7e-12 and level 1 under 2e-15
+    spec = QuadratureSpec(1e-12)
+    res = disk_integral_G(monomial(1), MeanParams(0.7, q), 0.5, KERNEL_ONE, spec)
+    assert res.converged and res.levels == 1
+    if q == 0:
+        # the integral of G over D_r is 2 pi r M'(r), and M(r) = r^p
+        assert abs(res.value - TWO_PI * 0.7 * 0.5**0.7) <= spec.rel_tol * res.value
+
+
 def test_deterministic_bit_identical():
     f = BlaschkeProduct((0.5,))
     params = MeanParams(1.5, 0.5)
@@ -756,8 +801,8 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
 
     batches, summed = [], []
 
-    def cells_theta(gfun, s_nodes, weights, n0, tol_abs):
-        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs)
+    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol):
+        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol)
         batches.append((s_nodes, out[4]))
         return out
 
@@ -977,7 +1022,7 @@ def test_periodic_stop_rule_counts_the_l1_term():
 
     tol = 0.25 * SPEC.rel_tol
     values, deltas, nodes, conv, collided = _cells_theta(
-        integrand, np.ones((1, 1)), np.ones((1, 1, 1)), N_THETA_INIT, [0.0], tol, ref_floor=0.0
+        integrand, np.ones((1, 1)), np.ones((1, 1, 1)), N_THETA_INIT, [0.0], tol
     )
     total, delta, ref_nodes, _, ref_conv = circle_reference(
         lambda theta: integrand(1.0, np.exp(1j * theta)), tol, 0.0, 0.0
@@ -1033,9 +1078,9 @@ def test_circle_schedule_matches_lone_runs(deriv, monkeypatch):
     monkeypatch.setattr(
         quadrature, "_cell_theta_banded", lambda *a, **k: arcs.append(1) or arc_rule(*a, **k)
     )
-    results, error = circle_integrals(f, params, SCHEDULE, SPEC, deriv=deriv)
+    results = list(circle_integrals(f, params, SCHEDULE, SPEC, deriv=deriv))
     batch_calls = len(calls)
-    assert error is None and len(arcs) == 1
+    assert len(arcs) == 1
     lone = circle_mean_deriv if deriv else circle_mean
     assert [bits(res) for res in results] == [bits(lone(f, params, r, SPEC)) for r in SCHEDULE]
     # the three periodic circles share their field calls
@@ -1066,14 +1111,17 @@ def wiggle_on_circle(field, radius):
 def test_circle_schedule_stops_at_the_first_failing_radius(monkeypatch):
     f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.5)
     monkeypatch.setattr(quadrature, "w_values", nan_on_circles(w_values, (0.7,)))
-    results, error = circle_integrals(f, params, SCHEDULE, SPEC)
-    assert isinstance(error, QuadratureError) and "non-finite" in str(error)
-    assert [bits(res) for res in results] == [
+    results = circle_integrals(f, params, SCHEDULE, SPEC)
+    assert [bits(next(results)) for _ in SCHEDULE[:2]] == [
         bits(circle_mean(f, params, r, SPEC)) for r in SCHEDULE[:2]
     ]
+    with pytest.raises(QuadratureError, match="non-finite"):
+        next(results)
     # a radius outside (0, 1) ends the schedule where a loop would meet it
-    results, error = circle_integrals(f, params, (0.3, 1.5, 0.7), SPEC)
-    assert len(results) == 1 and isinstance(error, ValueError)
+    results = circle_integrals(f, params, (0.3, 1.5, 0.7), SPEC)
+    next(results)
+    with pytest.raises(ValueError):
+        next(results)
     with pytest.raises(QuadratureError, match="non-finite"):
         circle_mean(f, params, 0.7, SPEC)
 
