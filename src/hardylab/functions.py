@@ -440,14 +440,15 @@ def nearest_zero(f: AnalyticFunction, z: complex) -> tuple[float, Zero | None]:
 # angular features for the quadrature layer
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=512)
 def feature_moduli(f: AnalyticFunction) -> tuple[tuple[float, float], ...]:
     """(modulus, angle) of points that spike circle integrands.
 
     Covers off-origin zeros and poles with |w| <= 1.3, and the boundary
     singularity of the binomial family at z = 1.  The angle is that of the
     point itself, so under c * f(e^{i phi} z) a feature w of f moves to
-    e^{-i phi} w.  Disk cells and circle means that pass near a feature grade
-    their angular arcs toward its angle.
+    e^{-i phi} w.  Disk cells and circle means that pass near a feature
+    split the circle at its angle.  Memoised, as f is immutable.
     """
     if isinstance(f, ScaledRotation):
         return tuple((m, a - f.rotation) for m, a in feature_moduli(f.inner))

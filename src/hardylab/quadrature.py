@@ -1,30 +1,25 @@
 """Singularity-aware quadrature on circles, rings, and disks.
 
-One dispatcher, _angular, integrates every circle, ring and radial disk cell
+One engine, _cells_theta, integrates every circle, ring and radial disk cell
 over the angle.  A cell has radial nodes s, rows of weights and an integrand
 of s and the unit-circle node u: a disk cell's integrand is a field at s u, a
 circle mean is a cell with one radial node of weight 1, and a ring a cell
-whose integrand is the flux through |z - z0| = s.  Cells within 0.2 |w| of a
-feature w of known angle (disk cells: off-origin zeros with kp < 2 for G,
-and features on or outside the rim; circle means: any feature; rings: none)
-take the graded-arc rule one at a time.  It splits the circle at the
-features' angles and grades each arc geometrically down to the scale
-dist/|w|, where the uniform rule would need O(s/dist) nodes, then cuts the
-pieces in two, four, ... until they change by at most the tolerance.
-
-The other cells are one batch of the periodic engine: the equispaced rule
-with node doubling, geometric for integrands analytic in a strip around the
-real angle.  The cells double together; each stops once every row changes by
-at most max(tol_abs, rel_tol * max(|value|, 1e-6 L1)), and its bits are
-those of a lone run.  Both rules make field calls of at most BATCH_POINTS
-points unless one cell or arc alone exceeds it.  Node contributions are
-combined by compensated summation and cells by a fixed binary tree, so
-results are bit-identical between runs.
+whose integrand is the flux through |z - z0| = s.  The engine halves the step
+of a trapezoid rule in t, each level adding the odd multiples of the new
+step, under one of two node maps.  A periodic cell takes theta = t.  A cell
+within 0.2 |w| of a feature w of known angle (disk cells: off-origin zeros
+with kp < 2 for G, and features on or outside the rim; circle means: any
+feature; rings: none) splits the circle at the features' angles into arcs
+mapped by tanh-sinh, which converges double-exponentially where the periodic
+rule would need O(s/dist) nodes.  The cells of a batch refine in the same
+rounds, sharing field calls, and stop one by one with the bits of lone runs.
+Node contributions are combined by compensated summation and cells by a
+fixed binary tree, so results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
-estimate is the sum over cells of |K21 - G10| plus the angular changes; the
-first level within rel_tol * max(1, |value|) is the result, else every
+estimate is the sum over cells of |K21 - G10| plus the angular estimates;
+the first level within rel_tol * max(1, |value|) is the result, else every
 radial cell splits, up to MAX_LEVELS levels or until a level lowers no
 unconverged kernel's estimate.  A stack of kernels shares one mesh as weight
 rows.  Radial cells are graded geometrically toward the origin for log
@@ -37,7 +32,6 @@ f, lies just outside.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -50,17 +44,21 @@ from .functions import AnalyticFunction, Zero, _unit_disk_zeros, feature_moduli,
 
 TWO_PI = 2.0 * math.pi
 
-# fixed mesh policy: initial angular nodes and doubling cap, uniform radial
-# cells, Gauss nodes per angular arc (and embedded in each radial cell's
-# Kronrod rule), disk refinement levels, and the depth cap of geometric
-# radial grading and cell splitting
+# fixed mesh policy: initial angular steps and doubling cap (per arc), uniform
+# radial cells, Gauss nodes embedded in each radial cell's Kronrod rule, disk
+# refinement levels, and the depth cap of geometric radial grading and cell
+# splitting
 N_THETA_INIT = 32
 N_THETA_MAX = 1 << 20
 N_RADIAL_BASE = 8
 N_GAUSS = 10
 MAX_LEVELS = 5
 MAX_GRADE_DEPTH = 40
-# cap on the points of one field call over a batch of periodic cells or arcs
+# tanh-sinh arcs: t in [-ARC_T, ARC_T], where the end weights are below 1e-35,
+# and the rounding floor of an arc estimate per unit of sum |pieces| / (1 - s)
+ARC_T = 4.0
+ARC_ROUNDING = 4e-15
+# cap on the points of one field call over a batch of cells
 BATCH_POINTS = 1 << 14
 
 
@@ -135,12 +133,8 @@ def kernel_by_name(name: str, r: float) -> Kernel:
 
 
 # --------------------------------------------------------------------------
-# angular rules: periodic with doubling, and graded arcs
+# the angular engine: nested trapezoid rules in theta or in tanh-sinh arcs
 # --------------------------------------------------------------------------
-
-class _CellCollision(Exception):
-    pass
-
 
 @lru_cache(maxsize=16)
 def _unit_nodes(n: int, offsets: tuple[float, ...]) -> np.ndarray:
@@ -150,6 +144,18 @@ def _unit_nodes(n: int, offsets: tuple[float, ...]) -> np.ndarray:
     return nodes
 
 
+@lru_cache(maxsize=16)
+def _arc_nodes(n: int, offsets: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """x and dx/dt of the tanh-sinh map x = (1 + tanh(pi/2 sinh t)) / 2 of
+    [-ARC_T, ARC_T] onto [0, 1], at t = ARC_T (2 (j + o) / n - 1), j < n, per
+    offset o, as (offsets, n); shared, so read-only."""
+    t = ARC_T * (2.0 * (np.arange(n) + np.array(offsets)[:, None]) / n - 1.0)
+    e = np.exp(-math.pi * np.sinh(t))
+    x, dx = 1.0 / (1.0 + e), math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    x.flags.writeable = dx.flags.writeable = False
+    return x, dx
+
+
 def _cells_theta(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s_nodes: np.ndarray,
@@ -157,194 +163,160 @@ def _cells_theta(
     n0: int,
     tol_abs: Sequence[float],
     rel_tol: float = 0.0,
+    peaks: Sequence[tuple[float, float]] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Periodic-rule values of many cells: values[c, k] is sum_i
-    weights[c, k, i] * (integral over theta of integrand(s_nodes[c, i], u),
-    u = e^{i theta}).
+    """Values of many cells: values[c, k] is sum_i weights[c, k, i] *
+    (integral over theta of integrand(s_nodes[c, i], u), u = e^{i theta}).
 
-    All cells start at n0 angular nodes and double together: the first call
-    holds the n0 nodes and their n0 midpoints, which the first change needs,
-    and each later round the new midpoints, in calls of at most BATCH_POINTS
-    points (a call of one cell may exceed it).  A cell stops once every row's
-    change is within max(tol_abs[k], rel_tol * max(|value_k|, 1e-6 L1_k)),
-    L1_k the row over |integrand| (meaningful for signed integrands with
-    cancellation), or at N_THETA_MAX nodes; a cell with a non-finite node
-    stops as a collision.  Returns (values, deltas, nodes, conv, collided)
-    per cell.
+    A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes
+    tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T]; the others
+    are periodic.  Periodic cells start at n0 steps and arcs at 2 n0, and
+    each round adds the midpoints.  A periodic cell stops once every row's change is within
+    max(tol_abs[k], rel_tol * max(|value_k|, 1e-6 L1_k)), L1_k the row over
+    |integrand|.  A featured cell sums its changes over arcs and radial
+    nodes, so errors of opposite sign cannot cancel.  Its estimate is twice
+    the larger of its last two changes (before the integrand is resolved
+    the error halves per level, and one change can be small by luck) plus
+    ARC_ROUNDING sum |pieces| / (1 - s) per radial node, for the rounding of
+    1 - z and 1 - |z|^2 near the rim; it converges once that is within
+    max(tol_abs[k], rel_tol * |value_k|), and stops unconverged once its
+    changes are below that floor.  Every cell stops at N_THETA_MAX steps per
+    arc, and at a non-finite node as a collision, with 0 nodes.  Returns
+    (values, deltas, nodes, conv, doublings) per cell.
     """
     n_cells, n_k, n_s = weights.shape
-    values, deltas = np.zeros((n_cells, n_k)), np.zeros((n_cells, n_k))
-    conv, nodes = np.zeros((n_cells, n_k), dtype=bool), np.zeros(n_cells, dtype=np.int64)
-    # the cells still refining, with their nodes, weights and running sums
-    cells, s_col, w = np.arange(n_cells), s_nodes[:, :, None], weights
-    h = l1 = value = np.zeros(s_nodes.shape)  # set by the first round
+    values, deltas = np.zeros((2, n_cells, n_k))
+    conv, (nodes, doublings) = np.zeros((n_cells, n_k), bool), np.zeros((2, n_cells), np.int64)
     tol_abs = np.asarray(tol_abs, dtype=float)
+    feats: list[set[float]] = [set() for _ in range(n_cells)]
+    for s0, theta0 in peaks:
+        for c in np.flatnonzero(np.abs(s_nodes - s0).min(axis=1) < 0.2 * s0).tolist():
+            feats[c].add(theta0 % TWO_PI)
+    # the cells still refining, with their running sums: a group per arc count
+    arcs, groups = [sorted(angles) for angles in feats], []
+    for m in sorted({len(angles) for angles in arcs}):
+        idx = [c for c, angles in enumerate(arcs) if len(angles) == m]
+        g = {"cells": np.array(idx), "s": s_nodes[:, :, None], "w": weights}
+        if len(idx) < n_cells:  # indexing copies; a batch of one kind skips it
+            g.update(s=s_nodes[idx, :, None], w=weights[idx])
+        if m:
+            a = [arcs[c] for c in idx]
+            span = [[b - x for x, b in zip(row, row[1:] + [row[0] + TWO_PI])] for row in a]
+            a, span = np.array([a, span])[:, :, None, :, None, None]
+            g.update(a=a, span=span, prev=np.full((len(idx), n_k), math.inf),
+                     floor=ARC_ROUNDING * np.abs(g["w"]) / (1.0 - g["s"].swapaxes(1, 2)))
+        groups.append((m, g))
     n, used, offsets = n0, 0, (0.0, 0.5)
+
+    def cell_nodes(gi, j0, j1, cut):
+        m, g = groups[gi]
+        theta = g["a"][j0:j1] + g["span"][j0:j1] * x[:, cut] if m else None
+        return g["s"][j0:j1], np.exp(1j * theta).reshape(j1 - j0, 1, -1) if m else ring
+
     # rows holding inf - inf are collisions
     with np.errstate(invalid="ignore"):
-        while cells.size:
+        while groups:
             ring = _unit_nodes(n, offsets)
-            per_call = max(1, BATCH_POINTS // (n_s * ring.size))
-            parts = []
-            for j in range(0, cells.size, per_call):
-                # (cells, radial nodes, offsets, n): one sum per offset
-                mat = np.asarray(integrand(s_col[j:j + per_call], ring), dtype=float).reshape(
-                    -1, n_s, len(offsets), n)
-                sums = mat.sum(axis=3)
-                parts.append((np.isfinite(mat).all(axis=(1, 2, 3)), sums,
-                              np.abs(mat).sum(axis=3) if rel_tol else sums))
-            finite, sums, abs_sums = map(np.concatenate, zip(*parts)) if parts[1:] else parts[0]
-            if not finite.all():
-                cells, s_col, w, sums, abs_sums, h, l1, value = (
-                    arr[finite] for arr in (cells, s_col, w, sums, abs_sums, h, l1, value)
-                )
-            used += n_s * ring.size
-            if len(offsets) == 2:
-                h, l1 = (TWO_PI / n) * sums[..., 0], (TWO_PI / n) * abs_sums[..., 0]
-                value = kahan_rows(w * h[:, None, :])
-            h = 0.5 * h + (math.pi / n) * sums[..., -1]
-            new = kahan_rows(w * h[:, None, :])
-            delta, value = np.abs(new - value), new
-            bound = tol_abs
-            if rel_tol:
-                l1 = 0.5 * l1 + (math.pi / n) * abs_sums[..., -1]
-                l1_rows = (np.abs(w) * l1[:, None, :]).sum(axis=2)
-                bound = np.maximum(tol_abs, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
-            ok = delta <= bound
-            n, offsets = 2 * n, (0.5,)
-            if n >= N_THETA_MAX or ok.all():
-                values[cells], deltas[cells], conv[cells], nodes[cells] = value, delta, ok, used
-                break
-            done = ok.all(axis=1)
-            if done.any():
-                stop, keep = cells[done], ~done
-                values[stop], deltas[stop], conv[stop] = value[done], delta[done], ok[done]
-                nodes[stop] = used
-                cells, s_col, w, h, l1, value = (
-                    arr[keep] for arr in (cells, s_col, w, h, l1, value)
-                )
-    # every cell that stops without a collision has used nodes
-    return values, deltas, nodes, conv, nodes == 0
+            if groups[-1][0]:
+                x, dx = _arc_nodes(2 * n, offsets)
+            # whole cells per field call of up to BATCH_POINTS, across groups only
+            # if the round fits one call; a featured cell over it takes k slices
+            calls: list[list[tuple]] = [[]]
+            room = BATCH_POINTS
+            share = sum(n_s * (2 * m or 1) * len(g["cells"]) for m, g in groups) * ring.size
+            for gi, (m, g) in enumerate(groups):
+                size, left = n_s * (2 * m or 1) * ring.size, len(g["cells"])
+                if share > BATCH_POINTS and calls[-1]:
+                    room = 0  # the group starts a call of its own
+                k = min(n, 1 << ((size - 1) // BATCH_POINTS).bit_length()) if m else 1
+                j, q, width = 0, 0, 2 * n // k
+                while j < left:
+                    if room < size // k and calls[-1]:
+                        calls.append([])
+                        room = BATCH_POINTS
+                    take = 1 if k > 1 else min(max(room // size, 1), left - j)
+                    calls[-1].append((gi, j, j + take, slice(q * width, (q + 1) * width)))
+                    room -= take * size // k
+                    q = (q + 1) % k
+                    j += 0 if q else take
+            parts: list[list[tuple]] = [[] for _ in groups]
+            for call in calls:
+                args = [cell_nodes(*part) for part in call]
+                if len(call) == 1:
+                    out = [integrand(*args[0])]
+                else:
+                    # one flat call over cells of several groups
+                    shapes = [np.broadcast_shapes(s.shape, u.shape) for s, u in args]
+                    flat = integrand(*(np.concatenate(
+                        [np.broadcast_to(arg[i], sh).ravel() for arg, sh in zip(args, shapes)]
+                    ) for i in (0, 1)))
+                    out = np.split(flat, np.cumsum([math.prod(sh) for sh in shapes])[:-1])
+                for (gi, j0, j1, cut), mat in zip(call, out):
+                    m = groups[gi][0]
+                    # (cells, radial nodes, arcs, offsets, steps): one sum per offset
+                    mat = np.asarray(mat, dtype=float).reshape(
+                        j1 - j0, n_s, max(m, 1), len(offsets), -1)
+                    # a non-finite node makes its sum non-finite
+                    sums = (mat * dx[:, cut] if m else mat).sum(axis=4)
+                    part = (np.isfinite(sums).all(axis=(1, 2, 3)), sums,
+                            np.abs(mat).sum(axis=4) if rel_tol and not m else sums)
+                    if cut.start:  # a later slice of the same featured cell
+                        prior = parts[gi].pop()
+                        part = (part[0] & prior[0],) + (sums + prior[1],) * 2
+                    parts[gi].append(part)
+            used, kept = used + n_s * ring.size, []
+            for (m, g), part in zip(groups, parts):
+                finite, *sums = map(np.concatenate, zip(*part)) if part[1:] else part[0]
+                if not finite.all():
+                    g = {key: arr[finite] for key, arr in g.items()}
+                    sums = [arr[finite] for arr in sums]
+                step = ARC_T / n if m else TWO_PI / n
+                delta, ok, settled = (_arc_round if m else _periodic_round)(
+                    g, *sums, step, len(offsets) == 2, tol_abs, rel_tol)
+                done = settled.all(axis=1) | ((4 if m else 2) * n >= N_THETA_MAX)
+                if done.any():
+                    sel = slice(None) if done.all() else done  # a whole group needs no gathers
+                    stop = g["cells"][sel]
+                    values[stop], deltas[stop], conv[stop] = g["value"][sel], delta[sel], ok[sel]
+                    nodes[stop], doublings[stop] = used * (2 * m or 1), (n // n0).bit_length()
+                if not done.all():
+                    kept.append((m, {k: arr[~done] for k, arr in g.items()} if done.any() else g))
+            groups, n, offsets = kept, 2 * n, (0.5,)
+    return values, deltas, nodes, conv, doublings
 
 
-def _graded_segment(a: float, b: float, scale_a: float, scale_b: float) -> list[float]:
-    """Breakpoints of [a, b] geometric toward both ends, down to the given scales."""
-    span = b - a
-    pts = {a, b}
-    for end, scale, sign in ((a, scale_a, 1.0), (b, scale_b, -1.0)):
-        for k in range(1, 64):
-            frac = span * 0.5**k
-            if frac <= 0.6 * max(scale, 1e-18 * span):
-                break
-            pts.add(end + sign * frac)
-    return sorted(pts)
+def _periodic_round(g, sums, abs_sums, step, first, tol_abs, rel_tol):
+    """One round of periodic cells: (change, converged, settled) per row."""
+    w, sums, abs_sums = g["w"], sums[:, :, 0], abs_sums[:, :, 0]
+    if first:
+        g["h"], g["l1"] = step * sums[..., 0], step * abs_sums[..., 0]
+        g["value"] = kahan_rows(w * g["h"][:, None, :])
+    g["h"] = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
+    new = kahan_rows(w * g["h"][:, None, :])
+    delta, g["value"] = np.abs(new - g["value"]), new
+    bound = tol_abs
+    if rel_tol:
+        g["l1"] = 0.5 * g["l1"] + (0.5 * step) * abs_sums[..., -1]
+        l1_rows = (np.abs(w) * g["l1"][:, None, :]).sum(axis=2)
+        bound = np.maximum(tol_abs, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
+    ok = delta <= bound
+    return delta, ok, ok
 
 
-def _cell_theta_banded(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    s_nodes: np.ndarray,
-    weights: np.ndarray,
-    angle_scales: Sequence[tuple[float, float]],
-    splits: int,
-    tol_abs: Sequence[float],
-    rel_tol: float = 0.0,
-) -> tuple[list[float], list[float], int, list[bool], int]:
-    """Cell values for a radial cell that passes close to angular features.
-
-    The circle is split into arcs between the features' angles and each arc
-    is integrated by composite Gauss-Legendre graded geometrically toward its
-    endpoints, down to each feature's angular scale; this converges
-    exponentially where the uniform periodic rule would need O(s/d) nodes.
-    Every graded piece is cut into `splits` equal parts, and the cuts double
-    until, for every kernel row k of weights, the pieces' values change by
-    at most max(tol_abs[k], rel_tol * |value_k|) in sum.  Returns (values,
-    changes, nodes, conv, doublings).
-    """
-    glx, glw = _gauss_rule(N_GAUSS)
-    angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
-    edges: list[float] = []
-    for j, (a_j, sc_j) in enumerate(angles):
-        b_j, sc_b = angles[j + 1] if j + 1 < len(angles) else (angles[0][0] + TWO_PI, angles[0][1])
-        edges += _graded_segment(a_j, b_j, sc_j, sc_b)[int(j > 0):]
-    lo_t, width = np.array(edges[:-1]), np.diff(edges)
-    n_s = len(s_nodes)
-    per_call = max(1, BATCH_POINTS // (n_s * N_GAUSS))
-
-    def rule(k: int) -> tuple[np.ndarray, int]:
-        half = np.repeat(0.5 * width / k, k)
-        mids = (lo_t[:, None] + width[:, None] * ((np.arange(k) + 0.5) / k)[None, :]).ravel()
-        ring = np.exp(1j * (mids[:, None] + half[:, None] * glx[None, :]))
-        arc_sums = np.empty((n_s, len(half)))
-        # whole arcs per field call, at most BATCH_POINTS points unless one
-        # arc alone exceeds it
-        for j in range(0, len(half), per_call):
-            mat = np.asarray(integrand(s_nodes[:, None], ring[j:j + per_call].ravel()), dtype=float)
-            if not np.all(np.isfinite(mat)):
-                raise _CellCollision
-            # (n_s, arcs, n_gauss) @ glw gives each arc's Gauss sum per radial node
-            arc_sums[:, j:j + per_call] = mat.reshape(n_s, -1, N_GAUSS) @ glw
-        # the k cuts of each graded piece are summed back together
-        arc_sums *= half
-        return arc_sums.reshape(n_s, len(width), k).sum(axis=2), n_s * ring.size
-
-    pieces, nodes = rule(splits)
-    doublings = 0
-    while True:
-        splits *= 2
-        doublings += 1
-        new_pieces, used = rule(splits)
-        change = new_pieces - pieces
-        # compared piece by piece, so errors of opposite sign cannot cancel
-        deltas = [float(np.sum(np.abs(row[:, None] * change))) for row in weights]
-        pieces = new_pieces
-        nodes += used
-        values = kahan_rows(weights * pieces.sum(axis=1)).tolist()
-        conv = [d <= max(t, rel_tol * abs(v)) for d, t, v in zip(deltas, tol_abs, values)]
-        if all(conv) or len(width) * splits * N_GAUSS >= N_THETA_MAX:
-            return values, deltas, nodes, conv, doublings
-
-
-def _angular(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    s_nodes: np.ndarray,
-    weights: np.ndarray,
-    peaks: Sequence[tuple[float, float]],
-    n0: int,
-    tol_abs: Sequence[float],
-    rel_tol: float = 0.0,
-) -> list[tuple[list[float], list[float], int, list[bool], int] | None]:
-    """(values, changes, nodes, conv, doublings) of each cell of s_nodes and
-    weights, as _cells_theta takes them, or None where a node was non-finite.
-    A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes the
-    graded-arc rule, graded down to dist/|w|; the others are one batch."""
-    n_cells, n_s = s_nodes.shape
-    bands: list[list[tuple[float, float]]] = [[] for _ in range(n_cells)]
-    for s0, theta0 in peaks:
-        dist = np.abs(s_nodes - s0).min(axis=1).tolist()
-        for scales, d in zip(bands, dist):
-            if d < 0.2 * s0:
-                scales.append((theta0, max(d / s0, 1e-15)))
-    out: list = [None] * n_cells
-    periodic = [i for i, scales in enumerate(bands) if not scales]
-    if periodic:
-        # indexing copies, so an all-periodic batch (the common case) skips it
-        cells = (s_nodes, weights)
-        if len(periodic) < n_cells:
-            cells = (s_nodes[periodic], weights[periodic])
-        batch = _cells_theta(integrand, *cells, n0, tol_abs, rel_tol)
-        for i, (values, changes, nodes, conv, collided) in zip(
-            periodic, zip(*(arr.tolist() for arr in batch))
-        ):
-            # nodes = n0 * n_s * 2^doublings
-            if not collided:
-                out[i] = values, changes, nodes, conv, (nodes // (n0 * n_s)).bit_length() - 1
-    for i, scales in enumerate(bands):
-        if scales:
-            with suppress(_CellCollision):
-                out[i] = _cell_theta_banded(
-                    integrand, s_nodes[i], weights[i], scales, 1, tol_abs, rel_tol
-                )
-    return out
+def _arc_round(g, sums, _abs_sums, step, first, tol_abs, rel_tol):
+    """One round of featured cells, whose pieces g["h"][c, i, j] are arc j at
+    radial node i: (estimate, converged, settled) per row."""
+    w, sums = g["w"][:, :, :, None], sums * g["span"][..., 0]
+    if first:
+        g["h"] = step * sums[..., 0]
+    pieces = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
+    change = np.abs(w * (pieces - g["h"])[:, None]).sum(axis=(2, 3))
+    floor = (g["floor"] * np.abs(pieces).sum(axis=2)[:, None, :]).sum(axis=2)
+    g["h"], g["value"] = pieces, kahan_rows(g["w"] * pieces.sum(axis=2)[:, None, :])
+    top, g["prev"] = np.maximum(change, g["prev"]), change
+    estimate = 2.0 * top + floor
+    ok = estimate <= np.maximum(tol_abs, rel_tol * np.abs(g["value"]))
+    return estimate, ok, ok | (top <= floor)
 
 
 # --------------------------------------------------------------------------
@@ -369,8 +341,8 @@ def circle_integrals(
     yielded in schedule order; a radius that fails raises its error when the
     iteration reaches it.
 
-    The radii within 0.2 |w| of a feature w of f take the graded-arc rule one
-    at a time, graded down to |r - |w|| / |w|; the others are one batch."""
+    The circles are one batch; those within 0.2 |w| of a feature w of f
+    split at the features' angles into tanh-sinh arcs."""
     field = radial_deriv_w_values if deriv else w_values
     radii, error = list(radii), None
     for k, r in enumerate(radii):
@@ -386,19 +358,14 @@ def circle_integrals(
             radii, error = radii[:k], exc
             break
 
-    def gfun(s, u):
-        return field(f, params, s * u)
-
     tol = 0.5 * spec.rel_tol
-    features = feature_moduli(f) if radii else ()
-    runs = _angular(
-        gfun, np.array(radii).reshape(-1, 1), np.ones((len(radii), 1, 1)), features,
-        N_THETA_INIT, [tol], tol,
+    batch = _cells_theta(
+        lambda s, u: field(f, params, s * u), np.array(radii).reshape(-1, 1),
+        np.ones((len(radii), 1, 1)), N_THETA_INIT, [tol], tol, feature_moduli(f) if radii else (),
     )
-    for run in runs:
-        if run is None:
+    for (total,), (delta,), nodes, (conv,), doublings in zip(*(a.tolist() for a in batch)):
+        if not nodes:
             raise QuadratureError("non-finite integrand value on circle")
-        (total,), (delta,), nodes, (conv,), doublings = run
         yield IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
     if error is not None:
         raise error
@@ -421,12 +388,6 @@ def circle_mean_deriv(
 # --------------------------------------------------------------------------
 # radial meshes
 # --------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
 
 @lru_cache(maxsize=1)
 def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,7 +436,7 @@ def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # rounding asymmetry
     x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     w_gauss = np.zeros_like(w)
-    w_gauss[1::2] = _gauss_rule(n)[1]
+    w_gauss[1::2] = np.polynomial.legendre.leggauss(n)[1]
     return x, w, w_gauss
 
 
@@ -576,8 +537,9 @@ def _disk_once(
         # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
         weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
         leaves = []
-        for (a, b, depth), leaf in zip(cells, _angular(gfun, s, weights, peaks, n0, row_tol)):
-            if leaf is not None:
+        batch = _cells_theta(gfun, s, weights, n0, row_tol, 0.0, peaks)
+        for (a, b, depth), leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
+            if leaf[2]:
                 leaves.append(leaf[:4])
                 continue
             # a node landed on a singular point: subdivide in place and retry
@@ -659,7 +621,7 @@ def _disk_integral(
     the estimates still above it.  mass_shift is the field's extra local mass
     exponent at a zero (0 for G, 2 for W).  Cells near a feature of f on or
     outside the rim, or near an interior zero where the field is unbounded
-    (kp + mass_shift < 2, so G only), get the graded-arc angular rule.
+    (kp + mass_shift < 2, so G only), split into tanh-sinh arcs there.
     """
     r = _check_radius(r)
     if not 0.0 <= s_lo < r:
@@ -672,9 +634,6 @@ def _disk_integral(
     peaks = [(m, a) for m, a in features if m >= r]
     peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
 
-    def gfun(s, u):
-        return field(f, params, s * u)
-
     below = [s_lo - s0 for s0, _, _ in sings if s0 < s_lo]
     end_scales = (min(below, default=None), boundary_scale)
 
@@ -684,7 +643,8 @@ def _disk_integral(
     for level in range(MAX_LEVELS) if force_level is None else (force_level,):
         theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
         values, err, nodes, cells_conv = _disk_once(
-            gfun, kernels, s_lo, r, sings, end_scales, peaks, spec, level, theta_tol,
+            lambda s, u: field(f, params, s * u), kernels, s_lo, r, sings, end_scales, peaks,
+            spec, level, theta_tol,
         )
         nodes_total += nodes
         conv = [
@@ -784,18 +744,18 @@ def ring_integrals(
         w = w_values(f, params, z)
         return (kernel.radial(s) * dwdn - w * dkdn) * e
 
-    runs = _angular(
-        flux, np.array(eps).reshape(-1, 1), np.ones((len(eps), 1, 1)), (), N_THETA_INIT,
+    values, _, nodes, conv, _ = _cells_theta(
+        flux, np.array(eps).reshape(-1, 1), np.ones((len(eps), 1, 1)), N_THETA_INIT,
         [1e-300], 0.25 * spec.rel_tol,
     )
-    for run in runs:
-        if run is None:
+    for used, (ok,) in zip(nodes, conv):
+        if not used:
             raise QuadratureError("non-finite integrand value on circle")
-        if not run[3][0]:
+        if not ok:
             raise QuadratureError("ring integral did not converge within the doubling cap")
     if error:
         raise GeometryError(error)
-    return [run[0][0] for run in runs]
+    return values[:, 0].tolist()
 
 
 def ring_integral(

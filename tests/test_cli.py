@@ -57,7 +57,7 @@ def test_identity_multiple_checks(capsys):
 def test_identity_checks_share_one_radius(capsys):
     # a zero 5e-7 inside |z| = r at p < 1: every check must move to the same
     # radius, the one the mean derivative needs; the circle mean and its
-    # derivative 1.5e-6 from the zero use the graded-arc rule, so all five
+    # derivative 1.5e-6 from the zero take tanh-sinh arcs, so all five
     # checks converge and pass there
     code, out, _ = run_cli(
         capsys,

@@ -24,12 +24,10 @@ from hardylab.functions import (
 from hardylab.parsing import parse_function
 import hardylab.quadrature as quadrature
 from hardylab.quadrature import (
-    _CellCollision,
-    _cell_theta_banded,
+    ARC_ROUNDING,
+    ARC_T,
     _cells_theta,
     _disk_integral,
-    _gauss_rule,
-    _graded_segment,
     _kronrod_rule,
     _radial_partition,
     _zero_singularities,
@@ -57,6 +55,10 @@ from hardylab.quadrature import (
 
 SPEC = QuadratureSpec()
 TWO_PI = 2 * math.pi
+
+
+class _CellCollision(Exception):
+    """A reference rule met a non-finite node."""
 KRONROD_X, KRONROD_W, KRONROD_GAUSS_W = _kronrod_rule(N_GAUSS)
 
 
@@ -185,7 +187,7 @@ def binomial_mean_exact(alpha, scale, params, r):
 )
 def test_binomial_circle_means_closed_form(alpha, scale, rotation, params, j):
     # the binomial point at |w| = 1 is a feature, so from j = 3 on these
-    # circles take the graded-arc rule; j = 1 checks the periodic rule
+    # circles take tanh-sinh arcs; j = 1 checks the periodic rule
     r = 1.0 - 2.0**-j
     f = ScaledRotation(Binomial(alpha), scale, rotation)
     mean, deriv = binomial_mean_exact(alpha, scale, params, r)
@@ -211,7 +213,8 @@ def test_circle_mean_next_to_a_zero_closed_form(d, p):
 
 def test_binomial_rim_circle_work_stays_small():
     # the periodic rule from a node floor 64 s / (1 - r) ran into its 2^20
-    # cap here; graded arcs need a few pieces per octave of 1 - r
+    # cap here; the work of a tanh-sinh arc grows like log 1/(1 - r), and its
+    # levels double, so from j = 10 to 20 it at most doubles
     params = MeanParams(2, 0)
     mean, _ = binomial_mean_exact(0.9, 1.0, params, 0.999999)
     res = circle_mean(Binomial(0.9), params, 0.999999, SPEC)
@@ -219,30 +222,41 @@ def test_binomial_rim_circle_work_stays_small():
     assert abs(res.value - mean) <= SPEC.rel_tol * abs(mean)
     for integral in (circle_mean, circle_mean_deriv):
         nodes = [integral(Binomial(0.9), params, 1.0 - 2.0**-j, SPEC).nodes for j in (10, 20)]
-        assert nodes[1] < 2 * nodes[0]
+        assert nodes[1] <= 2 * nodes[0]
+
+
+def record_arcs(monkeypatch):
+    """(cells, arcs per cell) of each group of featured cells, at its first
+    round: the cells are indices into the engine's batch."""
+    groups = []
+    arc_round = quadrature._arc_round
+
+    def spy(g, sums, abs_sums, step, first, *args):
+        if first:
+            groups.append((g["cells"].tolist(), g["a"].shape[2]))
+        return arc_round(g, sums, abs_sums, step, first, *args)
+
+    monkeypatch.setattr(quadrature, "_arc_round", spy)
+    return groups
 
 
 @pytest.mark.parametrize("integral", [circle_mean, circle_mean_deriv])
 def test_circle_rules_agree_at_the_band_edge(integral, monkeypatch):
     # blaschke:0.5 has its zero at |w| = 0.5, so the band edge is r = 0.6:
-    # just inside it the arc rule runs, just outside the periodic rule
-    calls = []
-    arc_rule = quadrature._cell_theta_banded
-    monkeypatch.setattr(
-        quadrature, "_cell_theta_banded", lambda *a, **k: calls.append(1) or arc_rule(*a, **k)
-    )
+    # just inside it the circle is one tanh-sinh arc, just outside periodic
+    groups = record_arcs(monkeypatch)
     f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0.5)
     inside = integral(f, params, 0.6 * (1 - 1e-12), SPEC)
-    assert calls == [1]
+    assert groups == [([0], 1)]
     outside = integral(f, params, 0.6 * (1 + 1e-12), SPEC)
-    assert calls == [1]
+    assert groups == [([0], 1)]
     assert inside.converged and outside.converged
     assert abs(inside.value - outside.value) <= SPEC.rel_tol * max(1.0, abs(outside.value))
 
 
 @pytest.mark.parametrize("r", [0.3, 0.55])
 def test_circle_non_finite_node_raises(r, monkeypatch):
-    # r = 0.3 takes the periodic rule and r = 0.55 the arc rule
+    # r = 0.3 is periodic and r = 0.55 one tanh-sinh arc
     def broken(f, params, z):
         out = w_values(f, params, z)
         out[..., -1] = np.nan
@@ -349,7 +363,7 @@ def test_disk_w_binomial_series(text, alpha, scale, r):
     assert res.converged
     assert abs(res.value - exact) <= 1e-10 * exact
     if r == 0.999:
-        # one graded-arc rule near the rim, not a uniform circle of s/(1-s) nodes
+        # tanh-sinh arcs near the rim, not a uniform circle of s/(1-s) nodes
         assert res.nodes < 500_000
 
 
@@ -376,8 +390,8 @@ def test_disk_w_zero_outside_rim(modulus, r):
 
 
 # (z - w)(1 + c z^m) oscillates with frequency m on every circle, and the
-# zeros of 1 + c z^m lie beyond the features the arcs are graded toward, so
-# only the arc rule's error control resolves it near the rim zero w.
+# zeros of 1 + c z^m lie beyond the features the arcs are split at, so only
+# the arcs' error control resolves it near the rim zero w.
 
 @pytest.mark.parametrize(
     "m,c,w,r",
@@ -387,6 +401,7 @@ def test_disk_w_zero_outside_rim(modulus, r):
         (40, 8.3e-6, 1.001, 0.999),
         (60, 4.4e-9, 1.02, 0.99),
         (60, 1.3e-7, 1.1, 0.95),
+        (40, 8.3e-6, 1.1, 0.95),
     ],
 )
 def test_disk_g_oscillation_near_rim_zero(m, c, w, r):
@@ -547,65 +562,47 @@ def test_circle_mean_nondecreasing_in_r(r):
     assert hi >= lo - 1e-10
 
 
-# ---------------------------------------------------------- banded cell rule
+# ------------------------------------------------------- banded cells: arcs
 
 def on_circle(gfun):
-    """The angular rules' integrand(s, u) of a field gfun(z) at z = s u."""
+    """The angular engine's integrand(s, u) of a field gfun(z) at z = s u."""
     return lambda s, u: gfun(s * u)
 
 
-def banded_reference(gfun, s_nodes, weights, angle_scales, splits):
-    """One pass of the banded rule, arc by arc: one field call per graded arc.
-
-    Returns each graded piece's integral per radial node (the `splits` cuts
-    of a piece summed together) and the node count.
-    """
-    glx, glw = _gauss_rule(N_GAUSS)
-    angles = sorted((a % TWO_PI, sc) for a, sc in angle_scales)
+def tanh_sinh_reference(gfun, s_nodes, angles, n):
+    """Each arc's integral per radial node by the trapezoid rule of n steps in
+    t on [-ARC_T, ARC_T] under theta = a + (b - a) x(t), computed afresh arc
+    by arc: (pieces (n_s, arcs), nodes).  t = ARC_T is left out, as the
+    weight there is below 1e-35.  x = (1 + tanh(pi/2 sinh t)) / 2 is written
+    as 1 / (1 + e^{-pi sinh t}), the engine's form: next to a zero the
+    integrand magnifies a node's last-bit shift up to 1e5-fold."""
+    cuts = sorted(a % TWO_PI for a in angles)
+    cuts.append(cuts[0] + TWO_PI)
+    t = ARC_T * (2.0 * np.arange(n) / n - 1.0)
+    e = np.exp(-math.pi * np.sinh(t))
+    x, dx = 1.0 / (1.0 + e), math.pi * np.cosh(t) * e / (1.0 + e) ** 2
     columns = []
-    nodes = 0
-    for j, (a_j, sc_j) in enumerate(angles):
-        if j + 1 < len(angles):
-            b_j, sc_b = angles[j + 1]
-        else:
-            b_j, sc_b = angles[0][0] + TWO_PI, angles[0][1]
-        pts = _graded_segment(a_j, b_j, sc_j, sc_b)
-        for t1, t2 in zip(pts[:-1], pts[1:]):
-            step = (t2 - t1) / splits
-            h_piece = np.zeros_like(s_nodes)
-            for i in range(splits):
-                lo_t, hi_t = t1 + i * step, t1 + (i + 1) * step
-                mid_t, half_t = 0.5 * (lo_t + hi_t), 0.5 * (hi_t - lo_t)
-                th = mid_t + half_t * glx
-                mat = np.asarray(
-                    gfun(s_nodes[:, None] * np.exp(1j * th)[None, :]), dtype=float
-                )
-                if not np.all(np.isfinite(mat)):
-                    raise _CellCollision
-                h_piece = h_piece + half_t * (mat @ glw)
-                nodes += mat.size
-            columns.append(h_piece)
-    return np.stack(columns, axis=1), nodes
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mat = np.asarray(gfun(s_nodes[:, None] * np.exp(1j * (a + (b - a) * x))), dtype=float)
+        if not np.all(np.isfinite(mat)):
+            raise _CellCollision
+        columns.append((2.0 * ARC_T / n) * (b - a) * (mat @ dx))
+    return np.stack(columns, axis=1), len(s_nodes) * len(columns) * n
 
 
 def banded_cell(points, a, b):
-    """Radial Gauss nodes, weights and angle scales of the cell [a, b], with
-    the arc scales the disk rule gives features (sharp zeros or rim points)
-    at the given points.  Some cells are centred on a zero's modulus, which
-    the disk rule's partition never makes; the Kronrod rule's middle node
-    would sit on the zero's circle there, so these cells take Gauss nodes."""
-    glx, glw = _gauss_rule(N_GAUSS)
+    """Radial Gauss nodes and weights of the cell [a, b], and the peaks
+    (|w|, angle) of the features (sharp zeros or rim points) at the given
+    points.  Some cells are centred on a zero's modulus, which the disk
+    rule's partition never makes; the Kronrod rule's middle node would sit
+    on the zero's circle there, so these cells take Gauss nodes."""
+    glx, glw = np.polynomial.legendre.leggauss(N_GAUSS)
     s = 0.5 * (a + b) + 0.5 * (b - a) * glx
     weights = glw * 0.5 * (b - a) * s
-    scales = []
-    for z0 in points:
-        s0 = abs(z0)
-        d = float(np.min(np.abs(s - s0)))
-        scales.append((math.atan2(z0.imag, z0.real), max(d / s0, 1e-15)))
-    return s, weights, scales
+    return s, weights, [(abs(z), math.atan2(z.imag, z.real)) for z in points]
 
 
-ZERO_CELLS = ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4))
+ZERO_CELLS = ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.41, 0.45))
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -620,7 +617,7 @@ ZERO_CELLS = ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4))
             0.5,
             ZERO_CELLS,
         ),
-        # the binomial's rim point e^{-1.3i}: one feature, angular scale 1 - s
+        # the binomial's rim point e^{-1.3i}: one feature
         (
             ScaledRotation(Binomial(0.9), 1.0, 1.3),
             (np.exp(-1.3j),),
@@ -632,41 +629,78 @@ ZERO_CELLS = ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.3, 0.4))
     ids=["one-zero", "two-zeros", "rim-point"],
 )
 def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
-    # tol_abs = inf stops after one doubling: the rule returns the pass at
-    # 2 * splits and its piece-by-piece change from the pass at splits
+    # a featured cell's value is the per-arc reference at its last step; its
+    # estimate is twice the larger of the last two changes, arc by arc and
+    # radial node by radial node, plus the rounding floor, in which a radial
+    # node s counts 1 / (1 - s) times; arcs start at 2 n0 steps, so level 0
+    # starts at 64 and level 1 at 128
     params = MeanParams(p, q)
-    splits = 1 << level
+    n0 = N_THETA_INIT << level
 
     def gfun(z):
         return g_values(f, params, z)
 
     for a, b in cells:
-        s, weights, scales = banded_cell(points, a, b)
-        (value,), (delta,), nodes, (conv,), doublings = _cell_theta_banded(
-            on_circle(gfun), s, weights[None, :], scales, splits, [math.inf]
+        s, weights, peaks = banded_cell(points, a, b)
+        angles = [angle for _, angle in peaks]
+        values, deltas, nodes, conv, doublings = _cells_theta(
+            on_circle(gfun), s[None], weights[None, None], n0, [1e-9], peaks=peaks
         )
-        coarse, coarse_nodes = banded_reference(gfun, s, weights, scales, splits)
-        fine, fine_nodes = banded_reference(gfun, s, weights, scales, 2 * splits)
+        assert conv[0, 0]
+        # the last step count per arc, n = 2 n0 * 2^doublings
+        n = 2 * n0 << doublings[0]
+        assert doublings[0] >= 2
+        fine, fine_nodes = tanh_sinh_reference(gfun, s, angles, n)
+        mid, _ = tanh_sinh_reference(gfun, s, angles, n // 2)
+        coarse, _ = tanh_sinh_reference(gfun, s, angles, n // 4)
+        assert nodes[0] == fine_nodes
         mass = float(np.sum(np.abs(weights[:, None] * fine)))
-        assert conv and doublings == 1
-        assert nodes == coarse_nodes + fine_nodes
-        assert abs(value - kahan_sum(weights * fine.sum(axis=1))) <= 1e-13 * mass
-        ref_delta = float(np.sum(np.abs(weights[:, None] * (fine - coarse))))
-        assert abs(delta - ref_delta) <= 1e-13 * mass
+        assert abs(values[0, 0] - kahan_sum(weights * fine.sum(axis=1))) <= 1e-15 * mass
+        changes = [float(np.sum(np.abs(weights[:, None] * (hi - lo))))
+                   for hi, lo in ((mid, coarse), (fine, mid))]
+        floor = ARC_ROUNDING * float(np.sum(np.abs(weights[:, None] * fine).sum(axis=1) / (1 - s)))
+        assert abs(deltas[0, 0] - (2 * max(changes) + floor)) <= 1e-15 * mass
 
 
 def test_banded_rule_non_finite_node_is_a_collision():
-    s, weights, scales = banded_cell((0.5 + 0j,), 0.45, 0.55)
+    s, weights, peaks = banded_cell((0.5 + 0j,), 0.45, 0.55)
 
     def gfun(z):
         g = np.abs(z)
         g[-1, -1] = np.nan  # the last node of the last arc
         return g
 
+    _, _, nodes, _, _ = _cells_theta(
+        on_circle(gfun), s[None], weights[None, None], N_THETA_INIT, [math.inf], peaks=peaks
+    )
+    assert nodes.tolist() == [0]
     with pytest.raises(_CellCollision):
-        _cell_theta_banded(on_circle(gfun), s, weights[None, :], scales, 1, [math.inf])
-    with pytest.raises(_CellCollision):
-        banded_reference(gfun, s, weights, scales, 1)
+        tanh_sinh_reference(gfun, s, [angle for _, angle in peaks], N_THETA_INIT)
+
+
+def test_featured_round_over_the_cap_is_sliced():
+    # a Kronrod cell just above two zeros, whose arcs start at 512 steps: its
+    # first round holds 21 * 2 * 1024 = 43,008 points, so it runs in four calls
+    # of 10,752 over slices of its steps, and its value is still the per-arc
+    # reference
+    f, params = BlaschkeProduct((0.5, 0.5 * np.exp(2.2j))), MeanParams(1.5, 0.5)
+    s, weights = periodic_cells([(0.5, 0.6)], (KERNEL_ONE,))
+    peaks = [(0.5, 0.0), (0.5, 2.2)]
+    shapes = []
+
+    def gfun(z):
+        shapes.append(z.shape)
+        return g_values(f, params, z)
+
+    values, _, nodes, conv, doublings = _cells_theta(
+        on_circle(gfun), s, weights, 256, [math.inf] * 2, peaks=peaks
+    )
+    assert conv.all() and doublings.tolist() == [1] and nodes.tolist() == [43_008]
+    assert [math.prod(shape) for shape in shapes] == [10_752] * 4
+    fine, _ = tanh_sinh_reference(gfun, s[0], [0.0, 2.2], 1024)
+    mass = float(np.sum(np.abs(weights[0, 0][:, None] * fine)))
+    for row, value in zip(weights[0], values[0]):
+        assert abs(value - kahan_sum(row * fine.sum(axis=1))) <= 1e-15 * mass
 
 
 # -------------------------------------------------------- periodic cell rule
@@ -743,8 +777,9 @@ def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
     def gfun(z):
         return g_values(f, params, z)
 
-    values, deltas, nodes, conv, collided = _cells_theta(on_circle(gfun), s, weights, 32, tol)
-    assert not collided.any()
+    values, deltas, nodes, conv, doublings = _cells_theta(on_circle(gfun), s, weights, 32, tol)
+    assert nodes.all()
+    assert (nodes == len(KRONROD_X) * 32 << doublings).all()
     for c in range(len(cells)):
         ref_values, ref_deltas, ref_nodes, ref_conv = periodic_reference(
             gfun, s[c], weights[c], 32, tol
@@ -801,9 +836,10 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
 
     batches, summed = [], []
 
-    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol):
-        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol)
-        batches.append((s_nodes, out[4]))
+    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks):
+        assert not peaks
+        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks)
+        batches.append((s_nodes, out[2] == 0))
         return out
 
     def record_tree_sum(values):
@@ -872,38 +908,34 @@ def test_disk_field_calls_respect_batch_cap():
 
 def test_banded_field_calls_respect_batch_cap(monkeypatch):
     # G of blaschke:0.5 at p = 1.5 is unbounded at the zero, so the cells
-    # around |z| = 0.5 take the arc rule, whose later passes hold more than
-    # BATCH_POINTS points: each pass is cut into calls of whole arcs
+    # around |z| = 0.5 split the circle there into tanh-sinh arcs, in the same
+    # rounds as the periodic cells: a call holds at most BATCH_POINTS points
+    # unless it is one periodic cell's round alone, and as a round holds more
+    # than one call, each kind of cell keeps to calls of its own
     f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.0)
-    passes, shapes = [], []
-    arc_rule = quadrature._cell_theta_banded
-
-    def banded(*args, **kwargs):
-        out = arc_rule(*args, **kwargs)
-        passes.append(out[4] + 1)
-        return out
+    calls = []
+    groups = record_arcs(monkeypatch)
 
     def field(f, params, z):
-        shapes.append(z.shape)
+        calls.append(z.shape)
         return g_values(f, params, z)
 
-    monkeypatch.setattr(quadrature, "_cell_theta_banded", banded)
     (res,) = _disk_integral(field, 0.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
     assert res.converged
-    arc_calls = [shape for shape in shapes if len(shape) == 2]
-    assert passes and len(arc_calls) > sum(passes)
-    for n_s, points in arc_calls:
-        # (Kronrod nodes, angles) of whole arcs, within the cap
-        assert n_s == len(KRONROD_X) and points % N_GAUSS == 0
-        assert n_s * points <= BATCH_POINTS
+    assert groups and all(arcs == 1 for _, arcs in groups)
+    assert all(len(shape) == 3 for shape in calls)
+    for shape in calls:
+        assert math.prod(shape) <= BATCH_POINTS or (len(shape) == 3 and shape[0] == 1)
+    # rounds larger than the cap are cut into several calls
+    assert sum(math.prod(shape) for shape in calls) > 4 * BATCH_POINTS
+    assert sum(math.prod(shape) > BATCH_POINTS // 2 for shape in calls) > 4
 
-    # a lone circle next to the zero still makes one call per pass
-    passes.clear()
-    shapes.clear()
+    # a lone circle next to the zero makes one call per round
+    calls.clear()
     monkeypatch.setattr(quadrature, "w_values", field)
     mean = circle_mean(f, params, 0.5 + 1e-6, SPEC)
     assert mean.converged
-    assert len(shapes) == sum(passes) == mean.levels + 1
+    assert len(calls) == mean.levels
 
 
 # ------------------------------------------------------------- ring integrals
@@ -1021,13 +1053,13 @@ def test_periodic_stop_rule_counts_the_l1_term():
         return 1e12 * u.real + 1.0 / (1.05 - u.real)
 
     tol = 0.25 * SPEC.rel_tol
-    values, deltas, nodes, conv, collided = _cells_theta(
+    values, deltas, nodes, conv, doublings = _cells_theta(
         integrand, np.ones((1, 1)), np.ones((1, 1, 1)), N_THETA_INIT, [0.0], tol
     )
-    total, delta, ref_nodes, _, ref_conv = circle_reference(
+    total, delta, ref_nodes, ref_doublings, ref_conv = circle_reference(
         lambda theta: integrand(1.0, np.exp(1j * theta)), tol, 0.0, 0.0
     )
-    assert not collided[0] and conv[0, 0] and ref_conv and ref_nodes == 64
+    assert conv[0, 0] and ref_conv and ref_nodes == 64 and doublings[0] == ref_doublings
     assert (values[0, 0].hex(), deltas[0, 0].hex(), nodes[0]) == (total.hex(), delta.hex(), 64)
 
 
@@ -1062,8 +1094,8 @@ def test_ring_schedule_matches_lone_rings_and_scalar_reference(f, params, z0, ke
         assert conv and value.hex() == total.hex()
 
 
-# blaschke:0.5 has its zero at |w| = 0.5, so r = 0.55 takes the arc rule and
-# the other radii are one periodic batch
+# blaschke:0.5 has its zero at |w| = 0.5, so r = 0.55 is one tanh-sinh arc
+# and the other radii are periodic
 SCHEDULE = (0.3, 0.55, 0.7, 0.9)
 
 
@@ -1072,19 +1104,40 @@ def test_circle_schedule_matches_lone_runs(deriv, monkeypatch):
     f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.5)
     field_name = "radial_deriv_w_values" if deriv else "w_values"
     field = getattr(quadrature, field_name)
-    calls, arcs = [], []
-    arc_rule = quadrature._cell_theta_banded
+    calls = []
+    groups = record_arcs(monkeypatch)
     monkeypatch.setattr(quadrature, field_name, lambda *a: calls.append(1) or field(*a))
-    monkeypatch.setattr(
-        quadrature, "_cell_theta_banded", lambda *a, **k: arcs.append(1) or arc_rule(*a, **k)
-    )
     results = list(circle_integrals(f, params, SCHEDULE, SPEC, deriv=deriv))
     batch_calls = len(calls)
-    assert len(arcs) == 1
+    assert groups == [([1], 1)]
     lone = circle_mean_deriv if deriv else circle_mean
     assert [bits(res) for res in results] == [bits(lone(f, params, r, SPEC)) for r in SCHEDULE]
-    # the three periodic circles share their field calls
+    # the four circles share their field calls
     assert batch_calls < len(calls) - batch_calls
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+def test_mixed_circle_schedule_matches_lone_runs(deriv, monkeypatch):
+    # zeros at 0.5 and 0.6 e^{2.2i}: r = 0.55 is near both (two arcs),
+    # r = 0.68 near the second (one arc), and 0.3 and 0.9 are periodic, so
+    # one batch mixes three kinds of cell in flat field calls
+    f, params = parse_function("blaschke:0.5,-0.35309-0.48529i"), MeanParams(1.5, 0.5)
+    radii = (0.3, 0.55, 0.68, 0.9)
+    field_name = "radial_deriv_w_values" if deriv else "w_values"
+    field = getattr(quadrature, field_name)
+    shapes = []
+    groups = record_arcs(monkeypatch)
+    monkeypatch.setattr(
+        quadrature, field_name, lambda f, p, z: shapes.append(z.shape) or field(f, p, z)
+    )
+    results = list(circle_integrals(f, params, radii, SPEC, deriv=deriv))
+    batch_calls = len(shapes)
+    assert groups[:2] == [([2], 1), ([1], 2)]
+    assert any(len(shape) == 1 for shape in shapes)
+    lone = circle_mean_deriv if deriv else circle_mean
+    assert [bits(res) for res in results] == [bits(lone(f, params, r, SPEC)) for r in radii]
+    assert all(res.converged for res in results)
+    assert batch_calls < len(shapes) - batch_calls
 
 
 def nan_on_circles(field, radii, centre=0.0):
