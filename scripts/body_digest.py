@@ -2,9 +2,10 @@
 """Print SHA-256 digests of report bodies, to compare two source trees.
 
 --golden hashes the golden suite's JSON-lines body (`body_lines`, the meta
-record excluded).  --cli-seeds hashes, per seed, every op of the benchmark's
-cli-probes list (built by perfbench/workloads.py, which is only read): its
-argv, exit code, stdout without the meta line, and stderr.  Equal digests
+record excluded), then its CSV report (`golden-csv`).  --cli-seeds hashes, per
+seed, every op of the benchmark's cli-probes list (built by
+perfbench/workloads.py, which is only read): its argv, exit code, stdout
+without the meta line, and stderr.  Equal digests
 from two checkouts mean byte-identical bodies.
 
 Usage:
@@ -22,14 +23,16 @@ from pathlib import Path
 from hardylab.cli import main as cli_main
 from hardylab.golden import golden_suite
 from hardylab.quadrature import QuadratureSpec
-from hardylab.report import body_lines
+from hardylab.report import body_lines, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def golden_digest() -> str:
-    lines = body_lines(golden_suite(QuadratureSpec()))
-    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+def golden_digests() -> tuple[str, str]:
+    report = golden_suite(QuadratureSpec())
+    body = "".join(line + "\n" for line in body_lines(report))
+    csv_text = write_report(report, "csv", None)
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (body, csv_text))
 
 
 def cli_digest(seed: int) -> str:
@@ -64,7 +67,9 @@ def main() -> int:
         print("error: nothing to hash; give --golden or --cli-seeds", file=sys.stderr)
         return 2
     if args.golden:
-        print(f"golden {golden_digest()}")
+        json_digest, csv_digest = golden_digests()
+        print(f"golden {json_digest}")
+        print(f"golden-csv {csv_digest}")
     for seed in seeds:
         print(f"cli-probes seed {seed} {cli_digest(seed)}")
     return 0

@@ -57,6 +57,10 @@ class RateProbeResult:
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
 
+    @property
+    def passed(self) -> bool:
+        return self.verdict == VERDICT_CONSISTENT
+
 
 def _means(
     f: AnalyticFunction, params: MeanParams, radii: Sequence[float], spec: QuadratureSpec
@@ -232,6 +236,7 @@ class MembershipScanResult:
     values: tuple[float, ...]
     classification: str
     sup_estimate: float
+    passed = None  # informational: a scan neither passes nor fails
 
 
 def membership_scan(

@@ -75,7 +75,7 @@ BUNDLE_CACHE_SIZE = 32
 
 @dataclass(frozen=True)
 class IdentityReport:
-    identity: str
+    tag: str
     fn: str
     p: float
     q: float
@@ -86,8 +86,8 @@ class IdentityReport:
     rel_residual: float
     budget: float
     tolerance: float
+    converged: bool
     passed: bool
-    converged: bool = True
     info: dict = field(default_factory=dict)
 
 
@@ -128,7 +128,7 @@ def _report(
     rel_res = abs_res / max(1.0, abs(lhs))
     passed = converged and abs_res <= max(budget, spec.rel_tol * max(1.0, abs(lhs)))
     return IdentityReport(
-        identity=tag,
+        tag=tag,
         fn=render_function(f),
         p=params.p,
         q=params.q,
@@ -139,8 +139,8 @@ def _report(
         rel_residual=float(rel_res),
         budget=float(budget),
         tolerance=spec.rel_tol,
-        passed=bool(passed),
         converged=bool(converged),
+        passed=bool(passed),
         info=info or {},
     )
 
@@ -451,7 +451,7 @@ class RingLimitReport:
     target: float
     residuals: tuple[float, ...]
     slope: float
-    consistent: bool
+    passed: bool
 
 
 def ring_limit_probe(
@@ -469,8 +469,8 @@ def ring_limit_probe(
     2 pi |f(0)|^p at the origin under a log kernel (whose -W dK/dn term
     carries that point mass) and 0 otherwise: at an off-origin zero, and at
     the origin under the smooth kernel 1 - |z|^2.  The measured log-log
-    decay slope of the residual is reported alongside.  The probe is
-    consistent when the residual halves over the schedule with a positive
+    decay slope of the residual is reported alongside.  The probe
+    passes when the residual halves over the schedule with a positive
     slope, or when every residual already sits within rel_tol of the target
     (exact ring values, as for a constant at q = 0).
     """
@@ -495,7 +495,6 @@ def ring_limit_probe(
         slope = math.inf  # residuals at the noise floor everywhere
     exact = max(residuals) <= spec.rel_tol * max(1.0, abs(target))
     decaying = residuals[-1] < 0.5 * residuals[0] and (slope > 0.05 or slope == math.inf)
-    consistent = exact or decaying
     return RingLimitReport(
         fn=render_function(f),
         p=params.p,
@@ -508,5 +507,5 @@ def ring_limit_probe(
         target=float(target),
         residuals=residuals,
         slope=slope,
-        consistent=bool(consistent),
+        passed=bool(exact or decaying),
     )

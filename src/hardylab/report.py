@@ -1,11 +1,15 @@
 """Machine-readable reports: JSON-lines (one record per check) and CSV.
 
-Floats are serialised with ``repr`` (shortest round-trip form, at most 17
-significant digits), so identical runs produce byte-identical bodies and a
-parsed report reproduces every value bit-for-bit.  A non-finite float (an
-infinite ring-limit slope, a NaN fitted exponent) is written as JSON null and
-as an empty CSV cell, so every line is strict JSON.  The timestamp lives only
-in the meta record; the body is deterministic.
+A record is its result's dataclass fields in order, after a ``record`` kind:
+a nested ``IntegralResult`` is inlined, an ``info`` dict becomes
+``info_<key>`` keys, and ``passed`` (None for informational records) comes
+last unless it is a field.  Floats are serialised with ``repr`` (shortest
+round-trip form, at most 17 significant digits), so identical runs produce
+byte-identical bodies and a parsed report reproduces every value
+bit-for-bit.  A non-finite float (an infinite ring-limit slope, a NaN fitted
+exponent) is written as JSON null and as an empty CSV cell, so every line is
+strict JSON.  The timestamp lives only in the meta record; the body is
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Any
 
 from . import __version__
@@ -60,12 +65,7 @@ class SuiteReport:
 
     @property
     def overall_pass(self) -> bool:
-        ok = True
-        for entry in self.entries:
-            passed = entry_passed(entry)
-            if passed is not None:
-                ok = ok and passed
-        return ok
+        return not any(entry.passed is False for entry in self.entries)
 
 
 @dataclass(frozen=True)
@@ -79,148 +79,73 @@ class MeanEntry:
     r: float
     result: IntegralResult
 
-
-def entry_passed(entry: Any) -> bool | None:
-    """Pass/fail of one entry; None marks informational records."""
-    if isinstance(entry, IdentityReport):
-        return entry.passed
-    if isinstance(entry, RateProbeResult):
-        return entry.verdict == "consistent-with-theorem"
-    if isinstance(entry, RingLimitReport):
-        return entry.consistent
-    if isinstance(entry, (MonotonicityResult, LogConvexityResult)):
-        return entry.passed
-    if isinstance(entry, MeanEntry):
-        return entry.result.converged
-    if isinstance(entry, MembershipScanResult):
-        return None
-    raise TypeError(f"unknown report entry {type(entry).__name__}")
+    @property
+    def passed(self) -> bool:
+        return self.result.converged
 
 
-def entry_record(entry: Any) -> dict[str, Any]:
-    if isinstance(entry, IdentityReport):
-        rec = {
-            "record": "identity",
-            "tag": entry.identity,
-            "fn": entry.fn,
-            "p": entry.p,
-            "q": entry.q,
-            "r": entry.r,
-            "lhs": entry.lhs,
-            "rhs": entry.rhs,
-            "abs_residual": entry.abs_residual,
-            "rel_residual": entry.rel_residual,
-            "budget": entry.budget,
-            "tolerance": entry.tolerance,
-            "converged": entry.converged,
-            "passed": entry.passed,
-        }
-        for key, value in entry.info.items():
-            rec[f"info_{key}"] = value
-        return rec
-    if isinstance(entry, RateProbeResult):
-        return {
-            "record": "rate",
-            "fn": entry.fn,
-            "p": entry.p,
-            "q": entry.q,
-            "radii": list(entry.radii),
-            "d_values": list(entry.d_values),
-            "products": list(entry.products),
-            "norm_d_values": list(entry.norm_d_values),
-            "beta": entry.beta,
-            "beta_stderr": entry.beta_stderr,
-            "verdict": entry.verdict,
-            "passed": entry_passed(entry),
-        }
-    if isinstance(entry, RingLimitReport):
-        return {
-            "record": "ring-limit",
-            "fn": entry.fn,
-            "p": entry.p,
-            "q": entry.q,
-            "z0": format_complex(entry.z0),
-            "kernel": entry.kernel,
-            "r": entry.r,
-            "eps": list(entry.eps),
-            "values": list(entry.values),
-            "target": entry.target,
-            "residuals": list(entry.residuals),
-            "slope": entry.slope,
-            "passed": entry.consistent,
-        }
-    if isinstance(entry, MonotonicityResult):
-        return {
-            "record": "monotonicity",
-            "fn": entry.fn,
-            "p": entry.p,
-            "radii": list(entry.radii),
-            "values": list(entry.values),
-            "max_violation": entry.max_violation,
-            "passed": entry.passed,
-        }
-    if isinstance(entry, LogConvexityResult):
-        return {
-            "record": "log-convexity",
-            "fn": entry.fn,
-            "p": entry.p,
-            "radii": list(entry.radii),
-            "values": list(entry.values),
-            "min_second_difference": entry.min_second_difference,
-            "passed": entry.passed,
-        }
-    if isinstance(entry, MembershipScanResult):
-        return {
-            "record": "membership-scan",
-            "fn": entry.fn,
-            "p": entry.p,
-            "q": entry.q,
-            "radii": list(entry.radii),
-            "values": list(entry.values),
-            "classification": entry.classification,
-            "sup_estimate": entry.sup_estimate,
-            "passed": None,
-        }
-    if isinstance(entry, MeanEntry):
-        return {
-            "record": entry.record,
-            "fn": entry.fn,
-            "p": entry.p,
-            "q": entry.q,
-            "r": entry.r,
-            "value": entry.result.value,
-            "error_estimate": entry.result.error_estimate,
-            "nodes": entry.result.nodes,
-            "levels": entry.result.levels,
-            "converged": entry.result.converged,
-            "passed": entry.result.converged,
-        }
-    raise TypeError(f"unknown report entry {type(entry).__name__}")
+# record kind of each entry type; None: the entry names its own (``record``)
+RECORD_KINDS: dict[type, str | None] = {
+    IdentityReport: "identity",
+    RateProbeResult: "rate",
+    RingLimitReport: "ring-limit",
+    MonotonicityResult: "monotonicity",
+    LogConvexityResult: "log-convexity",
+    MembershipScanResult: "membership-scan",
+    MeanEntry: None,
+}
 
 
-def _json_default(obj: Any) -> Any:
-    raise TypeError(f"not JSON-serialisable: {obj!r}")
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
-def _finite_or_none(value: Any) -> Any:
-    """The value with every non-finite float, also inside lists and dicts, as None."""
+def _plain(value: Any) -> Any:
+    """The value as JSON: complex as text, a non-finite float as None."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, complex):
+        return format_complex(value)
     if isinstance(value, (list, tuple)):
-        return [_finite_or_none(v) for v in value]
+        return [_plain(v) for v in value]
     if isinstance(value, dict):
-        return {k: _finite_or_none(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     return value
 
 
+def _fill(rec: dict[str, Any], result: Any) -> None:
+    for name in _field_names(type(result)):
+        value = getattr(result, name)
+        if isinstance(value, IntegralResult):
+            _fill(rec, value)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                rec[f"{name}_{key}"] = _plain(item)
+        else:
+            rec[name] = _plain(value)
+
+
+def entry_record(entry: Any) -> dict[str, Any]:
+    """One entry's record; TypeError for an entry type with no record kind."""
+    try:
+        kind = RECORD_KINDS[type(entry)]
+    except KeyError:
+        raise TypeError(f"unknown report entry {type(entry).__name__}") from None
+    rec: dict[str, Any] = {} if kind is None else {"record": kind}
+    _fill(rec, entry)
+    rec.setdefault("passed", entry.passed)
+    return rec
+
+
 def _dump_record(rec: dict[str, Any]) -> str:
-    return json.dumps(_finite_or_none(rec), default=_json_default, allow_nan=False)
+    return json.dumps(rec, allow_nan=False)
 
 
 def body_lines(report: SuiteReport) -> list[str]:
     """Deterministic JSON-lines body (everything except the meta record)."""
     lines = [_dump_record(entry_record(e)) for e in report.entries]
-    failures = sum(1 for e in report.entries if entry_passed(e) is False)
+    failures = sum(1 for e in report.entries if e.passed is False)
     lines.append(
         _dump_record(
             {
@@ -240,7 +165,7 @@ def json_lines(report: SuiteReport) -> list[str]:
         "tool": TOOL_NAME,
         "version": __version__,
         "timestamp": report.timestamp,
-        "config": report.config,
+        "config": _plain(report.config),
     }
     return [_dump_record(meta)] + body_lines(report)
 
@@ -252,16 +177,10 @@ def csv_text(report: SuiteReport) -> str:
     )
     writer.writeheader()
     for entry in report.entries:
-        rec = _finite_or_none(entry_record(entry))
-        if isinstance(entry, IdentityReport):
-            rec.setdefault("value", "")
+        rec = entry_record(entry)
         if isinstance(entry, MeanEntry):
-            rec.setdefault("tag", rec["record"])
-        row = {}
-        for col in CSV_COLUMNS:
-            val = rec.get(col, "")
-            row[col] = repr(val) if isinstance(val, float) else val
-        writer.writerow(row)
+            rec["tag"] = rec["record"]
+        writer.writerow(rec)  # csv writes a float with repr and None as ""
     return buf.getvalue()
 
 

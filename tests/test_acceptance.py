@@ -142,7 +142,7 @@ def test_criterion_5_ring_limits():
             monomial(2), MeanParams(0.5, 0), 0.0, kernel, 0.9, SPEC
         )
         assert rep.target == 0.0  # f(0) = 0 exercises the kp < 2 log-singular case
-        assert rep.consistent
+        assert rep.passed
         assert abs(rep.values[-1]) < abs(rep.values[0])
         assert time.monotonic() - t0 <= 10.0
 

@@ -302,7 +302,7 @@ def test_ring_limit_origin_value():
     )
     assert rep.target == pytest.approx(TWO_PI)
     assert rep.residuals[-1] <= 1e-5
-    assert rep.consistent
+    assert rep.passed
 
 
 def test_ring_limit_double_zero_slope():
@@ -317,7 +317,7 @@ def test_ring_limit_double_zero_slope():
     )
     assert rep.target == 0.0
     assert rep.slope >= 2.8
-    assert rep.consistent
+    assert rep.passed
 
 
 def test_ring_limit_origin_zero_small_p():
@@ -326,7 +326,7 @@ def test_ring_limit_origin_zero_small_p():
     )
     assert rep.target == 0.0
     assert rep.values[-1] < 0.01
-    assert rep.consistent
+    assert rep.passed
 
 
 def test_ring_limit_smooth_kernel_origin_target_is_zero():
@@ -343,7 +343,7 @@ def test_ring_limit_smooth_kernel_origin_target_is_zero():
     assert rep.target == 0.0
     assert rep.residuals == rep.values
     assert rep.slope == pytest.approx(2.0, abs=0.05)
-    assert rep.consistent
+    assert rep.passed
 
 
 def test_ring_limit_exact_values_are_consistent():
@@ -360,7 +360,7 @@ def test_ring_limit_exact_values_are_consistent():
     )
     assert rep.target == pytest.approx(TWO_PI * abs(c) ** 0.5)
     assert max(rep.residuals) <= SPEC.rel_tol * rep.target
-    assert rep.consistent
+    assert rep.passed
 
 
 def test_ring_limit_rejects_non_zero_centre():
@@ -380,7 +380,7 @@ def test_usable_radius_perturbs():
 
 def test_run_identity_check_dispatch():
     rep = run_identity_check("growth", monomial(1), MeanParams(2, 0), 0.5, SPEC)
-    assert rep.identity == "growth"
+    assert rep.tag == "growth"
     with pytest.raises(ValueError):
         run_identity_check("nope", monomial(1), MeanParams(2, 0), 0.5, SPEC)
 

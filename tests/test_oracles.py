@@ -104,9 +104,9 @@ def test_converged_disk_g_within_its_error_bar(f, params, r, exact):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="item 5: next to the zero of z - 0.5 at p = 0.5 the disk-G estimate "
-    "(1.5e-8) is below the error (4.6e-8); the case above passes only on the "
-    "rel_tol floor",
+    reason="item 3 (zero-centred patches): next to the zero of z - 0.5 at "
+    "p = 0.5 the disk-G estimate (1.5e-8) is below the error (4.6e-8); the "
+    "case above passes only on the rel_tol floor",
 )
 def test_sharp_zero_estimate_bounds_its_error():
     params, r = MeanParams(0.5, 0), 0.9
