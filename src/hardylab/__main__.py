@@ -1,0 +1,6 @@
+"""`python -m hardylab`: the command line of hardylab.cli."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -102,17 +102,26 @@ def grad_w_values(
     return gx, gy
 
 
-def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
-    """Laplacian density of W.  Unbounded entries (exact zeros with small
-    exponent) come back as inf/nan; the quadrature layer treats any
-    non-finite node as a cell collision and subdivides."""
+def gw_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
+    """G and W at z from one evaluation of f and f': out[0] is G, out[1] is W.
+
+    Unbounded G entries (exact zeros with small exponent) come back as
+    inf/nan; the quadrature layer treats any non-finite node as a cell
+    collision and subdivides.  W is bit for bit `w_values`: `_val_dval`
+    gives f as `_val` does."""
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
     fv, dv = f._val_dval(z)
     m = np.abs(fv)
+    # allocated past the peak of _val_dval; `...` keeps 0-d rows as arrays,
+    # so the in-place updates write into out
+    out = np.empty((2,) + z.shape)
+    g, w = out[0, ...], out[1, ...]
     with np.errstate(**_QUIET):
         mp2 = np.power(m, p - 2.0)
-        g = np.abs(dv)
+        np.power(m, p, out=w)
+        del m
+        np.abs(dv, out=g)
         g *= g
         g *= mp2 * (p * p)
         if q != 0.0:
@@ -122,7 +131,8 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
             s2 = np.abs(z)
             s2 *= s2
             rho = 1.0 - s2
-            g *= rho**q
+            rq = rho**q
+            g *= rq
             rq1 = rho ** (q - 1.0)
             t = rq1 * (4.0 * p * q)
             t *= mp2
@@ -134,12 +144,18 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
             t *= rho ** (q - 2.0)
             t -= rq1
             del s2, rho, rq1
-            mp = np.power(m, p)
-            mp *= 4.0
+            mp = w * 4.0
+            w *= rq
+            del rq
             mp *= q
             mp *= t
             g += mp
-    return g
+    return out
+
+
+def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
+    """Laplacian density of W: the G row of `gw_values`."""
+    return gw_values(f, params, z)[0]
 
 
 def radial_deriv_w_values(

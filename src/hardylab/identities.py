@@ -7,15 +7,17 @@ false failure.  Finite-r identities are the primary surface; the r -> 1
 limit form is probed by Richardson extrapolation along r = 1 - 2^-j with an
 empirically fitted order.  Its area side integrates each piece of the disk
 once: the disk of the first radius, then the annulus between each pair of
-consecutive radii.  The extrapolated sequence is the running sum of the
-pieces, so its differences are the annulus integrals themselves.
+consecutive radii, one mesh per piece carrying both G (1-|z|^2) and W.  The
+extrapolated sequence is the running sum of the pieces, so its differences
+are the annulus integrals themselves.
 
 The five finite-r checks at one (f, p, q, r) share one memoised bundle,
 `evaluate_radius`: one usable radius, the circle mean of W and its
-derivative, and the area integrals of G under the four radial kernels from
-one disk mesh.  Each checker is algebra over that bundle.  The circle side
-and the disk side of the bundle stay independent routes, so sharing them
-does not make the two sides of an identity agree by construction.
+derivative, and the area integrals of G under the four radial kernels and
+of W, all from one disk mesh.  Each checker is algebra over that bundle.
+The circle side and the disk side of the bundle stay independent routes, so
+sharing them does not make the two sides of an identity agree by
+construction.
 """
 
 from __future__ import annotations
@@ -50,9 +52,7 @@ from .quadrature import (
     circle_integrals,
     circle_mean,
     circle_mean_deriv,
-    disk_integral_G,
-    disk_integral_W,
-    disk_integrals_G,
+    disk_integrals,
     kernel_log_r_over_abs,
     ring_integrals,
 )
@@ -148,8 +148,8 @@ def _report(
 @dataclass(frozen=True)
 class RadiusBundle:
     """The circle-side and disk-side integrals the finite-r checks share at
-    one usable radius r: the circle mean of W, its r-derivative, and the
-    area integrals of G under the four radial kernels."""
+    one usable radius r: the circle mean of W, its r-derivative, the area
+    integrals of G under the four radial kernels, and the area integral of W."""
 
     r: float
     mean: IntegralResult
@@ -158,22 +158,21 @@ class RadiusBundle:
     g_log_r: IntegralResult
     g_log_unit: IntegralResult
     g_one_minus_abs_sq: IntegralResult
+    w_one: IntegralResult
 
 
 @lru_cache(maxsize=BUNDLE_CACHE_SIZE)
 def evaluate_radius(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> RadiusBundle:
-    """Integrals of the finite-r checks at (f, params, r), from one G mesh.
+    """Integrals of the finite-r checks at (f, params, r), from one disk mesh.
 
     Memoised, so the checks at one point share a single evaluation."""
     r = usable_radius(f, r, params.p)
-    g_one, g_log_r, g_log_unit, g_one_minus_abs_sq = disk_integrals_G(
-        f,
-        params,
-        r,
-        (KERNEL_ONE, kernel_log_r_over_abs(r), KERNEL_LOG_ONE_OVER_ABS, KERNEL_ONE_MINUS_ABS_SQ),
-        spec,
+    kernels = (KERNEL_ONE, kernel_log_r_over_abs(r), KERNEL_LOG_ONE_OVER_ABS,
+               KERNEL_ONE_MINUS_ABS_SQ)
+    g_one, g_log_r, g_log_unit, g_one_minus_abs_sq, w_one = disk_integrals(
+        f, params, r, kernels, (KERNEL_ONE,), spec
     )
     return RadiusBundle(
         r=r,
@@ -183,6 +182,7 @@ def evaluate_radius(
         g_log_r=g_log_r,
         g_log_unit=g_log_unit,
         g_one_minus_abs_sq=g_one_minus_abs_sq,
+        w_one=w_one,
     )
 
 
@@ -242,8 +242,7 @@ def check_weighted_area_identity(
     """(1-|z|^2)-kernel area integral of G plus 4x the area integral of W
     against the boundary flux r * int[(1-r^2) dW/dr + 2 r W] d theta."""
     b = evaluate_radius(f, params, r, spec)
-    r, cm, d, g = b.r, b.mean, b.deriv, b.g_one_minus_abs_sq
-    w = disk_integral_W(f, params, r, KERNEL_ONE, spec)
+    r, cm, d, g, w = b.r, b.mean, b.deriv, b.g_one_minus_abs_sq, b.w_one
     lhs = g.value + 4.0 * w.value
     rhs = TWO_PI * r * ((1.0 - r * r) * d.value + 2.0 * r * cm.value)
     budget = (
@@ -359,18 +358,17 @@ def check_area_limit_identity(
     The area side is integrated piece by piece: the disk of the first radius,
     then each annulus between consecutive radii, so no part of the disk is
     integrated twice and the differences Richardson works on are exactly the
-    annulus integrals.  The rhs sequence is the running sum of the pieces,
-    and its error the sum of every piece's error so far.  The record carries
-    the last radius integrated."""
+    annulus integrals.  Each piece is one mesh of G and W.  The rhs sequence
+    is the running sum of the pieces, and its error the sum of every piece's
+    error so far.  The record carries the last radius integrated."""
     used = _area_limit_radii(f, params, radii)
     lhs_vals: list[float] = []
     rhs_vals: list[float] = []
     area = area_err = 0.0
     converged = True
     # a circle's error is raised after the disk pieces of the earlier radii
-    for r_prev, r, cm in zip([0.0, *used], used, circle_integrals(f, params, used, spec)):
-        g = disk_integral_G(f, params, r, KERNEL_ONE_MINUS_ABS_SQ, spec, s_lo=r_prev)
-        w = disk_integral_W(f, params, r, KERNEL_ONE, spec, s_lo=r_prev)
+    for lo, r, cm in zip([0.0, *used], used, circle_integrals(f, params, used, spec)):
+        g, w = disk_integrals(f, params, r, (KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,), spec, lo)
         area += g.value + 4.0 * w.value
         area_err += g.error_estimate + 4.0 * w.error_estimate
         lhs_vals.append(2.0 * TWO_PI * cm.value)

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .accum import kahan_rows, tree_sum
-from .fields import MeanParams, g_values, grad_w_values, radial_deriv_w_values, w_values
+from .fields import MeanParams, g_values, grad_w_values, gw_values, radial_deriv_w_values, w_values
 from .functions import AnalyticFunction, Zero, _unit_disk_zeros, feature_moduli, zeros_in_disk
 
 TWO_PI = 2.0 * math.pi
@@ -164,9 +164,14 @@ def _cells_theta(
     tol_abs: Sequence[float],
     rel_tol: float = 0.0,
     peaks: Sequence[tuple[float, float]] = (),
+    fields: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Values of many cells: values[c, k] is sum_i weights[c, k, i] *
     (integral over theta of integrand(s_nodes[c, i], u), u = e^{i theta}).
+
+    With `fields`, the integrand returns a stack of fields and row k sums
+    field fields[k] alone (zero weights on the others would not do: a zero
+    term in kahan_rows can apply a pending carry).
 
     A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes
     tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T]; the others
@@ -185,6 +190,9 @@ def _cells_theta(
     (values, deltas, nodes, conv, doublings) per cell.
     """
     n_cells, n_k, n_s = weights.shape
+    # by_row turns per-field sums (cells, n_f, ...) into rows (cells, n_k, ...)
+    n_f, index = (1, None) if fields is None else (max(fields) + 1, np.asarray(fields))
+    by_row = (lambda a: a) if index is None else (lambda a: a[:, index])
     values, deltas = np.zeros((2, n_cells, n_k))
     conv, (nodes, doublings) = np.zeros((n_cells, n_k), bool), np.zeros((2, n_cells), np.int64)
     tol_abs = np.asarray(tol_abs, dtype=float)
@@ -250,20 +258,23 @@ def _cells_theta(
                     flat = integrand(*(np.concatenate(
                         [np.broadcast_to(arg[i], sh).ravel() for arg, sh in zip(args, shapes)]
                     ) for i in (0, 1)))
-                    out = np.split(flat, np.cumsum([math.prod(sh) for sh in shapes])[:-1])
+                    out = np.split(
+                        flat, np.cumsum([math.prod(sh) for sh in shapes])[:-1], axis=-1)
+                    del flat
                 for (gi, j0, j1, cut), mat in zip(call, out):
                     m = groups[gi][0]
-                    # (cells, radial nodes, arcs, offsets, steps): one sum per offset
+                    # (cells, fields, radial nodes, arcs, offsets, steps): a sum per offset
                     mat = np.asarray(mat, dtype=float).reshape(
-                        j1 - j0, n_s, max(m, 1), len(offsets), -1)
+                        n_f, j1 - j0, n_s, max(m, 1), len(offsets), -1).swapaxes(0, 1)
                     # a non-finite node makes its sum non-finite
-                    sums = (mat * dx[:, cut] if m else mat).sum(axis=4)
-                    part = (np.isfinite(sums).all(axis=(1, 2, 3)), sums,
-                            np.abs(mat).sum(axis=4) if rel_tol and not m else sums)
+                    sums = (mat * dx[:, cut] if m else mat).sum(axis=5)
+                    part = (np.isfinite(sums).all(axis=(1, 2, 3, 4)), sums,
+                            np.abs(mat).sum(axis=5) if rel_tol and not m else sums)
                     if cut.start:  # a later slice of the same featured cell
                         prior = parts[gi].pop()
                         part = (part[0] & prior[0],) + (sums + prior[1],) * 2
                     parts[gi].append(part)
+                del out, mat  # free these fields before the next call makes its own
             used, kept = used + n_s * ring.size, []
             for (m, g), part in zip(groups, parts):
                 finite, *sums = map(np.concatenate, zip(*part)) if part[1:] else part[0]
@@ -272,7 +283,7 @@ def _cells_theta(
                     sums = [arr[finite] for arr in sums]
                 step = ARC_T / n if m else TWO_PI / n
                 delta, ok, settled = (_arc_round if m else _periodic_round)(
-                    g, *sums, step, len(offsets) == 2, tol_abs, rel_tol)
+                    g, *sums, step, len(offsets) == 2, tol_abs, rel_tol, by_row)
                 done = settled.all(axis=1) | ((4 if m else 2) * n >= N_THETA_MAX)
                 if done.any():
                     sel = slice(None) if done.all() else done  # a whole group needs no gathers
@@ -285,34 +296,34 @@ def _cells_theta(
     return values, deltas, nodes, conv, doublings
 
 
-def _periodic_round(g, sums, abs_sums, step, first, tol_abs, rel_tol):
+def _periodic_round(g, sums, abs_sums, step, first, tol_abs, rel_tol, by_row):
     """One round of periodic cells: (change, converged, settled) per row."""
-    w, sums, abs_sums = g["w"], sums[:, :, 0], abs_sums[:, :, 0]
+    w, sums, abs_sums = g["w"], sums[:, :, :, 0], abs_sums[:, :, :, 0]
     if first:
         g["h"], g["l1"] = step * sums[..., 0], step * abs_sums[..., 0]
-        g["value"] = kahan_rows(w * g["h"][:, None, :])
+        g["value"] = kahan_rows(w * by_row(g["h"]))
     g["h"] = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
-    new = kahan_rows(w * g["h"][:, None, :])
+    new = kahan_rows(w * by_row(g["h"]))
     delta, g["value"] = np.abs(new - g["value"]), new
     bound = tol_abs
     if rel_tol:
         g["l1"] = 0.5 * g["l1"] + (0.5 * step) * abs_sums[..., -1]
-        l1_rows = (np.abs(w) * g["l1"][:, None, :]).sum(axis=2)
+        l1_rows = (np.abs(w) * by_row(g["l1"])).sum(axis=2)
         bound = np.maximum(tol_abs, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
     ok = delta <= bound
     return delta, ok, ok
 
 
-def _arc_round(g, sums, _abs_sums, step, first, tol_abs, rel_tol):
-    """One round of featured cells, whose pieces g["h"][c, i, j] are arc j at
-    radial node i: (estimate, converged, settled) per row."""
-    w, sums = g["w"][:, :, :, None], sums * g["span"][..., 0]
+def _arc_round(g, sums, _abs_sums, step, first, tol_abs, rel_tol, by_row):
+    """One round of featured cells, whose pieces g["h"][c, f, i, j] are arc j
+    of field f at radial node i: (estimate, converged, settled) per row."""
+    w, sums = g["w"][:, :, :, None], sums * g["span"][:, None, ..., 0]
     if first:
         g["h"] = step * sums[..., 0]
     pieces = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
-    change = np.abs(w * (pieces - g["h"])[:, None]).sum(axis=(2, 3))
-    floor = (g["floor"] * np.abs(pieces).sum(axis=2)[:, None, :]).sum(axis=2)
-    g["h"], g["value"] = pieces, kahan_rows(g["w"] * pieces.sum(axis=2)[:, None, :])
+    change = np.abs(w * by_row(pieces - g["h"])).sum(axis=(2, 3))
+    floor = (g["floor"] * by_row(np.abs(pieces).sum(axis=3))).sum(axis=2)
+    g["h"], g["value"] = pieces, kahan_rows(g["w"] * by_row(pieces.sum(axis=3)))
     top, g["prev"] = np.maximum(change, g["prev"]), change
     estimate = 2.0 * top + floor
     ok = estimate <= np.maximum(tol_abs, rel_tol * np.abs(g["value"]))
@@ -518,15 +529,18 @@ def _disk_once(
     spec: QuadratureSpec,
     level: int,
     theta_tol_cell: Sequence[float],
+    fields: Sequence[int] | None,
 ) -> tuple[list[float], list[float], int, list[bool]]:
     """One disk level: (values, error estimates, nodes, cells converged) per
-    kernel.  Each radial cell carries the Kronrod nodes; its Gauss weights
-    are extra kernel rows, so a kernel's error is the sum over cells of
+    kernel, kernel k weighing field fields[k] of gfun (see _cells_theta).
+    Each radial cell carries the Kronrod nodes; its Gauss weights are extra
+    kernel rows, so a kernel's error is the sum over cells of
     |Kronrod - Gauss| plus the angular changes of its Kronrod row."""
     kron_x, kron_w, gauss_w = _kronrod_rule(N_GAUSS)
     n0 = N_THETA_INIT << min(level, 3)
     n_k = len(kernels)
     row_tol = list(theta_tol_cell) * 2
+    row_fields = None if fields is None else list(fields) * 2
 
     def run(cells: list[tuple[float, float, int]]) -> list[tuple]:
         """(values, changes, nodes, conv) of every leaf cell, in radial order."""
@@ -537,7 +551,7 @@ def _disk_once(
         # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
         weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
         leaves = []
-        batch = _cells_theta(gfun, s, weights, n0, row_tol, 0.0, peaks)
+        batch = _cells_theta(gfun, s, weights, n0, row_tol, 0.0, peaks, row_fields)
         for (a, b, depth), leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
             if leaf[2]:
                 leaves.append(leaf[:4])
@@ -601,31 +615,39 @@ def _sharp_zero_angles(
 
 
 def _disk_integral(
-    field: Callable[[AnalyticFunction, MeanParams, np.ndarray], np.ndarray],
-    mass_shift: float,
     f: AnalyticFunction,
     params: MeanParams,
     r: float,
-    kernels: Sequence[Kernel],
+    rows: Sequence[tuple[str, Kernel]],
     spec: QuadratureSpec,
     s_lo: float,
     force_level: int | None,
 ) -> list[IntegralResult]:
     """Integrals of kernel(|z|) * field(z) over the disk (or annulus) of
-    radius r, one per kernel, from one mesh.
+    radius r, one per (field, kernel) row, field "G" or "W", from one mesh.
 
-    The kernels are weight rows over the same nodes, and the mesh grades
-    toward the union of their singular radii.  Each kernel has its own
-    tolerance, error estimate and converged flag; refinement stops once
-    every kernel meets its own, or unconverged once a level lowers none of
-    the estimates still above it.  mass_shift is the field's extra local mass
-    exponent at a zero (0 for G, 2 for W).  Cells near a feature of f on or
-    outside the rim, or near an interior zero where the field is unbounded
-    (kp + mass_shift < 2, so G only), split into tanh-sinh arcs there.
+    The rows are weight rows over the same nodes, fed by g_values, w_values
+    or, with both fields, gw_values.  The mesh grades toward the union of
+    their singular radii, for the most singular field present.  Each row has
+    its own tolerance, error estimate and converged flag; refinement stops
+    once every row meets its own, or unconverged once a level lowers none of
+    the estimates still above it.  Cells near a feature of f on or outside
+    the rim, or near an interior zero where G is unbounded (kp < 2), split
+    into tanh-sinh arcs there.
     """
     r = _check_radius(r)
     if not 0.0 <= s_lo < r:
         raise ValueError(f"inner radius must satisfy 0 <= s_lo < r = {r}, got {s_lo}")
+    if any(name == "W" and k.name not in ("one", "one-minus-abs-sq") for name, k in rows):
+        raise ValueError("disk integrals of W support weights ONE and ONE_MINUS_ABS_SQ")
+    names = {name for name, _ in rows}
+    kernels = [kernel for _, kernel in rows]
+    if len(names) > 1:
+        field, fields = gw_values, [0 if name == "G" else 1 for name, _ in rows]
+    else:
+        field, fields = g_values if "G" in names else w_values, None
+    # the extra local mass exponent at a zero of the most singular field
+    mass_shift = 0.0 if "G" in names else 2.0
     zeros = zeros_in_disk(f, r)
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
     sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
@@ -644,18 +666,34 @@ def _disk_integral(
         theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
         values, err, nodes, cells_conv = _disk_once(
             lambda s, u: field(f, params, s * u), kernels, s_lo, r, sings, end_scales, peaks,
-            spec, level, theta_tol,
+            spec, level, theta_tol, fields,
         )
         nodes_total += nodes
         conv = [
             e <= spec.rel_tol * max(1.0, abs(v)) and c
             for e, v, c in zip(err, values, cells_conv)
         ]
-        # a level that lowers no unconverged kernel's estimate ends refinement
+        # a level that lowers no unconverged row's estimate ends refinement
         if all(conv) or not any(e < e0 for e, e0, c in zip(err, last_err, conv) if not c):
             break
         hint, last_err = [max(1.0, abs(v)) for v in values], err
     return [IntegralResult(v, e, nodes_total, level, c) for v, e, c in zip(values, err, conv)]
+
+
+def disk_integrals(
+    f: AnalyticFunction,
+    params: MeanParams,
+    r: float,
+    g_kernels: Sequence[Kernel],
+    w_weights: Sequence[Kernel],
+    spec: QuadratureSpec,
+    s_lo: float = 0.0,
+) -> list[IntegralResult]:
+    """Integrals of kernel(|z|) * G(z) per G kernel, then of weight(|z|) * W(z)
+    per weight (ONE or ONE_MINUS_ABS_SQ), over the disk |z| < r, or the
+    annulus s_lo < |z| < r when 0 < s_lo < r, from one mesh."""
+    rows = [("G", kernel) for kernel in g_kernels] + [("W", weight) for weight in w_weights]
+    return _disk_integral(f, params, r, rows, spec, s_lo, None)
 
 
 def disk_integral_G(
@@ -669,19 +707,7 @@ def disk_integral_G(
 ) -> IntegralResult:
     """Integral of kernel(|z|) * G(z) over the disk |z| < r, or the annulus
     s_lo < |z| < r when 0 < s_lo < r."""
-    return _disk_integral(g_values, 0.0, f, params, r, (kernel,), spec, s_lo, force_level)[0]
-
-
-def disk_integrals_G(
-    f: AnalyticFunction,
-    params: MeanParams,
-    r: float,
-    kernels: Sequence[Kernel],
-    spec: QuadratureSpec,
-) -> list[IntegralResult]:
-    """Integrals of kernel(|z|) * G(z) over the disk of radius r, one per
-    kernel, all from one mesh."""
-    return _disk_integral(g_values, 0.0, f, params, r, kernels, spec, 0.0, None)
+    return _disk_integral(f, params, r, (("G", kernel),), spec, s_lo, force_level)[0]
 
 
 def disk_integral_W(
@@ -695,9 +721,7 @@ def disk_integral_W(
 ) -> IntegralResult:
     """Integral of weight(|z|) * W(z) over the disk |z| < r, or the annulus
     s_lo < |z| < r when 0 < s_lo < r; weight is ONE or ONE_MINUS_ABS_SQ."""
-    if weight.name not in ("one", "one-minus-abs-sq"):
-        raise ValueError("disk_integral_W supports weights ONE and ONE_MINUS_ABS_SQ")
-    return _disk_integral(w_values, 2.0, f, params, r, (weight,), spec, s_lo, force_level)[0]
+    return _disk_integral(f, params, r, (("W", weight),), spec, s_lo, force_level)[0]
 
 
 # --------------------------------------------------------------------------

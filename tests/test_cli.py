@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +293,14 @@ def test_parser_is_built_once_and_reused(capsys):
         del recs[0]["timestamp"]
     assert recs1 == recs2
     assert out1.splitlines()[1:] == out2.splitlines()[1:]
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m hardylab` works from a source checkout, without installing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hardylab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hardylab")

@@ -9,6 +9,7 @@ from hardylab.fields import (
     MeanParams,
     g_values,
     grad_w_values,
+    gw_values,
     radial_deriv_w_values,
     w_values,
 )
@@ -258,6 +259,12 @@ def reference_val_dval(f, z):
         nv, nd = reference_val_dval(f.num, z)
         dv, dd = reference_val_dval(f.den, z)
         return nv / dv, (nd * dv - nv * dd) / (dv * dv)
+    if isinstance(f, Binomial):
+        # the principal power in polar form, and f' = alpha f / (1 - z)
+        u = 1.0 - z
+        phase = np.arctan2(u.imag, u.real) * -f.alpha
+        val = (np.cos(phase) + 1j * np.sin(phase)) * np.abs(u) ** -f.alpha
+        return val, val / u * f.alpha
     if isinstance(f, Polynomial):
         val = np.zeros_like(z)
         der = np.zeros_like(z)
@@ -390,3 +397,41 @@ def test_fields_match_reference_formulas_bit_for_bit(f):
                     got, want = field(f, params, z0), reference(f, params, z0)
                     assert np.shape(got) == np.shape(want)
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (field, p, q)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Polynomial((0.15j, -0.5 - 0.3j, 1)),
+        BlaschkeProduct((0.5, 0.3j), (1, 2)),
+        Binomial(0.9),
+        Rational(Polynomial((-0.5, 1)), Polynomial((2, 1, 0.5))),
+        ScaledRotation(BlaschkeProduct((0.5,)), 2 - 1j, 0.4),
+    ],
+    ids=lambda f: type(f).__name__,
+)
+def test_fused_field_is_g_and_w_bit_for_bit(f):
+    # G from the reference formula and W from w_values, which evaluates f
+    # alone; with p < 2, G is non-finite exactly at the zeros of f among the
+    # points (0.5 and 0.3i, where f has them) and W is finite
+    z = np.concatenate([reference_points(), [0.3j]])
+    zero = np.abs(reference_val_dval(f, z)[0]) == 0.0
+    assert zero.sum() == {"Polynomial": 2, "BlaschkeProduct": 2, "Rational": 1}.get(
+        type(f).__name__, 0)
+    for p in (0.5, 1.5, 2.0, 3.0):
+        for q in (0.0, 0.5, 1.0, 2.0):
+            params = MeanParams(p, q)
+            gw = gw_values(f, params, z)
+            assert gw.shape == (2,) + z.shape
+            g, w = reference_g(f, params, z), w_values(f, params, z)
+            assert gw[0].tobytes() == g.tobytes(), (p, q)
+            assert gw[1].tobytes() == w.tobytes(), (p, q)
+            assert gw[1].tobytes() == reference_w(f, params, z).tobytes(), (p, q)
+            if p < 2:
+                assert (~np.isfinite(gw[0]) == zero).all(), (p, q)
+            assert np.isfinite(gw[1]).all()
+            for z0 in (np.asarray(z[0]), np.asarray(z[-10]), np.asarray(z[-9])):
+                gw0 = gw_values(f, params, z0)
+                assert gw0.shape == (2,)
+                assert gw0[0].tobytes() == np.asarray(reference_g(f, params, z0)).tobytes()
+                assert gw0[1].tobytes() == np.asarray(w_values(f, params, z0)).tobytes()

@@ -216,25 +216,26 @@ def test_area_limit_rejects_radii_that_do_not_increase(f, radii):
 
 def test_area_limit_integrates_each_annulus_once(monkeypatch):
     # the golden blaschke:0.5 entry; meshing the whole disk again at every
-    # radius of its schedule takes 16,312,320 G points
+    # radius of its schedule takes 16,312,320 G points.  Its disk pieces
+    # evaluate G and W together, so the points are counted there.
     points = 0
-    g_values = quadrature.g_values
+    gw_values = quadrature.gw_values
 
     def counted(f, params, z):
         nonlocal points
         points += z.size
-        return g_values(f, params, z)
+        return gw_values(f, params, z)
 
-    monkeypatch.setattr(quadrature, "g_values", counted)
+    monkeypatch.setattr(quadrature, "gw_values", counted)
     rep = check_area_limit_identity(BlaschkeProduct((0.5,)), MeanParams(1.5, 0), SPEC)
     assert rep.passed and rep.converged
-    assert points < 5_000_000
+    assert 0 < points < 5_000_000
 
 
 def test_area_limit_raises_a_circle_failure_where_the_loop_meets_it(monkeypatch):
     # the circle means of the schedule are one batch; a non-finite node on
     # the third circle still raises after the first two radii's disk pieces
-    w_values, disk_g = quadrature.w_values, identities.disk_integral_G
+    w_values, disks = quadrature.w_values, identities.disk_integrals
     radii, pieces = (0.5, 0.75, 0.875, 0.9375), []
 
     def broken(f, params, z):
@@ -244,7 +245,7 @@ def test_area_limit_raises_a_circle_failure_where_the_loop_meets_it(monkeypatch)
 
     monkeypatch.setattr(quadrature, "w_values", broken)
     monkeypatch.setattr(
-        identities, "disk_integral_G", lambda *a, **k: pieces.append(a[2]) or disk_g(*a, **k)
+        identities, "disk_integrals", lambda *a, **k: pieces.append(a[2]) or disks(*a, **k)
     )
     with pytest.raises(quadrature.QuadratureError, match="non-finite"):
         check_area_limit_identity(Polynomial((1, 1)), MeanParams(2, 0), SPEC, radii)
@@ -404,3 +405,25 @@ def test_finite_checks_share_one_radius_bundle():
         evaluate_radius.cache_clear()
         alone = run_identity_check(tag, f, params, r, SPEC)
         assert body(alone) == body(rep), tag
+
+
+def test_each_disk_mesh_serves_every_integral_at_its_radius(monkeypatch):
+    # the five finite-r checks at one point build one mesh, with G under the
+    # four kernels and W; area-limit builds one mesh per piece of the disk
+    meshes = []
+    disk_integral = quadrature._disk_integral
+
+    def spy(f, params, r, rows, *args):
+        meshes.append([(field, kernel.name) for field, kernel in rows])
+        return disk_integral(f, params, r, rows, *args)
+
+    monkeypatch.setattr(quadrature, "_disk_integral", spy)
+    f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0.0)
+    evaluate_radius.cache_clear()
+    for tag in FINITE_TAGS:
+        run_identity_check(tag, f, params, 0.9, SPEC)
+    assert meshes == [[("G", "one"), ("G", "log-r"), ("G", "log-unit"),
+                       ("G", "one-minus-abs-sq"), ("W", "one")]]
+    meshes.clear()
+    check_area_limit_identity(f, params, SPEC)
+    assert meshes == [[("G", "one-minus-abs-sq"), ("W", "one")]] * 10

@@ -10,6 +10,7 @@ from hardylab.fields import (
     MeanParams,
     g_values,
     grad_w_values,
+    gw_values,
     radial_deriv_w_values,
     w_values,
 )
@@ -47,7 +48,7 @@ from hardylab.quadrature import (
     circle_mean_deriv,
     disk_integral_G,
     disk_integral_W,
-    disk_integrals_G,
+    disk_integrals,
     kernel_log_r_over_abs,
     ring_integral,
     ring_integrals,
@@ -293,7 +294,8 @@ def test_disk_g_log_kernel_closed_form():
 @pytest.mark.parametrize("p", [0.5, 2.0])
 @pytest.mark.parametrize("n", [1, 3])
 def test_disk_integrals_g_every_kernel_closed_form(n, p):
-    # f = z^n at q = 0 has mean r^a with a = np, so G = a^2 |z|^{a-2}
+    # f = z^n at q = 0 has mean r^a with a = np, so G = a^2 |z|^{a-2} and
+    # W = |z|^a; the G rows and the W rows share one mesh
     r, a = 0.8, n * p
     kernels = (
         KERNEL_ONE,
@@ -301,15 +303,18 @@ def test_disk_integrals_g_every_kernel_closed_form(n, p):
         KERNEL_LOG_ONE_OVER_ABS,
         KERNEL_ONE_MINUS_ABS_SQ,
     )
+    weights = (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ)
     closed = (
         TWO_PI * a * r**a,
         TWO_PI * r**a,
         TWO_PI * r**a * (1.0 - a * math.log(r)),
         TWO_PI * (a * r**a - a * a * r ** (a + 2) / (a + 2)),
+        TWO_PI * r ** (a + 2) / (a + 2),
+        TWO_PI * (r ** (a + 2) / (a + 2) - r ** (a + 4) / (a + 4)),
     )
-    results = disk_integrals_G(monomial(n), MeanParams(p, 0), r, kernels, SPEC)
-    assert len(results) == len(kernels)
-    for kernel, res, exact in zip(kernels, results, closed):
+    results = disk_integrals(monomial(n), MeanParams(p, 0), r, kernels, weights, SPEC)
+    assert len(results) == len(kernels) + len(weights)
+    for kernel, res, exact in zip(kernels + weights, results, closed):
         assert res.converged, kernel.name
         assert res.value == pytest.approx(exact, rel=1e-9), kernel.name
 
@@ -516,14 +521,14 @@ def test_halve_mesh_stability():
 def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged, monkeypatch):
     calls = []
 
-    def disk_once(gfun, kernels, lo, hi, sings, end_scales, peaks, spec, level, theta_tol):
+    def disk_once(gfun, kernels, lo, hi, sings, end_scales, peaks, spec, level, theta_tol, fields):
         calls.append(level)
         return [1.0] * len(kernels), list(script[level]), 10, [True] * len(kernels)
 
     monkeypatch.setattr(quadrature, "_disk_once", disk_once)
     kernels = (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ)[:len(converged)]
     results = _disk_integral(
-        g_values, 0.0, monomial(1), MeanParams(2, 0), 0.9, kernels, SPEC, 0.0, None
+        monomial(1), MeanParams(2, 0), 0.9, [("G", k) for k in kernels], SPEC, 0.0, None
     )
     assert calls == list(range(levels + 1))
     assert [res.converged for res in results] == list(converged)
@@ -793,6 +798,31 @@ def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
         assert len(set(nodes.tolist())) == 3
 
 
+@pytest.mark.parametrize("peaks", [(), ((0.5, 0.0),)], ids=["periodic", "featured"])
+def test_rows_of_a_field_stack_match_one_field_runs(peaks):
+    # a row of a G and W stack sums only its own field's nodes: while the
+    # other field's rows never hold a cell back (tolerance inf), a field's
+    # rows give the bits, nodes and stops of a run over that field alone.
+    # With the zero's angle, two of the cells take tanh-sinh arcs and share
+    # field calls with the periodic one.
+    f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0.5)
+    s, weights = periodic_cells([(0.3, 0.42), (0.47, 0.52), (0.65, 0.8)], PERIODIC_KERNELS[:2])
+    tol, free = [1e-9] * 4, [math.inf] * 4
+    stack = np.concatenate([weights, weights], axis=1)
+    for k, field in enumerate((g_values, w_values)):
+        alone = _cells_theta(
+            on_circle(lambda z: field(f, params, z)), s, weights, 32, tol, peaks=peaks)
+        both = _cells_theta(
+            on_circle(lambda z: gw_values(f, params, z)), s, stack, 32,
+            (free + tol) if k else (tol + free), peaks=peaks, fields=[0] * 4 + [1] * 4)
+        rows = slice(4 * k, 4 * k + 4)
+        assert alone[0].tobytes() == both[0][:, rows].tobytes()
+        assert alone[1].tobytes() == both[1][:, rows].tobytes()
+        assert alone[3].tolist() == both[3][:, rows].tolist()
+        assert alone[2].tolist() == both[2].tolist() and alone[4].tolist() == both[4].tolist()
+        assert alone[2].all()
+
+
 def disk_reference(gfun, cells, n0, tol, max_depth):
     """Per-cell driver of one disk level with every cell periodic: a cell
     with a non-finite node is replaced in place by its two halves.  The
@@ -836,9 +866,9 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
 
     batches, summed = [], []
 
-    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks):
-        assert not peaks
-        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks)
+    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields):
+        assert not peaks and fields is None
+        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields)
         batches.append((s_nodes, out[2] == 0))
         return out
 
@@ -848,7 +878,8 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
     monkeypatch.setattr(quadrature, "tree_sum", record_tree_sum)
-    (res,) = _disk_integral(field, 0.0, f, params, r, (KERNEL_ONE,), SPEC, 0.0, 0)
+    monkeypatch.setattr(quadrature, "g_values", field)
+    (res,) = _disk_integral(f, params, r, (("G", KERNEL_ONE),), SPEC, 0.0, 0)
 
     # one batch of the whole level, where only cell `hit` collides, then one
     # batch of its two halves
@@ -873,7 +904,7 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     assert res.nodes == nodes
 
 
-def test_disk_collision_depth_cap():
+def test_disk_collision_depth_cap(monkeypatch):
     f, params = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0)
 
     def field(f, params, z):
@@ -881,23 +912,26 @@ def test_disk_collision_depth_cap():
         g[(np.abs(z) > 0.4) & (np.abs(z) < 0.45)] = np.nan
         return g
 
+    monkeypatch.setattr(quadrature, "g_values", field)
     with pytest.raises(QuadratureError, match="cell subdivision depth cap reached"):
-        _disk_integral(field, 0.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
+        disk_integral_G(f, params, 0.9, KERNEL_ONE, SPEC)
 
 
-def test_disk_field_calls_respect_batch_cap():
+def test_disk_field_calls_respect_batch_cap(monkeypatch):
     # W of (z - 0.5) at p = 0.5 has a cusp on |z| = 0.5, which the periodic
     # rule resolves slowly: the cells there double far beyond BATCH_POINTS
     f, params = Polynomial((-0.5, 1.0)), MeanParams(0.5, 0.0)
     shapes = []
+    unspied = disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC)
 
     def field(f, params, z):
         shapes.append(z.shape)
         return w_values(f, params, z)
 
-    (res,) = _disk_integral(field, 2.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
+    monkeypatch.setattr(quadrature, "w_values", field)
+    res = disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC)
     assert res.converged
-    assert res.value == disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC).value
+    assert res.value == unspied.value
     for shape in shapes:
         # (cells, Kronrod nodes, angles): over the cap only as one cell's own round
         assert len(shape) == 3 and shape[1] == len(KRONROD_X)
@@ -920,7 +954,8 @@ def test_banded_field_calls_respect_batch_cap(monkeypatch):
         calls.append(z.shape)
         return g_values(f, params, z)
 
-    (res,) = _disk_integral(field, 0.0, f, params, 0.9, (KERNEL_ONE,), SPEC, 0.0, None)
+    monkeypatch.setattr(quadrature, "g_values", field)
+    res = disk_integral_G(f, params, 0.9, KERNEL_ONE, SPEC)
     assert res.converged
     assert groups and all(arcs == 1 for _, arcs in groups)
     assert all(len(shape) == 3 for shape in calls)
