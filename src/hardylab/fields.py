@@ -14,6 +14,7 @@ grad(1-|z|^2)^q = -2 q (1-|z|^2)^{q-1} (x, y).
 Array entry points (`*_values`) evaluate on numpy arrays of complex points
 and are what the quadrature nodes call.  Each makes one pass over f: W uses
 `_val`, and the fields that need f' get f and f' together from `_val_dval`.
+`gw_values` returns G and W from one pass, for disk meshes with rows of both.
 Each computes every power of |f| and of 1-|z|^2 once and updates its own
 temporaries in place, keeping the operations of the formulas above in the
 order written.

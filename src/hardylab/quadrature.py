@@ -22,11 +22,12 @@ estimate is the sum over cells of |K21 - G10| plus the angular estimates;
 the first level within rel_tol * max(1, |value|) is the result, else every
 radial cell splits, up to MAX_LEVELS levels or until a level lowers no
 unconverged kernel's estimate.  A stack of kernels shares one mesh as weight
-rows.  Radial cells are graded geometrically toward the origin for log
-kernels, toward the modulus of every zero of f where the integrand is not
-smooth (G scales like |z-z0|^{kp-2} at a zero of order k), and toward the
-rim when the weight (1-|z|^2)^q, or a zero, pole or boundary singularity of
-f, lies just outside.
+rows, of one field or of both G and W, which one gw_values call per batch of
+nodes evaluates together.  Radial cells are graded geometrically toward the
+origin for log kernels, toward the modulus of every zero of f where the
+integrand is not smooth (G scales like |z-z0|^{kp-2} at a zero of order k),
+and toward the rim when the weight (1-|z|^2)^q, or a zero, pole or boundary
+singularity of f, lies just outside.
 """
 
 from __future__ import annotations
@@ -167,11 +168,10 @@ def _cells_theta(
     fields: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Values of many cells: values[c, k] is sum_i weights[c, k, i] *
-    (integral over theta of integrand(s_nodes[c, i], u), u = e^{i theta}).
-
-    With `fields`, the integrand returns a stack of fields and row k sums
-    field fields[k] alone (zero weights on the others would not do: a zero
-    term in kahan_rows can apply a pending carry).
+    (integral over theta of integrand(s_nodes[c, i], u), u = e^{i theta}),
+    or of its field fields[k] when it returns a stack of fields (row k never
+    sums the other fields under zero weights: a zero term in kahan_rows can
+    apply a pending carry).
 
     A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes
     tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T]; the others
@@ -532,10 +532,9 @@ def _disk_once(
     fields: Sequence[int] | None,
 ) -> tuple[list[float], list[float], int, list[bool]]:
     """One disk level: (values, error estimates, nodes, cells converged) per
-    kernel, kernel k weighing field fields[k] of gfun (see _cells_theta).
-    Each radial cell carries the Kronrod nodes; its Gauss weights are extra
-    kernel rows, so a kernel's error is the sum over cells of
-    |Kronrod - Gauss| plus the angular changes of its Kronrod row."""
+    kernel, kernel k on field fields[k] of gfun.  Each radial cell carries the
+    Kronrod nodes; its Gauss weights are extra rows, so a kernel's error is
+    the sum over cells of |Kronrod - Gauss| plus its Kronrod row's changes."""
     kron_x, kron_w, gauss_w = _kronrod_rule(N_GAUSS)
     n0 = N_THETA_INIT << min(level, 3)
     n_k = len(kernels)
