@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the field layer: ns per point of W, G+W (G and W in one call) and
-dW/dr for each function family, at a tiny (64) and a large (16,384) batch.
+"""Time the field layer: ns per point of W, G+W and W+dW/dr (two fields in
+one call) for each function family, at a tiny (64) and a large (16,384) batch.
 
 Each family is one representative function (below), evaluated at p = 1.5,
 q = 1, so both the |f|^(p-2) factor and the weight terms run.  The points
@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from hardylab.fields import MeanParams, gw_values, radial_deriv_w_values, w_values
+from hardylab.fields import MeanParams, gw_values, w_values, wd_values
 from hardylab.parsing import parse_function
 
 FAMILIES = {
@@ -27,7 +27,7 @@ FAMILIES = {
     "binom": "binom:0.9",
     "rat": "rat:1,1|1.001,-1",
 }
-FIELDS = {"W": w_values, "G+W": gw_values, "dW/dr": radial_deriv_w_values}
+FIELDS = {"W": w_values, "G+W": gw_values, "W+dW/dr": wd_values}
 SIZES = (64, 16_384)
 POINTS_PER_TIMING = 2**18
 PARAMS = MeanParams(1.5, 1.0)
@@ -62,12 +62,12 @@ def main() -> int:
     print(f"# ns per point, best of {args.repeats}; p = {PARAMS.p}, q = {PARAMS.q}")
     for family, text in FAMILIES.items():
         print(f"# {family} = {text}")
-    print(f"{'family':<9} {'field':<6}" + "".join(f"{f'n={n}':>10}" for n in SIZES))
+    print(f"{'family':<9} {'field':<8}" + "".join(f"{f'n={n}':>10}" for n in SIZES))
     for family, text in FAMILIES.items():
         f = parse_function(text)
         for name, field in FIELDS.items():
             cells = [ns_per_point(field, f, points[n], args.repeats) for n in SIZES]
-            print(f"{family:<9} {name:<6}" + "".join(f"{c:>10.1f}" for c in cells))
+            print(f"{family:<9} {name:<8}" + "".join(f"{c:>10.1f}" for c in cells))
     return 0
 
 

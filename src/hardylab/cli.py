@@ -160,17 +160,11 @@ def _execute(args: argparse.Namespace) -> SuiteReport:
     params = _mean_params(args)
     report = _new_report(args, args.command)
 
-    if args.command == "mean":
+    if args.command in ("mean", "deriv"):
         r = _radius(args)
+        integral = circle_mean if args.command == "mean" else circle_mean_deriv
         report.entries.append(
-            MeanEntry("mean", args.fn, params.p, params.q, r, circle_mean(f, params, r, spec))
-        )
-    elif args.command == "deriv":
-        r = _radius(args)
-        report.entries.append(
-            MeanEntry(
-                "deriv", args.fn, params.p, params.q, r, circle_mean_deriv(f, params, r, spec)
-            )
+            MeanEntry(args.command, args.fn, params.p, params.q, r, integral(f, params, r, spec))
         )
     elif args.command == "identity":
         tags = [t.strip() for t in args.check.split(",") if t.strip()]

@@ -14,7 +14,10 @@ grad(1-|z|^2)^q = -2 q (1-|z|^2)^{q-1} (x, y).
 Array entry points (`*_values`) evaluate on numpy arrays of complex points
 and are what the quadrature nodes call.  Each makes one pass over f: W uses
 `_val`, and the fields that need f' get f and f' together from `_val_dval`.
-`gw_values` returns G and W from one pass, for disk meshes with rows of both.
+`gw_values` returns G and W from one pass, for disk meshes with rows of both,
+and `wd_values` W and dW/dr, for circles with rows of both; they hold the
+only copies of the G and dW/dr formulas (`g_values` and
+`radial_deriv_w_values` are their rows).
 Each computes every power of |f| and of 1-|z|^2 once and updates its own
 temporaries in place, keeping the operations of the formulas above in the
 order written.
@@ -159,10 +162,9 @@ def g_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     return gw_values(f, params, z)[0]
 
 
-def radial_deriv_w_values(
-    f: AnalyticFunction, params: MeanParams, z: np.ndarray
-) -> np.ndarray:
-    """dW/dr at z = r e^{i theta}, requires z != 0."""
+def wd_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
+    """W and dW/dr at z = r e^{i theta} != 0 from one evaluation of f and f':
+    out[0] is W, bit for bit `w_values`, and out[1] is dW/dr."""
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
     fv, dv = f._val_dval(z)
@@ -174,16 +176,27 @@ def radial_deriv_w_values(
         cross *= dv
         cross *= np.conj(fv)
         del fv, dv
-        radial = np.power(m, p - 2.0)
+        # allocated past the peak, once f and f' are dropped
+        out = np.empty((2,) + z.shape)
+        w, radial = out[0, ...], out[1, ...]
+        np.power(m, p - 2.0, out=radial)
         radial *= p
         radial *= cross.real
         del cross
+        np.power(m, p, out=w)
+        del m
         if q != 0.0:
             rho = 1.0 - s * s
-            radial *= rho**q
-            t = np.power(m, p)
-            t *= -2.0 * q
+            rq = rho**q
+            radial *= rq
+            t = w * (-2.0 * q)
             t *= s
             t *= rho ** (q - 1.0)
             radial += t
-    return radial
+            w *= rq
+    return out
+
+
+def radial_deriv_w_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
+    """dW/dr at z = r e^{i theta} != 0: the dW/dr row of `wd_values`."""
+    return wd_values(f, params, z)[1]

@@ -13,11 +13,11 @@ are the annulus integrals themselves.
 
 The five finite-r checks at one (f, p, q, r) share one memoised bundle,
 `evaluate_radius`: one usable radius, the circle mean of W and its
-derivative, and the area integrals of G under the four radial kernels and
-of W, all from one disk mesh.  Each checker is algebra over that bundle.
-The circle side and the disk side of the bundle stay independent routes, so
-sharing them does not make the two sides of an identity agree by
-construction.
+derivative from one circle of W and dW/dr rows, and the area integrals of
+G under the four radial kernels and of W, all from one disk mesh.  Each
+checker is algebra over that bundle.  The circle side and the disk side of
+the bundle stay independent routes, so sharing them does not make the two
+sides of an identity agree by construction.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from .quadrature import (
     TWO_PI,
     QuadratureSpec,
     circle_integrals,
-    circle_mean,
-    circle_mean_deriv,
     disk_integrals,
     kernel_log_r_over_abs,
     ring_integrals,
@@ -165,25 +163,17 @@ class RadiusBundle:
 def evaluate_radius(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> RadiusBundle:
-    """Integrals of the finite-r checks at (f, params, r), from one disk mesh.
+    """Integrals of the finite-r checks at (f, params, r), from one disk mesh
+    and one circle.
 
     Memoised, so the checks at one point share a single evaluation."""
     r = usable_radius(f, r, params.p)
     kernels = (KERNEL_ONE, kernel_log_r_over_abs(r), KERNEL_LOG_ONE_OVER_ABS,
                KERNEL_ONE_MINUS_ABS_SQ)
-    g_one, g_log_r, g_log_unit, g_one_minus_abs_sq, w_one = disk_integrals(
-        f, params, r, kernels, (KERNEL_ONE,), spec
-    )
-    return RadiusBundle(
-        r=r,
-        mean=circle_mean(f, params, r, spec),
-        deriv=circle_mean_deriv(f, params, r, spec),
-        g_one=g_one,
-        g_log_r=g_log_r,
-        g_log_unit=g_log_unit,
-        g_one_minus_abs_sq=g_one_minus_abs_sq,
-        w_one=w_one,
-    )
+    disk = disk_integrals(f, params, r, kernels, (KERNEL_ONE,), spec)
+    circle = next(circle_integrals(f, params, (r,), spec, ("W", "dW/dr")))
+    # the fields in row order: the circle's W and dW/dr, then the disk's rows
+    return RadiusBundle(r, *circle, *disk)
 
 
 def check_growth_identity(
@@ -367,7 +357,7 @@ def check_area_limit_identity(
     area = area_err = 0.0
     converged = True
     # a circle's error is raised after the disk pieces of the earlier radii
-    for lo, r, cm in zip([0.0, *used], used, circle_integrals(f, params, used, spec)):
+    for lo, r, (cm,) in zip([0.0, *used], used, circle_integrals(f, params, used, spec)):
         g, w = disk_integrals(f, params, r, (KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,), spec, lo)
         area += g.value + 4.0 * w.value
         area_err += g.error_estimate + 4.0 * w.error_estimate

@@ -13,8 +13,10 @@ feature; rings: none) splits the circle at the features' angles into arcs
 mapped by tanh-sinh, which converges double-exponentially where the periodic
 rule would need O(s/dist) nodes.  The cells of a batch refine in the same
 rounds, sharing field calls, and stop one by one with the bits of lone runs.
-Node contributions are combined by compensated summation and cells by a
-fixed binary tree, so results are bit-identical between runs.
+A circle's weight rows read W, dW/dr or both, one wd_values stack, so a
+profile's means and derivatives share one batch.  Node contributions are
+combined by compensated summation and cells by a fixed binary tree, so
+results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
@@ -40,19 +42,19 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .accum import kahan_rows, tree_sum
-from .fields import MeanParams, g_values, grad_w_values, gw_values, radial_deriv_w_values, w_values
+from .fields import (
+    MeanParams, g_values, grad_w_values, gw_values, radial_deriv_w_values, w_values, wd_values,
+)
 from .functions import AnalyticFunction, Zero, _unit_disk_zeros, feature_moduli, zeros_in_disk
 
 TWO_PI = 2.0 * math.pi
 
 # fixed mesh policy: initial angular steps and doubling cap (per arc), uniform
-# radial cells, Gauss nodes embedded in each radial cell's Kronrod rule, disk
-# refinement levels, and the depth cap of geometric radial grading and cell
-# splitting
+# radial cells, disk refinement levels, and the depth cap of geometric radial
+# grading and cell splitting
 N_THETA_INIT = 32
 N_THETA_MAX = 1 << 20
 N_RADIAL_BASE = 8
-N_GAUSS = 10
 MAX_LEVELS = 5
 MAX_GRADE_DEPTH = 40
 # tanh-sinh arcs: t in [-ARC_T, ARC_T], where the end weights are below 1e-35,
@@ -346,20 +348,24 @@ def circle_integrals(
     params: MeanParams,
     radii: Sequence[float],
     spec: QuadratureSpec,
-    deriv: bool = False,
-) -> Iterator[IntegralResult]:
-    """circle_mean (circle_mean_deriv with deriv) at each radius of a schedule,
-    yielded in schedule order; a radius that fails raises its error when the
-    iteration reaches it.
+    rows: Sequence[str] = ("W",),
+) -> Iterator[tuple[IntegralResult, ...]]:
+    """Circle means of the rows' fields, "W" (circle_mean) or "dW/dr"
+    (circle_mean_deriv), at each radius of a schedule: one IntegralResult per
+    row, yielded in schedule order; a radius that fails raises its error when
+    the iteration reaches it.
 
     The circles are one batch; those within 0.2 |w| of a feature w of f
-    split at the features' angles into tanh-sinh arcs."""
-    field = radial_deriv_w_values if deriv else w_values
+    split at the features' angles into tanh-sinh arcs.  W alone is w_values,
+    dW/dr alone its row of wd_values, and both rows one wd_values stack, so a
+    circle refines until every row meets its tolerance."""
+    index = [("W", "dW/dr").index(row) for row in rows]  # the rows of wd_values
+    field = {(0,): w_values, (1,): radial_deriv_w_values}.get(tuple(index), wd_values)
     radii, error = list(radii), None
     for k, r in enumerate(radii):
         try:
             radii[k] = r = _check_radius(r)
-            if deriv and params.p < 1.0:
+            if 1 in index and params.p < 1.0:
                 for zero in _unit_disk_zeros(f):
                     if abs(abs(zero.location) - r) < 1e-6:
                         raise RadiusNearZeroError(
@@ -372,12 +378,14 @@ def circle_integrals(
     tol = 0.5 * spec.rel_tol
     batch = _cells_theta(
         lambda s, u: field(f, params, s * u), np.array(radii).reshape(-1, 1),
-        np.ones((len(radii), 1, 1)), N_THETA_INIT, [tol], tol, feature_moduli(f) if radii else (),
+        np.ones((len(radii), len(index), 1)), N_THETA_INIT, [tol] * len(index), tol,
+        feature_moduli(f) if radii else (), index if len(index) > 1 else None,
     )
-    for (total,), (delta,), nodes, (conv,), doublings in zip(*(a.tolist() for a in batch)):
+    for totals, deltas, nodes, convs, doublings in zip(*(a.tolist() for a in batch)):
         if not nodes:
             raise QuadratureError("non-finite integrand value on circle")
-        yield IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+        yield tuple(IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
+                    for total, delta, conv in zip(totals, deltas, convs))
     if error is not None:
         raise error
 
@@ -386,69 +394,41 @@ def circle_mean(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """(1/2pi) * integral of W(r e^{i theta}) d theta."""
-    return next(circle_integrals(f, params, (r,), spec))
+    return next(circle_integrals(f, params, (r,), spec))[0]
 
 
 def circle_mean_deriv(
     f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """d/dr of the circle mean, by differentiating under the integral."""
-    return next(circle_integrals(f, params, (r,), spec, deriv=True))
+    return next(circle_integrals(f, params, (r,), spec, ("dW/dr",)))[0]
 
 
 # --------------------------------------------------------------------------
 # radial meshes
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Kronrod rule of 2n + 1 nodes on [-1, 1] that embeds Gauss-Legendre
-    of n nodes: (nodes, Kronrod weights, Gauss weights on the same nodes, 0 at
-    the Kronrod-only ones).
-
-    Laurie's algorithm (Math. Comp. 66, 1997) extends the Legendre recurrence
-    a_k = 0, b_k = k^2 / (4k^2 - 1) to the Jacobi-Kronrod matrix, whose
-    eigenvalues are the nodes and whose eigenvectors give the weights, as in
-    Golub-Welsch.  The n Gauss nodes interlace with the n + 1 others, so they
-    sit at the odd indices.  Computed on first use: importing the package
-    makes no LAPACK call.
-    """
-    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
-    k = np.arange(1, (3 * n + 1) // 2 + 1)
-    b[0], b[k] = 2.0, k * k / (4.0 * k * k - 1.0)
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        el = m - k
-        s[k + 1] = np.cumsum(
-            (a[k + n + 1] - a[el]) * t[k + 1] + b[k + n + 1] * s[k] - b[el] * s[k + 1]
-        )
-        s, t = t, s
-    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        el = m - k
-        j = n - 1 - el
-        s[j + 1] = np.cumsum(
-            -(a[k + n + 1] - a[el]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[el] * s[j + 2]
-        )
-        j, k = j[-1], (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    off = np.sqrt(b[1:])
-    x, vec = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    w = b[0] * vec[0] ** 2
-    # the rule is symmetric; averaging the mirror images removes eigh's
-    # rounding asymmetry
-    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    w_gauss = np.zeros_like(w)
-    w_gauss[1::2] = np.polynomial.legendre.leggauss(n)[1]
-    return x, w, w_gauss
+# the 21-node Gauss-Kronrod rule on [-1, 1] that embeds 10-node Gauss-Legendre,
+# from Laurie's algorithm (Math. Comp. 66, 1997): per node x >= 0, its Kronrod
+# weight and its Gauss weight (0 at the Kronrod-only nodes).  The Gauss nodes
+# interlace with the others, so they sit at the odd indices of the mirrored
+# rule (nodes, Kronrod weights, Gauss weights on the same nodes).
+_KRONROD_HALF = np.array([
+    (0.0, 0.14944555400291754, 0.0),
+    (0.14887433898163122, 0.14773910490133768, 0.2955242247147528),
+    (0.2943928627014604, 0.14277593857705984, 0.0),
+    (0.4333953941292473, 0.13470921731147412, 0.2692667193099965),
+    (0.5627571346686044, 0.12349197626206553, 0.0),
+    (0.6794095682990242, 0.10938715880229785, 0.219086362515982),
+    (0.7808177265864169, 0.09312545458369725, 0.0),
+    (0.8650633666889842, 0.07503967481091967, 0.1494513491505804),
+    (0.9301574913557082, 0.05475589657435174, 0.0),
+    (0.9739065285171717, 0.03255816230796481, 0.06667134430868814),
+    (0.995657163025808, 0.011694638867372105, 0.0),
+]).T
+KRONROD_RULE = tuple(
+    np.concatenate([sign * col[:0:-1], col]) for sign, col in zip((-1.0, 1.0, 1.0), _KRONROD_HALF)
+)
 
 
 def _grade_policy(mass_exp: float, tol: float, log_bump: bool) -> tuple[float, int]:
@@ -535,7 +515,7 @@ def _disk_once(
     kernel, kernel k on field fields[k] of gfun.  Each radial cell carries the
     Kronrod nodes; its Gauss weights are extra rows, so a kernel's error is
     the sum over cells of |Kronrod - Gauss| plus its Kronrod row's changes."""
-    kron_x, kron_w, gauss_w = _kronrod_rule(N_GAUSS)
+    kron_x, kron_w, gauss_w = KRONROD_RULE
     n0 = N_THETA_INIT << min(level, 3)
     n_k = len(kernels)
     row_tol = list(theta_tol_cell) * 2

@@ -1,6 +1,10 @@
 import pytest
 
+from hardylab import quadrature
 from hardylab.asymptotics import (
+    DEFAULT_GEOMETRIC_GRID,
+    DEFAULT_MONOTONICITY_GRID,
+    DEFAULT_SCAN_SCHEDULE,
     MembershipRequiredError,
     VERDICT_CONSISTENT,
     logconvexity_check,
@@ -8,9 +12,11 @@ from hardylab.asymptotics import (
     monotonicity_check,
     rate_probe,
 )
-from hardylab.fields import MeanParams
+from hardylab.fields import MeanParams, w_values
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial
 from hardylab.quadrature import QuadratureSpec
+
+from test_quadrature import wiggle_on_circle
 
 SPEC = QuadratureSpec()
 
@@ -94,6 +100,14 @@ def test_monotonicity_needs_enough_radii():
         monotonicity_check(monomial(1), 2.0, SPEC, radii=(0.1, 0.5, 0.9))
 
 
+def test_monotonicity_fails_on_an_unconverged_mean(monkeypatch):
+    grid = DEFAULT_MONOTONICITY_GRID
+    monkeypatch.setattr(quadrature, "w_values", wiggle_on_circle(w_values, grid[10]))
+    res = monotonicity_check(monomial(3), 1.0, SPEC)
+    assert not res.passed
+    assert res.radii == grid[:10] and len(res.values) == 10
+
+
 # ------------------------------------------------------------ log-convexity
 
 def test_logconvexity_monomial_affine():
@@ -113,12 +127,30 @@ def test_logconvexity_blaschke_small_p():
     assert res.passed
 
 
+def test_logconvexity_fails_on_an_unconverged_mean(monkeypatch):
+    # at grid[12] the mean (about 0.15) is far above the absolute tolerance,
+    # which a wiggle on a small mean meets once its 1/n error is small enough
+    grid = DEFAULT_GEOMETRIC_GRID
+    monkeypatch.setattr(quadrature, "w_values", wiggle_on_circle(w_values, grid[12]))
+    res = logconvexity_check(monomial(2), 2.0, SPEC)
+    assert not res.passed
+    assert res.radii == grid[:12] and len(res.values) == 12
+
+
 # ----------------------------------------------------------- membership scan
 
 def test_scan_monomial_bounded():
     res = membership_scan(monomial(3), MeanParams(2, 0), SPEC)
     assert res.classification == "bounded"
     assert res.sup_estimate == pytest.approx(1.0, abs=5e-3)
+
+
+def test_scan_is_inconclusive_on_an_unconverged_mean(monkeypatch):
+    schedule = DEFAULT_SCAN_SCHEDULE
+    monkeypatch.setattr(quadrature, "w_values", wiggle_on_circle(w_values, schedule[8]))
+    res = membership_scan(monomial(3), MeanParams(2, 0), SPEC)
+    assert res.classification == "inconclusive"
+    assert res.radii == schedule[:8] and len(res.values) == 8
 
 
 def test_scan_binomial_diverging():

@@ -12,7 +12,9 @@ from hardylab.fields import (
     gw_values,
     radial_deriv_w_values,
     w_values,
+    wd_values,
 )
+from hardylab.fields import _QUIET
 from hardylab.functions import (
     Binomial,
     BlaschkeProduct,
@@ -435,3 +437,67 @@ def test_fused_field_is_g_and_w_bit_for_bit(f):
                 assert gw0.shape == (2,)
                 assert gw0[0].tobytes() == np.asarray(reference_g(f, params, z0)).tobytes()
                 assert gw0[1].tobytes() == np.asarray(w_values(f, params, z0)).tobytes()
+
+
+def standalone_radial_deriv_w(f, params, z):
+    """dW/dr as its own kernel computed it before W and dW/dr were fused."""
+    z = np.asarray(z, dtype=complex)
+    p, q = params.p, params.q
+    fv, dv = f._val_dval(z)
+    m = np.abs(fv)
+    s = np.abs(z)
+    with np.errstate(**_QUIET):
+        cross = z / s
+        cross *= dv
+        cross *= np.conj(fv)
+        radial = np.power(m, p - 2.0)
+        radial *= p
+        radial *= cross.real
+        if q != 0.0:
+            rho = 1.0 - s * s
+            radial *= rho**q
+            t = np.power(m, p)
+            t *= -2.0 * q
+            t *= s
+            t *= rho ** (q - 1.0)
+            radial += t
+    return radial
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Polynomial((0.15j, -0.5 - 0.3j, 1)),
+        BlaschkeProduct((0.5, 0.3j), (1, 2)),
+        Binomial(0.9),
+        Rational(Polynomial((-0.5, 1)), Polynomial((2, 1, 0.5))),
+        ScaledRotation(BlaschkeProduct((0.5,)), 2 - 1j, 0.4),
+    ],
+    ids=lambda f: type(f).__name__,
+)
+def test_fused_field_is_w_and_radial_deriv_bit_for_bit(f):
+    # W from w_values and dW/dr from the standalone formula and the
+    # reference; with p < 2, dW/dr is non-finite exactly at the zeros of f
+    # among the points (0.5 and 0.3i, where f has them), and for every p at
+    # z = 0, where the direction z/|z| is undefined
+    z = np.concatenate([reference_points(), [0.3j]])
+    zero = np.abs(reference_val_dval(f, z)[0]) == 0.0
+    origin = z == 0.0
+    for p in (0.5, 1.5, 2.0, 3.0):
+        for q in (0.0, 0.5, 1.0, 2.0):
+            params = MeanParams(p, q)
+            wd = wd_values(f, params, z)
+            assert wd.shape == (2,) + z.shape
+            d = standalone_radial_deriv_w(f, params, z)
+            assert wd[0].tobytes() == w_values(f, params, z).tobytes(), (p, q)
+            assert wd[1].tobytes() == d.tobytes(), (p, q)
+            assert wd[1].tobytes() == reference_radial_deriv_w(f, params, z).tobytes(), (p, q)
+            assert radial_deriv_w_values(f, params, z).tobytes() == d.tobytes(), (p, q)
+            assert (~np.isfinite(wd[1]) == (origin | (zero if p < 2 else False))).all(), (p, q)
+            assert np.isfinite(wd[0]).all()
+            for z0 in (np.asarray(z[0]), np.asarray(z[-10]), np.asarray(z[-9])):
+                wd0 = wd_values(f, params, z0)
+                assert wd0.shape == (2,)
+                assert wd0[0].tobytes() == np.asarray(w_values(f, params, z0)).tobytes()
+                assert wd0[1].tobytes() == np.asarray(standalone_radial_deriv_w(
+                    f, params, z0)).tobytes()

@@ -427,3 +427,21 @@ def test_each_disk_mesh_serves_every_integral_at_its_radius(monkeypatch):
     meshes.clear()
     check_area_limit_identity(f, params, SPEC)
     assert meshes == [[("G", "one-minus-abs-sq"), ("W", "one")]] * 10
+
+
+def test_a_finite_check_makes_one_circle_batch(monkeypatch):
+    # the bundle's mean and derivative are the two rows of one circle
+    circles = []
+    cells_theta = quadrature._cells_theta
+
+    def spy(integrand, s_nodes, weights, *args):
+        if s_nodes.shape[1] == 1:  # one radial node per cell: a circle batch
+            circles.append(weights.shape[:2])
+        return cells_theta(integrand, s_nodes, weights, *args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", spy)
+    evaluate_radius.cache_clear()
+    rep = check_growth_identity(BlaschkeProduct((0.5,)), MeanParams(1.5, 0.5), 0.9, SPEC)
+    evaluate_radius.cache_clear()
+    assert rep.passed
+    assert circles == [(1, 2)]

@@ -13,6 +13,7 @@ from hardylab.fields import (
     gw_values,
     radial_deriv_w_values,
     w_values,
+    wd_values,
 )
 from hardylab.functions import (
     Binomial,
@@ -29,7 +30,6 @@ from hardylab.quadrature import (
     ARC_T,
     _cells_theta,
     _disk_integral,
-    _kronrod_rule,
     _radial_partition,
     _zero_singularities,
     BATCH_POINTS,
@@ -37,7 +37,7 @@ from hardylab.quadrature import (
     KERNEL_LOG_ONE_OVER_ABS,
     KERNEL_ONE,
     KERNEL_ONE_MINUS_ABS_SQ,
-    N_GAUSS,
+    KRONROD_RULE,
     N_THETA_INIT,
     N_THETA_MAX,
     QuadratureError,
@@ -60,7 +60,9 @@ TWO_PI = 2 * math.pi
 
 class _CellCollision(Exception):
     """A reference rule met a non-finite node."""
-KRONROD_X, KRONROD_W, KRONROD_GAUSS_W = _kronrod_rule(N_GAUSS)
+# the disk's radial rule: 21 Kronrod nodes that embed 10 Gauss-Legendre ones
+N_GAUSS = 10
+KRONROD_X, KRONROD_W, KRONROD_GAUSS_W = KRONROD_RULE
 
 
 def monomial(n):
@@ -83,6 +85,10 @@ def test_kronrod_rule_embeds_gauss():
     assert np.max(np.abs(KRONROD_X[1::2] - gx)) <= 1e-15
     assert KRONROD_GAUSS_W[1::2].tolist() == gw.tolist()
     assert not KRONROD_GAUSS_W[0::2].any()
+    # the rule is its non-negative half mirrored, bit for bit
+    assert (-KRONROD_X[::-1]).tolist() == KRONROD_X.tolist() and KRONROD_X[N_GAUSS] == 0.0
+    for weights in (KRONROD_W, KRONROD_GAUSS_W):
+        assert weights[::-1].tolist() == weights.tolist()
 
 
 def test_kronrod_weights_positive_and_exact_to_degree_31():
@@ -92,6 +98,9 @@ def test_kronrod_weights_positive_and_exact_to_degree_31():
         exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
         assert abs(np.dot(KRONROD_W, KRONROD_X**d) - exact) <= 1e-14, d
     # the Gauss rule embedded on the same nodes is exact to degree 19 only
+    for d in range(20):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert abs(np.dot(KRONROD_GAUSS_W, KRONROD_X**d) - exact) <= 1e-14, d
     assert abs(np.dot(KRONROD_GAUSS_W, KRONROD_X**20) - 2.0 / 21) > 1e-6
 
 
@@ -1142,11 +1151,12 @@ def test_circle_schedule_matches_lone_runs(deriv, monkeypatch):
     calls = []
     groups = record_arcs(monkeypatch)
     monkeypatch.setattr(quadrature, field_name, lambda *a: calls.append(1) or field(*a))
-    results = list(circle_integrals(f, params, SCHEDULE, SPEC, deriv=deriv))
+    rows = ("dW/dr",) if deriv else ("W",)
+    results = list(circle_integrals(f, params, SCHEDULE, SPEC, rows))
     batch_calls = len(calls)
     assert groups == [([1], 1)]
     lone = circle_mean_deriv if deriv else circle_mean
-    assert [bits(res) for res in results] == [bits(lone(f, params, r, SPEC)) for r in SCHEDULE]
+    assert [bits(res) for (res,) in results] == [bits(lone(f, params, r, SPEC)) for r in SCHEDULE]
     # the four circles share their field calls
     assert batch_calls < len(calls) - batch_calls
 
@@ -1165,13 +1175,13 @@ def test_mixed_circle_schedule_matches_lone_runs(deriv, monkeypatch):
     monkeypatch.setattr(
         quadrature, field_name, lambda f, p, z: shapes.append(z.shape) or field(f, p, z)
     )
-    results = list(circle_integrals(f, params, radii, SPEC, deriv=deriv))
+    results = list(circle_integrals(f, params, radii, SPEC, ("dW/dr",) if deriv else ("W",)))
     batch_calls = len(shapes)
     assert groups[:2] == [([2], 1), ([1], 2)]
     assert any(len(shape) == 1 for shape in shapes)
     lone = circle_mean_deriv if deriv else circle_mean
-    assert [bits(res) for res in results] == [bits(lone(f, params, r, SPEC)) for r in radii]
-    assert all(res.converged for res in results)
+    assert [bits(res) for (res,) in results] == [bits(lone(f, params, r, SPEC)) for r in radii]
+    assert all(res.converged for (res,) in results)
     assert batch_calls < len(shapes) - batch_calls
 
 
@@ -1200,7 +1210,7 @@ def test_circle_schedule_stops_at_the_first_failing_radius(monkeypatch):
     f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.5)
     monkeypatch.setattr(quadrature, "w_values", nan_on_circles(w_values, (0.7,)))
     results = circle_integrals(f, params, SCHEDULE, SPEC)
-    assert [bits(next(results)) for _ in SCHEDULE[:2]] == [
+    assert [bits(next(results)[0]) for _ in SCHEDULE[:2]] == [
         bits(circle_mean(f, params, r, SPEC)) for r in SCHEDULE[:2]
     ]
     with pytest.raises(QuadratureError, match="non-finite"):
@@ -1214,19 +1224,32 @@ def test_circle_schedule_stops_at_the_first_failing_radius(monkeypatch):
         circle_mean(f, params, 0.7, SPEC)
 
 
+def deriv_row_through(wrap, hits):
+    """wd_values with its dW/dr row passed through wrap (a field wrapper such
+    as wiggle_on_circle), counting its calls in hits."""
+    def out(f, params, z):
+        stack = wd_values(f, params, z)
+        hits.append(1)
+        stack[1] = wrap(lambda *_: stack[1])(f, params, z)
+        return stack
+    return out
+
+
 def test_rate_probe_truncates_before_a_later_failure(monkeypatch):
     f, params = Polynomial((0, 0, 1)), MeanParams(2, 0)
     radii = (0.5, 0.6, 0.7, 0.8, 0.9)
-    deriv = radial_deriv_w_values
-    monkeypatch.setattr(
-        quadrature, "radial_deriv_w_values",
-        nan_on_circles(wiggle_on_circle(deriv, 0.8), (0.9,)),
-    )
+    hits = []
+    monkeypatch.setattr(quadrature, "wd_values", deriv_row_through(
+        lambda deriv: nan_on_circles(wiggle_on_circle(deriv, 0.8), (0.9,)), hits))
     assert rate_probe(f, params, SPEC, radii).radii == (0.5, 0.6, 0.7)
+    assert hits
     # without the unconverged radius the loop reaches the non-finite one
-    monkeypatch.setattr(quadrature, "radial_deriv_w_values", nan_on_circles(deriv, (0.9,)))
+    hits.clear()
+    monkeypatch.setattr(quadrature, "wd_values", deriv_row_through(
+        lambda deriv: nan_on_circles(deriv, (0.9,)), hits))
     with pytest.raises(QuadratureError, match="non-finite"):
         rate_probe(f, params, SPEC, radii)
+    assert hits
 
 
 def test_rate_probe_radius_next_to_a_zero_raises_only_when_reached(monkeypatch):
@@ -1235,10 +1258,11 @@ def test_rate_probe_radius_next_to_a_zero_raises_only_when_reached(monkeypatch):
     radii = (0.3, 0.4, 0.5, 0.8 + 1e-7)
     with pytest.raises(RadiusNearZeroError):
         rate_probe(f, params, SPEC, radii)
-    monkeypatch.setattr(
-        quadrature, "radial_deriv_w_values", wiggle_on_circle(radial_deriv_w_values, 0.5)
-    )
+    hits = []
+    monkeypatch.setattr(quadrature, "wd_values", deriv_row_through(
+        lambda deriv: wiggle_on_circle(deriv, 0.5), hits))
     assert rate_probe(f, params, SPEC, radii).radii == (0.3, 0.4)
+    assert hits
 
 
 def test_ring_schedule_raises_the_first_failing_ring(monkeypatch):
