@@ -58,9 +58,9 @@ class MeanParams:
 # and the inf * 0 they can meet, come back as values, not warnings.  In-place
 # updates use augmented assignment, not `out=`: on 0-d input numpy returns
 # scalars, which `out=` rejects.  Each field also drops its temporaries (`del`)
-# as soon as they are used up: the memory a call holds at once decides how
-# many fresh pages it touches, and on a batch of 2^14 points those page
-# faults cost about as much as the arithmetic.
+# as soon as they are used up, to keep a call's peak memory down; the freed
+# pages stay in the heap for the next call under the allocator policy that
+# `hardylab/__init__.py` sets at import, and whose fault counts it gives.
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
