@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the field layer: ns per point of W, G+W and W+dW/dr (two fields in
+"""Time the field layer: ns per point of W, G+W, W+dW/dr and W+grad (rows of
 one call) for each function family, at a tiny (64) and a large (16,384) batch,
 and the minor page faults per call beside each.
 
@@ -20,12 +20,12 @@ import time
 
 import numpy as np
 
-from hardylab.fields import MeanParams, gw_values, w_values, wd_values
+from hardylab.fields import MeanParams, grad_w_values, gw_values, w_values, wd_values
 from hardylab.parsing import parse_function
 
 FAMILIES = {"poly": "poly:0.3-0.2i,-0.5,0.1+0.4i,0.8,-0.6i,2.1", "blaschke": "blaschke:0.5",
             "binom": "binom:0.9", "rat": "rat:1,1|1.001,-1"}
-FIELDS = {"W": w_values, "G+W": gw_values, "W+dW/dr": wd_values}
+FIELDS = {"W": w_values, "G+W": gw_values, "W+dW/dr": wd_values, "W+grad": grad_w_values}
 SIZES = (64, 16_384)
 POINTS_PER_TIMING = 2**18
 PARAMS = MeanParams(1.5, 1.0)

@@ -243,6 +243,8 @@ def membership_scan(
     means that decrease toward the boundary, where the sup is interior).
     Inconclusive otherwise, and whenever a mean did not converge.
     """
+    if len(radii) < 2:
+        raise ValueError("membership scan needs at least two radii")
     used, (means,), whole = _profile(f, params, radii, spec)
     vals = tuple(m ** (1.0 / params.p) for m in means)
     sups = np.maximum.accumulate(vals or (math.nan,))

@@ -12,12 +12,12 @@ analytic f; the cross and weight terms follow from the product rule with
 grad(1-|z|^2)^q = -2 q (1-|z|^2)^{q-1} (x, y).
 
 Array entry points (`*_values`) evaluate on numpy arrays of complex points
-and are what the quadrature nodes call.  Each makes one pass over f: W uses
-`_val`, and the fields that need f' get f and f' together from `_val_dval`.
-`gw_values` returns G and W from one pass, for disk meshes with rows of both,
-and `wd_values` W and dW/dr, for circles with rows of both; they hold the
-only copies of the G and dW/dr formulas (`g_values` and
-`radial_deriv_w_values` are their rows).
+and are what the quadrature nodes call.  Each makes exactly one `_val_dval`
+call, the one evaluator of f and f', so every W row is the same number.
+Three return stacks: `gw_values` G and W, for disk meshes with rows of both;
+`wd_values` W and dW/dr, for circles with rows of both; `grad_w_values` W
+and the gradient, for the ring flux.  The first two hold the only copies of
+the G and dW/dr formulas (`g_values` and `radial_deriv_w_values` are rows).
 Each computes every power of |f| and of 1-|z|^2 once and updates its own
 temporaries in place, keeping the operations of the formulas above in the
 order written.
@@ -68,7 +68,7 @@ def w_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
     with np.errstate(**_QUIET):
-        w = np.power(np.abs(f._val(z)), p)
+        w = np.power(np.abs(f._val_dval(z)[0]), p)
         if q != 0.0:
             s2 = np.abs(z)
             s2 *= s2
@@ -76,34 +76,39 @@ def w_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarr
     return w
 
 
-def grad_w_values(
-    f: AnalyticFunction, params: MeanParams, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def grad_w_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
+    """W and its gradient at z from one evaluation of f and f': out[0] is W,
+    bit for bit `w_values`, out[1] dW/dx and out[2] dW/dy."""
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
     fv, dv = f._val_dval(z)
     m = np.abs(fv)
+    out = np.empty((3,) + z.shape)
+    w, gx, gy = out[0, ...], out[1, ...], out[2, ...]
     with np.errstate(**_QUIET):
         cross = dv * np.conj(fv)
         del fv, dv
         pm = np.power(m, p - 2.0)
         pm *= p
-        gx = pm * cross.real
-        gy = pm * cross.imag
+        np.multiply(pm, cross.real, out=gx)
+        np.multiply(pm, cross.imag, out=gy)
         gy *= -1.0
+        del pm, cross
+        np.power(m, p, out=w)
+        del m
         if q != 0.0:
             s2 = np.abs(z)
             s2 *= s2
             rho = 1.0 - s2
             wq = rho**q
-            t = np.power(m, p)
-            t *= -2.0 * q
+            t = w * (-2.0 * q)
             t *= rho ** (q - 1.0)
             gx *= wq
             gx += t * z.real
             gy *= wq
             gy += t * z.imag
-    return gx, gy
+            w *= wq
+    return out
 
 
 def gw_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndarray:
@@ -111,8 +116,7 @@ def gw_values(f: AnalyticFunction, params: MeanParams, z: np.ndarray) -> np.ndar
 
     Unbounded G entries (exact zeros with small exponent) come back as
     inf/nan; the quadrature layer treats any non-finite node as a cell
-    collision and subdivides.  W is bit for bit `w_values`: `_val_dval`
-    gives f as `_val` does."""
+    collision and subdivides.  W is bit for bit `w_values`."""
     z = np.asarray(z, dtype=complex)
     p, q = params.p, params.q
     fv, dv = f._val_dval(z)

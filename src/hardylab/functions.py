@@ -2,15 +2,15 @@
 
 Five closed-form families: polynomials, rational functions with poles outside
 the closed disk, finite Blaschke products, the binomial family (1-z)^(-alpha),
-and a scale/rotate wrapper c*f(e^{i phi} z).  Every family evaluates itself
-(`_val`) and, jointly, itself and its first derivative (`_val_dval`) exactly,
-with no numerical differencing.  The joint evaluation shares its work: one
-power for the binomial (f' = alpha f / (1-z)), one product-rule pass for a
-Blaschke product, one Horner pass for a polynomial; its value is
-bit-identical to `_val`.  The binomial power is formed in polar form, from a
-real power of |1-z| and the argument of 1-z, and a simple Blaschke factor
-takes no power at all.  Every family can enumerate its zeros inside
-|z| < r, so the quadrature layer always knows where the integrands degenerate.
+and a scale/rotate wrapper c*f(e^{i phi} z).  Each family has one evaluator,
+`_val_dval`, which gives f and f' together, exactly, with no numerical
+differencing; every field and point evaluation reads its rows.  It shares its
+work: one power for the binomial (f' = alpha f / (1-z)), one product-rule
+pass for a Blaschke product, one Horner pass for a polynomial.  The binomial
+power is formed in polar form, from a real power of |1-z| and the argument of
+1-z, and a simple Blaschke factor takes no power at all.  Every family can
+enumerate its zeros inside |z| < r, so the quadrature layer always knows where
+the integrands degenerate.
 
 All values are immutable after construction.
 """
@@ -75,24 +75,12 @@ def _as_complex_tuple(values) -> tuple[complex, ...]:
     return tuple(complex(v) for v in values)
 
 
-def _poly_val(coeffs: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
-    """Horner evaluation, ascending coefficients.
-
-    The first step makes the accumulator (a numpy scalar for 0-d z) and the
-    later steps update it in place, with the operations of `acc * z + c`.
-    """
-    acc = np.zeros_like(z, dtype=complex) * z + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc *= z
-        acc += c
-    return acc
-
-
 def _poly_val_dval(
     coeffs: tuple[complex, ...], z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint Horner evaluation of the polynomial and its derivative, in
-    place after the first step like `_poly_val`."""
+    """Joint Horner evaluation of the polynomial (ascending coefficients) and
+    its derivative.  The first step makes the accumulators (numpy scalars for
+    0-d z) and the later steps update them in place."""
     val = np.zeros_like(z, dtype=complex)
     der = val * z + val
     val = val * z + coeffs[-1]
@@ -102,12 +90,6 @@ def _poly_val_dval(
         val *= z
         val += c
     return val, der
-
-
-def _poly_deriv_coeffs(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    if len(coeffs) <= 1:
-        return (0j,)
-    return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
 
 
 @dataclass(frozen=True)
@@ -137,9 +119,6 @@ class Polynomial:
             d -= 1
         return d
 
-    def _val(self, z: np.ndarray) -> np.ndarray:
-        return _poly_val(self.coeffs, z)
-
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _poly_val_dval(self.coeffs, z)
 
@@ -157,9 +136,6 @@ class Rational:
             raise FunctionModelError(
                 "rational variant requires min |denominator root| > 1"
             )
-
-    def _val(self, z: np.ndarray) -> np.ndarray:
-        return self.num._val(z) / self.den._val(z)
 
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nv, nd = self.num._val_dval(z)
@@ -191,13 +167,6 @@ class BlaschkeProduct:
         object.__setattr__(self, "multiplicities", mult)
         object.__setattr__(self, "prefactor", pref / abs(pref))
 
-    def _val(self, z: np.ndarray) -> np.ndarray:
-        val = np.full_like(z, self.prefactor)
-        for a, m in zip(self.zeros, self.multiplicities):
-            b = (a - z) / (1.0 - np.conj(a) * z)
-            val = val * (b if m == 1 else b**m)
-        return val
-
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         val = np.full_like(z, self.prefactor)
         der = np.zeros_like(z)
@@ -225,9 +194,6 @@ class Binomial:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0 < self.alpha < math.inf:
             raise FunctionModelError("binomial exponent alpha must be positive and finite")
-
-    def _val(self, z: np.ndarray) -> np.ndarray:
-        return _principal_power(1.0 - z, -self.alpha)
 
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # f' = alpha f / (1 - z): the one power serves both
@@ -280,9 +246,6 @@ class ScaledRotation:
     def phase(self) -> complex:
         return cmath.exp(1j * self.rotation)
 
-    def _val(self, z: np.ndarray) -> np.ndarray:
-        return self.scale * self.inner._val(self.phase * z)
-
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = self.phase
         val, der = self.inner._val_dval(phase * z)
@@ -311,7 +274,7 @@ def _check_domain(f: AnalyticFunction, z: complex) -> None:
 def eval_at(f: AnalyticFunction, z: complex) -> complex:
     """Value of f at a single point of the (closed, variant permitting) disk."""
     _check_domain(f, z)
-    return complex(f._val(np.asarray(complex(z))))
+    return complex(f._val_dval(np.asarray(complex(z)))[0])
 
 
 def deriv_at(f: AnalyticFunction, z: complex) -> complex:
@@ -341,13 +304,11 @@ def _polynomial_roots(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     roots = np.roots(arr)
     if not np.all(np.isfinite(roots)):
         raise RootFindingError("companion-matrix eigenvalue solve did not converge")
-    dcoeffs = _poly_deriv_coeffs(tuple(trimmed))
     polished = []
     for w in roots:
         w = complex(w)
         for _ in range(3):
-            pv = complex(_poly_val(tuple(trimmed), np.asarray(w)))
-            dv = complex(_poly_val(dcoeffs, np.asarray(w)))
+            pv, dv = map(complex, _poly_val_dval(tuple(trimmed), np.asarray(w)))
             if abs(dv) < 1e-3 * scale or pv == 0:
                 break
             step = pv / dv

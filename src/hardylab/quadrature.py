@@ -740,11 +740,10 @@ def ring_integrals(
     def flux(e, u):
         # K dW/dn - W dK/dn at z = z0 + e u, normal u, times d ell / d psi = e
         z = z0 + e * u
-        gx, gy = grad_w_values(f, params, z)
+        w, gx, gy = grad_w_values(f, params, z)
         dwdn = gx * u.real + gy * u.imag
         s = np.abs(z)
         dkdn = kernel.radial_deriv(s) * (np.conj(z) * u).real / s
-        w = w_values(f, params, z)
         return (kernel.radial(s) * dwdn - w * dkdn) * e
 
     values, _, nodes, conv, _ = _cells_theta(

@@ -218,7 +218,7 @@ def _fd_checks(f, params, rng):
         points.append(z)
     z = np.array(points)
     h = 1e-5
-    gx, gy = grad_w_values(f, params, z)
+    _, gx, gy = grad_w_values(f, params, z)
     fx = (w_values(f, params, z + h) - w_values(f, params, z - h)) / (2 * h)
     fy = (w_values(f, params, z + 1j * h) - w_values(f, params, z - 1j * h)) / (2 * h)
     scale = np.maximum(1.0, np.maximum(abs(gx), abs(gy)))

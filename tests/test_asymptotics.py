@@ -153,6 +153,17 @@ def test_scan_is_inconclusive_on_an_unconverged_mean(monkeypatch):
     assert res.radii == schedule[:8] and len(res.values) == 8
 
 
+@pytest.mark.parametrize("radii", [(0.5,), ()])
+def test_scan_needs_two_radii(monkeypatch, radii):
+    # rejected before any integral: a field call would fail the test first
+    def no_field(f, params, z):
+        raise AssertionError("the scan evaluated a field")
+
+    monkeypatch.setattr(quadrature, "w_values", no_field)
+    with pytest.raises(ValueError, match="at least two radii"):
+        membership_scan(monomial(1), MeanParams(2, 0), SPEC, radii)
+
+
 def test_scan_binomial_diverging():
     res = membership_scan(Binomial(2.0), MeanParams(1, 0), SPEC)
     assert res.classification == "diverging"

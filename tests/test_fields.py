@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hardylab import quadrature
 from hardylab.fields import (
     MeanParams,
     g_values,
@@ -70,18 +71,18 @@ def test_w_binomial_weighted():
 # ------------------------------------------------------------ grad_w_values
 
 def test_grad_weight_only():
-    gx, gy = grad_w_values(Polynomial((1,)), MeanParams(2, 1), 0.3)
+    _, gx, gy = grad_w_values(Polynomial((1,)), MeanParams(2, 1), 0.3)
     assert (gx, gy) == (pytest.approx(-0.6), pytest.approx(0.0))
 
 
 def test_grad_abs_square():
-    gx, gy = grad_w_values(Polynomial((0, 1)), MeanParams(2, 0), 0.3 + 0.4j)
+    _, gx, gy = grad_w_values(Polynomial((0, 1)), MeanParams(2, 0), 0.3 + 0.4j)
     assert (gx, gy) == (pytest.approx(0.6), pytest.approx(0.8))
 
 
 def test_grad_matches_fd_binomial():
     f, params, z = Binomial(1), MeanParams(2, 1), 0.4 + 0.2j
-    gx, gy = grad_w_values(f, params, z)
+    _, gx, gy = grad_w_values(f, params, z)
     fx, fy = fd_grad(f, params, z)
     assert abs(gx - fx) <= 1e-6 * max(1, abs(gx))
     assert abs(gy - fy) <= 1e-6 * max(1, abs(gy))
@@ -157,7 +158,7 @@ def test_radial_deriv_is_radial_component_of_gradient(re, im, p, q):
     if nearest_zero(f, z)[0] < 0.05:
         return
     params = MeanParams(p, q)
-    gx, gy = grad_w_values(f, params, z)
+    _, gx, gy = grad_w_values(f, params, z)
     radial = (gx * z.real + gy * z.imag) / abs(z)
     got = radial_deriv_w_values(f, params, z)
     assert abs(got - radial) <= 1e-12 * max(1.0, abs(got))
@@ -186,7 +187,7 @@ def test_gradient_matches_finite_differences(idx, re, im, p, q):
     if nearest_zero(f, z)[0] < 0.05:
         return
     params = MeanParams(p, q)
-    gx, gy = grad_w_values(f, params, z)
+    _, gx, gy = grad_w_values(f, params, z)
     fx, fy = fd_grad(f, params, z)
     scale = max(1.0, abs(gx), abs(gy))
     assert abs(gx - fx) <= 1e-6 * scale
@@ -231,7 +232,7 @@ def test_scaling_covariance(scale_re, scale_im, p):
     assert g_values(f, params, z) == pytest.approx(
         factor * g_values(inner, params, z), rel=1e-12
     )
-    (gx, gy), (gix, giy) = grad_w_values(f, params, z), grad_w_values(inner, params, z)
+    (_, gx, gy), (_, gix, giy) = grad_w_values(f, params, z), grad_w_values(inner, params, z)
     assert gx == pytest.approx(factor * gix, rel=1e-12, abs=1e-14)
     assert gy == pytest.approx(factor * giy, rel=1e-12, abs=1e-14)
     got = radial_deriv_w_values(f, params, z)
@@ -361,8 +362,8 @@ REFERENCE_PAIRS = [
     (w_values, reference_w),
     (g_values, reference_g),
     (radial_deriv_w_values, reference_radial_deriv_w),
-    (lambda f, params, z: np.stack(grad_w_values(f, params, z)),
-     lambda f, params, z: np.stack(reference_grad_w(f, params, z))),
+    (grad_w_values,
+     lambda f, params, z: np.stack((reference_w(f, params, z), *reference_grad_w(f, params, z)))),
 ]
 
 
@@ -417,9 +418,9 @@ def test_fields_match_reference_formulas_bit_for_bit(f):
     ids=lambda f: type(f).__name__,
 )
 def test_fused_field_is_g_and_w_bit_for_bit(f):
-    # G from the reference formula and W from w_values, which evaluates f
-    # alone; with p < 2, G is non-finite exactly at the zeros of f among the
-    # points (0.5 and 0.3i, where f has them) and W is finite
+    # G from the reference formula and W from w_values; with p < 2, G is
+    # non-finite exactly at the zeros of f among the points (0.5 and 0.3i,
+    # where f has them) and W is finite
     z = np.concatenate([reference_points(), [0.3j]])
     zero = np.abs(reference_val_dval(f, z)[0]) == 0.0
     assert zero.sum() == {"Polynomial": 2, "BlaschkeProduct": 2, "Rational": 1}.get(
@@ -505,6 +506,61 @@ def test_fused_field_is_w_and_radial_deriv_bit_for_bit(f):
                 assert wd0[0].tobytes() == np.asarray(w_values(f, params, z0)).tobytes()
                 assert wd0[1].tobytes() == np.asarray(standalone_radial_deriv_w(
                     f, params, z0)).tobytes()
+
+
+# ------------------------------------------------------------ one evaluator
+
+def spy_evaluations(f, monkeypatch):
+    """The list of f's `_val_dval` calls, one entry per call, from a spy set on
+    the function object itself (through its __dict__, as it is frozen)."""
+    calls, evaluate = [], f._val_dval
+
+    def spy(z):
+        calls.append(np.shape(z))
+        return evaluate(z)
+
+    monkeypatch.setitem(f.__dict__, "_val_dval", spy)
+    return calls
+
+
+EVALUATOR_POOL = [
+    Polynomial((0.15j, -0.5 - 0.3j, 1)),
+    Rational(Polynomial((-0.5, 1)), Polynomial((2, 1, 0.5))),
+    BlaschkeProduct((0.5, 0.3j), (1, 2)),
+    Binomial(0.9),
+    ScaledRotation(Binomial(0.9), 2 - 1j, 0.4),
+]
+
+
+@pytest.mark.parametrize("f", EVALUATOR_POOL, ids=lambda f: type(f).__name__)
+def test_every_field_kernel_evaluates_f_once_per_call(f, monkeypatch):
+    calls, z = spy_evaluations(f, monkeypatch), reference_points()[:64]
+    for field in (w_values, grad_w_values, gw_values, wd_values):
+        for points in (z, np.asarray(z[0])):
+            calls.clear()
+            field(f, MeanParams(1.5, 1.0), points)
+            assert calls == [np.shape(points)], field.__name__
+
+
+@pytest.mark.parametrize("f", EVALUATOR_POOL, ids=lambda f: type(f).__name__)
+def test_a_ring_schedule_evaluates_f_once_per_field_call(f, monkeypatch):
+    # every field the quadrature layer holds is counted, so a ring round
+    # that took W from a second field call would show up as two calls
+    field_calls, calls = [], spy_evaluations(f, monkeypatch)
+
+    def counted(field):
+        def out(*args):
+            field_calls.append(field.__name__)
+            return field(*args)
+        return out
+
+    for name in ("w_values", "grad_w_values", "g_values", "gw_values",
+                 "radial_deriv_w_values", "wd_values"):
+        monkeypatch.setattr(quadrature, name, counted(getattr(quadrature, name)))
+    quadrature.ring_integrals(f, MeanParams(1.5, 0.5), 0.2j, (0.1, 0.05),
+                              quadrature.KERNEL_ONE_MINUS_ABS_SQ, 0.9, quadrature.QuadratureSpec())
+    assert field_calls and set(field_calls) == {"grad_w_values"}
+    assert len(calls) == len(field_calls)
 
 
 # ------------------------------------------------------------- page faults

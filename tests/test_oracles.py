@@ -256,7 +256,6 @@ def test_binomial_values_match_mpmath(alpha):
 
     f, z = Binomial(alpha), binomial_points()
     val, der = f._val_dval(z)
-    assert val.tobytes() == f._val(z).tobytes()
     err = relative_errors(zip(val, der), z, 1, 1)
     assert err < 2e-15
 
@@ -266,6 +265,5 @@ def test_binomial_values_match_mpmath(alpha):
     w = g.phase * z
     scale, dscale = mpmath.mpc(g.scale), mpmath.mpc(g.scale) * mpmath.mpc(g.phase)
     val, der = g._val_dval(z)
-    assert val.tobytes() == g._val(z).tobytes()
     err = relative_errors(zip(val, der), w, scale, dscale)
     assert err < 2e-15

@@ -1111,7 +1111,7 @@ def ring_reference(f, params, z0, eps, kernel):
     def flux(psi):
         direction = np.exp(1j * psi)
         z = z0 + eps * direction
-        gx, gy = grad_w_values(f, params, z)
+        _, gx, gy = grad_w_values(f, params, z)
         dwdn = gx * direction.real + gy * direction.imag
         s = np.abs(z)
         dkdn = kernel.radial_deriv(s) * (np.conj(z) * direction).real / s
@@ -1190,8 +1190,6 @@ def nan_on_circles(field, radii, centre=0.0):
     def out(f, params, z):
         vals = field(f, params, z)
         bad = np.isin(np.round(np.abs(z - centre), 12), np.round(radii, 12))
-        if isinstance(vals, tuple):
-            return tuple(np.where(bad, np.nan, v) for v in vals)
         return np.where(bad, np.nan, vals)
     return out
 
