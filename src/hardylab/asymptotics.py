@@ -54,13 +54,16 @@ class RateProbeResult:
     beta_stderr: float
     verdict: str
 
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-
     @property
     def passed(self) -> bool:
         return self.verdict == VERDICT_CONSISTENT
+
+
+def _check_schedule(radii: Sequence[float], least: int, message: str) -> None:
+    """Raise ValueError(message), before any integral, unless the schedule
+    has at least `least` radii and they strictly increase."""
+    if len(radii) < least or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(message)
 
 
 def _profile(
@@ -121,6 +124,7 @@ def rate_probe(
 ) -> RateProbeResult:
     """Sample D(r) = d(mean^p)/dr along the schedule and judge whether
     (1-r) D(r) is consistent with decay."""
+    _check_schedule(radii, 0, "rate probe radii must be strictly increasing")
     if membership_hint(f, params.p, params.q) != MembershipHint.MEMBER:
         raise MembershipRequiredError("rate probe requires membership_hint(f, p, q) = member")
     used_r, (means, d_vals), _ = _profile(f, params, radii, spec, ("W", "dW/dr"))
@@ -174,8 +178,7 @@ def monotonicity_check(
     radii: tuple[float, ...] = DEFAULT_MONOTONICITY_GRID,
 ) -> MonotonicityResult:
     """Unweighted means must be nondecreasing in r (slack 1e-10)."""
-    if len(radii) < 16:
-        raise ValueError("monotonicity grid needs at least 16 radii")
+    _check_schedule(radii, 16, "monotonicity grid needs at least 16 radii, strictly increasing")
     used, (means,), whole = _profile(f, MeanParams(p, 0.0), radii, spec)
     vals = tuple(m ** (1.0 / p) for m in means)
     worst = max([0.0] + [a - b for a, b in zip(vals, vals[1:])])
@@ -197,6 +200,7 @@ def logconvexity_check(
 ) -> LogConvexityResult:
     """log of the unweighted mean must be convex in log r: discrete second
     differences on a geometric grid stay above -1e-8."""
+    _check_schedule(radii, 3, "log-convexity grid needs at least 3 radii, strictly increasing")
     used, (means,), whole = _profile(f, MeanParams(p, 0.0), radii, spec)
     vals = tuple(m ** (1.0 / p) for m in means)
     if min(vals, default=1.0) <= 0.0:
@@ -243,8 +247,7 @@ def membership_scan(
     means that decrease toward the boundary, where the sup is interior).
     Inconclusive otherwise, and whenever a mean did not converge.
     """
-    if len(radii) < 2:
-        raise ValueError("membership scan needs at least two radii")
+    _check_schedule(radii, 2, "membership scan needs at least two radii, strictly increasing")
     used, (means,), whole = _profile(f, params, radii, spec)
     vals = tuple(m ** (1.0 / params.p) for m in means)
     sups = np.maximum.accumulate(vals or (math.nan,))

@@ -8,9 +8,9 @@ differencing; every field and point evaluation reads its rows.  It shares its
 work: one power for the binomial (f' = alpha f / (1-z)), one product-rule
 pass for a Blaschke product, one Horner pass for a polynomial.  The binomial
 power is formed in polar form, from a real power of |1-z| and the argument of
-1-z, and a simple Blaschke factor takes no power at all.  Every family can
-enumerate its zeros inside |z| < r, so the quadrature layer always knows where
-the integrands degenerate.
+1-z.  No factor takes a power: a Blaschke product is its zero list, one
+factor per entry.  Every family can enumerate its zeros inside |z| < r, so the
+quadrature layer always knows where the integrands degenerate.
 
 All values are immutable after construction.
 """
@@ -18,6 +18,7 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -145,42 +146,26 @@ class Rational:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Product of factors (a-z)/(1 - conj(a) z) with |a| < 1, times a unimodular prefactor."""
+    """Product of factors (a-z)/(1 - conj(a) z) with |a| < 1, one per listed
+    zero, so a zero repeated m times has order m."""
 
     zeros: tuple[complex, ...]
-    multiplicities: tuple[int, ...] = ()
-    prefactor: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
         zeros = _as_complex_tuple(self.zeros)
-        mult = tuple(int(m) for m in self.multiplicities) or tuple(1 for _ in zeros)
-        if len(mult) != len(zeros):
-            raise FunctionModelError("multiplicities must match the zero list")
-        if any(m < 1 for m in mult):
-            raise FunctionModelError("multiplicities must be >= 1")
         if not all(abs(a) < 1.0 for a in zeros):
             raise FunctionModelError("blaschke zeros must satisfy |a| < 1")
-        pref = complex(self.prefactor)
-        if not abs(abs(pref) - 1.0) <= 1e-9:
-            raise FunctionModelError("blaschke prefactor must be unimodular")
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "multiplicities", mult)
-        object.__setattr__(self, "prefactor", pref / abs(pref))
 
     def _val_dval(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        val = np.full_like(z, self.prefactor)
+        val = np.ones_like(z)
         der = np.zeros_like(z)
-        for a, m in zip(self.zeros, self.multiplicities):
+        for a in self.zeros:
             den = 1.0 - np.conj(a) * z
             b = (a - z) / den
             db = (abs(a) ** 2 - 1.0) / (den * den)
-            if m == 1:
-                pv, pd = b, db
-            else:
-                pv = b**m
-                pd = m * b ** (m - 1) * db
-            der = der * pv + val * pd
-            val = val * pv
+            der = der * b + val * db
+            val = val * b
         return val, der
 
 
@@ -226,13 +211,16 @@ def _principal_power(u: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScaledRotation:
-    """c * f(e^{i phi} z) for an inner function f."""
+    """c * f(e^{i phi} z) for an inner function f that is not itself a
+    ScaledRotation: the grammar has one `*c@phi` suffix."""
 
     inner: "AnalyticFunction"
     scale: complex = 1.0 + 0j
     rotation: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.inner, ScaledRotation):
+            raise FunctionModelError("a scaled rotation cannot wrap another scaled rotation")
         object.__setattr__(self, "scale", complex(self.scale))
         object.__setattr__(self, "rotation", float(self.rotation))
         if self.scale == 0:
@@ -275,12 +263,6 @@ def eval_at(f: AnalyticFunction, z: complex) -> complex:
     """Value of f at a single point of the (closed, variant permitting) disk."""
     _check_domain(f, z)
     return complex(f._val_dval(np.asarray(complex(z)))[0])
-
-
-def deriv_at(f: AnalyticFunction, z: complex) -> complex:
-    """f'(z) from the closed-form derivative of the variant."""
-    _check_domain(f, z)
-    return complex(f._val_dval(np.asarray(complex(z)))[1])
 
 
 # --------------------------------------------------------------------------
@@ -352,12 +334,9 @@ def _unit_disk_zeros(f: AnalyticFunction) -> tuple[Zero, ...]:
         allz = _cluster_roots(_polynomial_roots(f.num.coeffs))
         return tuple(z for z in allz if abs(z.location) < 1.0)
     if isinstance(f, BlaschkeProduct):
-        merged: dict[complex, int] = {}
-        for a, m in zip(f.zeros, f.multiplicities):
-            merged[a] = merged.get(a, 0) + m
+        orders = collections.Counter(f.zeros)
         return tuple(
-            Zero(a, m)
-            for a, m in sorted(merged.items(), key=lambda am: (abs(am[0]), am[0].real, am[0].imag))
+            Zero(a, orders[a]) for a in sorted(orders, key=lambda a: (abs(a), a.real, a.imag))
         )
     if isinstance(f, Binomial):
         return ()

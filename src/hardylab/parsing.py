@@ -106,7 +106,10 @@ def parse_function(text: str) -> AnalyticFunction:
 
 
 def render_function(f: AnalyticFunction) -> str:
-    """Inverse of parse_function for parser-producible values."""
+    """Text that parse_function reads back as f, for every f it can produce.
+    Of the other values, a ScaledRotation with scale 1 and rotation 0 renders
+    as its inner function, and an empty Blaschke product as `blaschke:`, which
+    does not parse."""
     if isinstance(f, ScaledRotation):
         body = render_function(f.inner)
         if f.scale != 1:
@@ -123,13 +126,7 @@ def render_function(f: AnalyticFunction) -> str:
         den = ",".join(format_complex(c) for c in f.den.coeffs)
         return f"rat:{num}|{den}"
     if isinstance(f, BlaschkeProduct):
-        zeros = []
-        for a, m in zip(f.zeros, f.multiplicities):
-            zeros.extend([a] * m)
-        body = "blaschke:" + ",".join(format_complex(a) for a in zeros)
-        if f.prefactor != 1:
-            body += f"*{format_complex(f.prefactor)}"
-        return body
+        return "blaschke:" + ",".join(format_complex(a) for a in f.zeros)
     if isinstance(f, Binomial):
         return f"binom:{f.alpha!r}"
     raise FunctionModelError(f"cannot render {type(f).__name__}")

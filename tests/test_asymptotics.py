@@ -153,15 +153,48 @@ def test_scan_is_inconclusive_on_an_unconverged_mean(monkeypatch):
     assert res.radii == schedule[:8] and len(res.values) == 8
 
 
+def no_field_calls(monkeypatch):
+    """Make every field the quadrature layer holds fail the test when called."""
+    def no_field(*args):
+        raise AssertionError("a field was evaluated")
+
+    for name in ("w_values", "radial_deriv_w_values", "wd_values", "grad_w_values",
+                 "g_values", "gw_values"):
+        monkeypatch.setattr(quadrature, name, no_field)
+
+
 @pytest.mark.parametrize("radii", [(0.5,), ()])
 def test_scan_needs_two_radii(monkeypatch, radii):
     # rejected before any integral: a field call would fail the test first
-    def no_field(f, params, z):
-        raise AssertionError("the scan evaluated a field")
-
-    monkeypatch.setattr(quadrature, "w_values", no_field)
+    no_field_calls(monkeypatch)
     with pytest.raises(ValueError, match="at least two radii"):
         membership_scan(monomial(1), MeanParams(2, 0), SPEC, radii)
+
+
+ONE_Z = Polynomial((0, 1))
+BAD_SCHEDULES = {
+    "rate": (lambda radii: rate_probe(ONE_Z, MeanParams(2, 0), SPEC, radii),
+             (0.9, 0.8, 0.7, 0.6, 0.5)),
+    "rate-repeat": (lambda radii: rate_probe(ONE_Z, MeanParams(2, 0), SPEC, radii),
+                    (0.5, 0.6, 0.6, 0.7)),
+    "monotonicity": (lambda radii: monotonicity_check(ONE_Z, 2.0, SPEC, radii),
+                     DEFAULT_MONOTONICITY_GRID[::-1]),
+    "logconvexity": (lambda radii: logconvexity_check(ONE_Z, 2.0, SPEC, radii),
+                     DEFAULT_GEOMETRIC_GRID[::-1]),
+    "logconvexity-one": (lambda radii: logconvexity_check(ONE_Z, 2.0, SPEC, radii), (0.5,)),
+    "logconvexity-two": (lambda radii: logconvexity_check(ONE_Z, 2.0, SPEC, radii), (0.5, 0.7)),
+    "scan": (lambda radii: membership_scan(ONE_Z, MeanParams(2, 0), SPEC, radii), (0.9, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCHEDULES)
+def test_schedule_checks_reject_bad_schedules_before_any_integral(case, monkeypatch):
+    # a schedule that does not strictly increase, or log-convexity on fewer
+    # than 3 radii, is a ValueError before any field is evaluated
+    check, radii = BAD_SCHEDULES[case]
+    no_field_calls(monkeypatch)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check(radii)
 
 
 def test_scan_binomial_diverging():

@@ -150,12 +150,11 @@ def p2_circle_mean(f, q, r):
         if isinstance(f, Rational):
             num, den = [mpc(c) for c in f.num.coeffs], [mpc(c) for c in f.den.coeffs]
         else:
-            # prefactor * prod (a - z) / prod (1 - conj(a) z)
-            num, den = [mpc(f.prefactor)], [mpmath.mpc(1)]
-            for a, m in zip(f.zeros, f.multiplicities):
-                for _ in range(m):
-                    num = poly_mul(num, [mpc(a), -1])
-                    den = poly_mul(den, [1, -mpmath.conj(mpc(a))])
+            # prod (a - z) / prod (1 - conj(a) z), one factor per listed zero
+            num, den = [mpmath.mpc(1)], [mpmath.mpc(1)]
+            for a in f.zeros:
+                num = poly_mul(num, [mpc(a), -1])
+                den = poly_mul(den, [1, -mpmath.conj(mpc(a))])
         while den[-1] == 0:
             den.pop()
         # num = P den + rem, by long division in ascending coefficients

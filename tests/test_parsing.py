@@ -1,12 +1,16 @@
+import collections
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hardylab.functions import (
     Binomial,
     BlaschkeProduct,
+    FunctionModelError,
     Polynomial,
     Rational,
     ScaledRotation,
+    _unit_disk_zeros,
 )
 from hardylab.parsing import (
     FunctionParseError,
@@ -124,18 +128,37 @@ def test_blaschke_round_trip(zeros):
     assert parse_function(render_function(f)) == f
 
 
+@given(
+    zeros=st.lists(
+        st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)), min_size=1, max_size=3
+    ).flatmap(lambda points: st.lists(st.sampled_from(points), min_size=1, max_size=8))
+)
+def test_blaschke_with_repeated_zeros_round_trips(zeros):
+    # a zero listed m times is one zero of order m
+    f = BlaschkeProduct(tuple(complex(a, b) for a, b in zeros))
+    assert parse_function(render_function(f)) == f
+    found = _unit_disk_zeros(f)
+    assert {z.location: z.order for z in found} == collections.Counter(f.zeros)
+    assert len(found) == len(set(f.zeros))
+
+
 @given(alpha=st.floats(0.01, 5))
 def test_binomial_round_trip(alpha):
     f = Binomial(alpha)
     assert parse_function(render_function(f)) == f
 
 
-@given(scale_re=finite, scale_im=finite, rot=st.floats(-6.3, 6.3))
-def test_wrapper_round_trip(scale_re, scale_im, rot):
+@given(
+    inner=st.sampled_from([Polynomial((1, 1)), BlaschkeProduct((0.5, 0.5, -0.3j))]),
+    scale_re=finite,
+    scale_im=finite,
+    rot=st.floats(-6.3, 6.3),
+)
+def test_wrapper_round_trip(inner, scale_re, scale_im, rot):
     scale = complex(scale_re, scale_im)
     if scale == 0:
         scale = 1.0
-    f = ScaledRotation(Polynomial((1, 1)), scale, rot)
+    f = ScaledRotation(inner, scale, rot)
     back = parse_function(render_function(f))
     if scale == 1 and rot == 0.0:
         assert back == f.inner
@@ -146,3 +169,12 @@ def test_wrapper_round_trip(scale_re, scale_im, rot):
 def test_rational_round_trip():
     f = Rational(Polynomial((1, 1)), Polynomial((2, 0, 1)))
     assert parse_function(render_function(f)) == f
+
+
+def test_a_wrapper_cannot_wrap_a_wrapper():
+    # the grammar has one `*c@phi` suffix, so a nested wrapper has no text
+    inner = ScaledRotation(Polynomial((1, 1)), 2.0, 0.5)
+    with pytest.raises(FunctionModelError, match="cannot wrap"):
+        ScaledRotation(inner, 3.0, 0.1)
+    with pytest.raises(FunctionParseError):
+        parse_function("poly:1.0,1.0*2.0@0.5*3.0@0.1")
