@@ -147,12 +147,14 @@ class Rational:
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """Product of factors (a-z)/(1 - conj(a) z) with |a| < 1, one per listed
-    zero, so a zero repeated m times has order m."""
+    zero, so a zero repeated m times has order m; at least one zero."""
 
     zeros: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         zeros = _as_complex_tuple(self.zeros)
+        if not zeros:
+            raise FunctionModelError("a Blaschke product needs a zero; the constant 1 is poly:1")
         if not all(abs(a) < 1.0 for a in zeros):
             raise FunctionModelError("blaschke zeros must satisfy |a| < 1")
         object.__setattr__(self, "zeros", zeros)
@@ -382,27 +384,26 @@ def nearest_zero(f: AnalyticFunction, z: complex) -> tuple[float, Zero | None]:
 
 @functools.lru_cache(maxsize=512)
 def feature_moduli(f: AnalyticFunction) -> tuple[tuple[float, float], ...]:
-    """(modulus, angle) of points that spike circle integrands.
-
-    Covers off-origin zeros and poles with |w| <= 1.3, and the boundary
-    singularity of the binomial family at z = 1.  The angle is that of the
-    point itself, so under c * f(e^{i phi} z) a feature w of f moves to
-    e^{-i phi} w.  Disk cells and circle means that pass near a feature
-    split the circle at its angle.  Memoised, as f is immutable.
+    """(modulus, angle) of every off-origin point where f vanishes or is
+    singular: the zeros of f, the poles of a rational, the poles 1/conj(a)
+    of a Blaschke product and the binomial's point z = 1.  The angle is that
+    of the point itself, so under c * f(e^{i phi} z) a feature w of f moves
+    to e^{-i phi} w.  Disk cells and circle means within 0.2 |w| of a
+    feature split the circle at its angle, and every modulus bounds the
+    annulus where W and G are analytic, which sets a periodic cell's
+    fewest trapezoid steps.  Memoised, as f is immutable.
     """
     if isinstance(f, ScaledRotation):
         return tuple((m, a - f.rotation) for m, a in feature_moduli(f.inner))
     if isinstance(f, Binomial):
         return ((1.0, 0.0),)
-    points: list[complex] = []
-    if isinstance(f, (Polynomial, Rational)):
-        num_coeffs = f.coeffs if isinstance(f, Polynomial) else f.num.coeffs
-        points += [w for w in _polynomial_roots(num_coeffs) if 0 < abs(w) <= 1.3]
-        if isinstance(f, Rational):
-            points += [w for w in _polynomial_roots(f.den.coeffs) if abs(w) <= 1.3]
     if isinstance(f, BlaschkeProduct):
-        points += [a for a in f.zeros if abs(a) > 0]
-    return tuple((abs(w), cmath.phase(w)) for w in points)
+        zeros = [(abs(a), cmath.phase(a)) for a in f.zeros if a != 0]
+        return tuple(zeros + [(1.0 / m, angle) for m, angle in zeros])
+    points = list(_polynomial_roots(f.coeffs if isinstance(f, Polynomial) else f.num.coeffs))
+    if isinstance(f, Rational):
+        points += _polynomial_roots(f.den.coeffs)
+    return tuple((abs(w), cmath.phase(w)) for w in points if w != 0)
 
 
 # --------------------------------------------------------------------------

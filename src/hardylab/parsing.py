@@ -108,8 +108,7 @@ def parse_function(text: str) -> AnalyticFunction:
 def render_function(f: AnalyticFunction) -> str:
     """Text that parse_function reads back as f, for every f it can produce.
     Of the other values, a ScaledRotation with scale 1 and rotation 0 renders
-    as its inner function, and an empty Blaschke product as `blaschke:`, which
-    does not parse."""
+    as its inner function."""
     if isinstance(f, ScaledRotation):
         body = render_function(f.inner)
         if f.scale != 1:

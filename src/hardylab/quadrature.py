@@ -6,17 +6,21 @@ of s and the unit-circle node u: a disk cell's integrand is a field at s u, a
 circle mean is a cell with one radial node of weight 1, and a ring a cell
 whose integrand is the flux through |z - z0| = s.  The engine halves the step
 of a trapezoid rule in t, each level adding the odd multiples of the new
-step, under one of two node maps.  A periodic cell takes theta = t.  A cell
-within 0.2 |w| of a feature w of known angle (disk cells: off-origin zeros
-with kp < 2 for G, and features on or outside the rim; circle means: any
-feature; rings: none) splits the circle at the features' angles into arcs
-mapped by tanh-sinh, which converges double-exponentially where the periodic
-rule would need O(s/dist) nodes.  The cells of a batch refine in the same
-rounds, sharing field calls, and stop one by one with the bits of lone runs.
-A circle's weight rows read W, dW/dr or both, one wd_values stack, so a
-profile's means and derivatives share one batch.  Node contributions are
-combined by compensated summation and cells by a fixed binary tree, so
-results are bit-identical between runs.
+step.  A periodic cell takes theta = t.  As W and G are analytic between the
+moduli |w| of f's zeros and singular points, its n-step error on |z| = s
+falls like exp(-n eta), eta = min |ln(|w|/s)| (Trefethen & Weideman, SIAM
+Review 56, 2014), so it starts at the power of two >= n_min / 2, n_min =
+ln(1e3/rel_tol) / eta <= 4 N_THETA_INIT (disk cells at least 4, circles at
+least N_THETA_INIT): no change is taken below n_min, where a mode can alias
+onto the mean.  A cell within 0.2 |w| of a feature w of known angle (disk
+cells: off-origin zeros with kp < 2 for G, and features on or outside the
+rim; circle means: any feature; rings: none) splits the circle at the
+features' angles into tanh-sinh arcs, which converge double-exponentially
+where the periodic rule would need O(s/dist) nodes.  The cells of a batch
+refine in the same rounds, sharing field calls, and stop one by one with the
+bits of lone runs.  A circle's rows read W, dW/dr or both, one wd_values
+stack.  Node contributions are combined by compensated summation and cells by
+a fixed binary tree, so results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
@@ -24,12 +28,11 @@ estimate is the sum over cells of |K21 - G10| plus the angular estimates;
 the first level within rel_tol * max(1, |value|) is the result, else every
 radial cell splits, up to MAX_LEVELS levels or until a level lowers no
 unconverged kernel's estimate.  A stack of kernels shares one mesh as weight
-rows, of one field or of both G and W, which one gw_values call per batch of
-nodes evaluates together.  Radial cells are graded geometrically toward the
-origin for log kernels, toward the modulus of every zero of f where the
-integrand is not smooth (G scales like |z-z0|^{kp-2} at a zero of order k),
-and toward the rim when the weight (1-|z|^2)^q, or a zero, pole or boundary
-singularity of f, lies just outside.
+rows, of G, of W, or of both from one gw_values call per batch.  Radial
+cells are graded geometrically toward the origin for log kernels, toward
+the modulus of every zero of f where the integrand is not smooth (G scales
+like |z-z0|^{kp-2} at a zero of order k), and toward the rim when the weight
+(1-|z|^2)^q, or a zero, pole or boundary singularity of f, lies just outside.
 """
 
 from __future__ import annotations
@@ -168,6 +171,7 @@ def _cells_theta(
     rel_tol: float = 0.0,
     peaks: Sequence[tuple[float, float]] = (),
     fields: Sequence[int] | None = None,
+    starts: Sequence[int] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Values of many cells: values[c, k] is sum_i weights[c, k, i] *
     (integral over theta of integrand(s_nodes[c, i], u), u = e^{i theta}),
@@ -176,9 +180,10 @@ def _cells_theta(
     apply a pending carry).
 
     A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes
-    tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T]; the others
-    are periodic.  Periodic cells start at n0 steps and arcs at 2 n0, and
-    each round adds the midpoints.  A periodic cell stops once every row's change is within
+    tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T], from 2 n0
+    steps; the others are periodic, from starts[c] steps (n0 without starts;
+    all powers of two), and a cell joins the round that reaches its start.
+    Each round adds the midpoints.  A periodic cell stops once every row's change is within
     max(tol_abs[k], rel_tol * max(|value_k|, 1e-6 L1_k)), L1_k the row over
     |integrand|.  A featured cell sums its changes over arcs and radial
     nodes, so errors of opposite sign cannot cancel.  Its estimate is twice
@@ -202,10 +207,11 @@ def _cells_theta(
     for s0, theta0 in peaks:
         for c in np.flatnonzero(np.abs(s_nodes - s0).min(axis=1) < 0.2 * s0).tolist():
             feats[c].add(theta0 % TWO_PI)
-    # the cells still refining, with their running sums: a group per arc count
+    # the cells still refining, with their running sums: a group per arc count and start
     arcs, groups = [sorted(angles) for angles in feats], []
-    for m in sorted({len(angles) for angles in arcs}):
-        idx = [c for c, angles in enumerate(arcs) if len(angles) == m]
+    keys = [(len(a), starts[c] if starts and not a else n0) for c, a in enumerate(arcs)]
+    for key in sorted(set(keys)):
+        m, idx = key[0], [c for c, k in enumerate(keys) if k == key]
         g = {"cells": np.array(idx), "s": s_nodes[:, :, None], "w": weights}
         if len(idx) < n_cells:  # indexing copies; a batch of one kind skips it
             g.update(s=s_nodes[idx, :, None], w=weights[idx])
@@ -215,42 +221,44 @@ def _cells_theta(
             a, span = np.array([a, span])[:, :, None, :, None, None]
             g.update(a=a, span=span, prev=np.full((len(idx), n_k), math.inf),
                      floor=ARC_ROUNDING * np.abs(g["w"]) / (1.0 - g["s"].swapaxes(1, 2)))
-        groups.append((m, g))
-    n, used, offsets = n0, 0, (0.0, 0.5)
+        groups.append((m, key[1], g))
+    # the groups refining, and those waiting for their start
+    groups, pending, n = [], groups, min((start for _, start, _ in groups), default=n0)
 
     def cell_nodes(gi, j0, j1, cut):
-        m, g = groups[gi]
-        theta = g["a"][j0:j1] + g["span"][j0:j1] * x[:, cut] if m else None
-        return g["s"][j0:j1], np.exp(1j * theta).reshape(j1 - j0, 1, -1) if m else ring
+        (m, _, g), o, c = groups[gi], offsets[gi], slice(j0, j1)
+        theta = g["a"][c] + g["span"][c] * _arc_nodes(2 * n, o)[0][:, cut] if m else None
+        return g["s"][c], np.exp(1j * theta).reshape(j1 - j0, 1, -1) if m else _unit_nodes(n, o)
 
     # rows holding inf - inf are collisions
     with np.errstate(invalid="ignore"):
-        while groups:
-            ring = _unit_nodes(n, offsets)
-            if groups[-1][0]:
-                x, dx = _arc_nodes(2 * n, offsets)
+        while groups or pending:
+            groups += [group for group in pending if group[1] <= n]
+            pending = [group for group in pending if group[1] > n]
+            # a group's first round, at its start, takes both offsets
+            offsets = [(0.0, 0.5) if start == n else (0.5,) for _, start, _ in groups]
             # whole cells per field call of up to BATCH_POINTS, across groups only
             # if the round fits one call; a featured cell over it takes k slices
             calls: list[list[tuple]] = [[]]
             room = BATCH_POINTS
-            share = sum(n_s * (2 * m or 1) * len(g["cells"]) for m, g in groups) * ring.size
-            for gi, (m, g) in enumerate(groups):
-                size, left = n_s * (2 * m or 1) * ring.size, len(g["cells"])
+            sizes = [n_s * (2 * m or 1) * n * len(o) for (m, _, _), o in zip(groups, offsets)]
+            share = sum(size * len(g["cells"]) for size, (_, _, g) in zip(sizes, groups))
+            for gi, ((m, _, g), size) in enumerate(zip(groups, sizes)):
                 if share > BATCH_POINTS and calls[-1]:
                     room = 0  # the group starts a call of its own
                 k = min(n, 1 << ((size - 1) // BATCH_POINTS).bit_length()) if m else 1
                 j, q, width = 0, 0, 2 * n // k
-                while j < left:
+                while j < len(g["cells"]):
                     if room < size // k and calls[-1]:
                         calls.append([])
                         room = BATCH_POINTS
-                    take = 1 if k > 1 else min(max(room // size, 1), left - j)
+                    take = 1 if k > 1 else min(max(room // size, 1), len(g["cells"]) - j)
                     calls[-1].append((gi, j, j + take, slice(q * width, (q + 1) * width)))
                     room -= take * size // k
                     q = (q + 1) % k
                     j += 0 if q else take
             parts: list[list[tuple]] = [[] for _ in groups]
-            for call in calls:
+            for call in filter(None, calls):  # a round between starts can be empty
                 args = [cell_nodes(*part) for part in call]
                 if len(call) == 1:
                     out = [integrand(*args[0])]
@@ -264,12 +272,12 @@ def _cells_theta(
                         flat, np.cumsum([math.prod(sh) for sh in shapes])[:-1], axis=-1)
                     del flat
                 for (gi, j0, j1, cut), mat in zip(call, out):
-                    m = groups[gi][0]
+                    m, o = groups[gi][0], offsets[gi]
                     # (cells, fields, radial nodes, arcs, offsets, steps): a sum per offset
                     mat = np.asarray(mat, dtype=float).reshape(
-                        n_f, j1 - j0, n_s, max(m, 1), len(offsets), -1).swapaxes(0, 1)
+                        n_f, j1 - j0, n_s, max(m, 1), len(o), -1).swapaxes(0, 1)
                     # a non-finite node makes its sum non-finite
-                    sums = (mat * dx[:, cut] if m else mat).sum(axis=5)
+                    sums = (mat * _arc_nodes(2 * n, o)[1][:, cut] if m else mat).sum(axis=5)
                     part = (np.isfinite(sums).all(axis=(1, 2, 3, 4)), sums,
                             np.abs(mat).sum(axis=5) if rel_tol and not m else sums)
                     if cut.start:  # a later slice of the same featured cell
@@ -277,24 +285,24 @@ def _cells_theta(
                         part = (part[0] & prior[0],) + (sums + prior[1],) * 2
                     parts[gi].append(part)
                 del out, mat  # free these fields before the next call makes its own
-            used, kept = used + n_s * ring.size, []
-            for (m, g), part in zip(groups, parts):
+            kept = []
+            for (m, t0, g), part, o in zip(groups, parts, offsets):
                 finite, *sums = map(np.concatenate, zip(*part)) if part[1:] else part[0]
                 if not finite.all():
                     g = {key: arr[finite] for key, arr in g.items()}
                     sums = [arr[finite] for arr in sums]
                 step = ARC_T / n if m else TWO_PI / n
                 delta, ok, settled = (_arc_round if m else _periodic_round)(
-                    g, *sums, step, len(offsets) == 2, tol_abs, rel_tol, by_row)
+                    g, *sums, step, len(o) == 2, tol_abs, rel_tol, by_row)
                 done = settled.all(axis=1) | ((4 if m else 2) * n >= N_THETA_MAX)
                 if done.any():
                     sel = slice(None) if done.all() else done  # a whole group needs no gathers
                     stop = g["cells"][sel]
                     values[stop], deltas[stop], conv[stop] = g["value"][sel], delta[sel], ok[sel]
-                    nodes[stop], doublings[stop] = used * (2 * m or 1), (n // n0).bit_length()
+                    nodes[stop], doublings[stop] = n_s * (4 * m or 2) * n, (n // t0).bit_length()
                 if not done.all():
-                    kept.append((m, {k: arr[~done] for k, arr in g.items()} if done.any() else g))
-            groups, n, offsets = kept, 2 * n, (0.5,)
+                    kept.append((m, t0, {k: a[~done] for k, a in g.items()} if done.any() else g))
+            groups, n = kept, 2 * n
     return values, deltas, nodes, conv, doublings
 
 
@@ -375,11 +383,15 @@ def circle_integrals(
             radii, error = radii[:k], exc
             break
 
-    tol = 0.5 * spec.rel_tol
+    tol, features = 0.5 * spec.rel_tol, feature_moduli(f) if radii else ()
+    # the start rule of disk cells with floor N_THETA_INIT, in floats (numpy
+    # costs more on a few radii): 2 N_THETA_INIT steps where n_min exceeds it
+    gap = math.log(1e3 / spec.rel_tol) / (2 * N_THETA_INIT)
     batch = _cells_theta(
         lambda s, u: field(f, params, s * u), np.array(radii).reshape(-1, 1),
         np.ones((len(radii), len(index), 1)), N_THETA_INIT, [tol] * len(index), tol,
-        feature_moduli(f) if radii else (), index if len(index) > 1 else None,
+        features, index if len(index) > 1 else None,
+        [N_THETA_INIT << any(abs(math.log(m / r)) < gap for m, _ in features) for r in radii],
     )
     for totals, deltas, nodes, convs, doublings in zip(*(a.tolist() for a in batch)):
         if not nodes:
@@ -506,6 +518,7 @@ def _disk_once(
     sings: Sequence[tuple[float, float, bool]],
     end_scales: tuple[float | None, float | None],
     peaks: Sequence[tuple[float, float]],
+    moduli: Sequence[float],
     spec: QuadratureSpec,
     level: int,
     theta_tol_cell: Sequence[float],
@@ -529,8 +542,13 @@ def _disk_once(
         radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
         # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
         weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
-        leaves = []
-        batch = _cells_theta(gfun, s, weights, n0, row_tol, 0.0, peaks, row_fields)
+        # each periodic cell starts at the power of two >= n_min / 2, at least 4
+        ln, leaves = math.log(1e3 / spec.rel_tol), []
+        eta = np.abs(np.log(np.divide.outer(s, moduli))).min(axis=(1, 2), initial=math.inf)
+        n_min = ln / np.maximum(eta, ln / (4 * N_THETA_INIT))
+        starts = np.maximum(4, 2 ** np.ceil(np.log2(np.maximum(n_min, 2) / 2))).astype(int)
+        batch = _cells_theta(
+            gfun, s, weights, n0, row_tol, 0.0, peaks, row_fields, starts.tolist())
         for (a, b, depth), leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
             if leaf[2]:
                 leaves.append(leaf[:4])
@@ -645,7 +663,7 @@ def _disk_integral(
         theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
         values, err, nodes, cells_conv = _disk_once(
             lambda s, u: field(f, params, s * u), kernels, s_lo, r, sings, end_scales, peaks,
-            spec, level, theta_tol, fields,
+            [m for m, _ in features], spec, level, theta_tol, fields,
         )
         nodes_total += nodes
         conv = [

@@ -18,6 +18,7 @@ from hardylab.functions import (
     RootFindingError,
     ScaledRotation,
     eval_at,
+    feature_moduli,
     membership_hint,
     zeros_in_disk,
 )
@@ -85,6 +86,28 @@ def test_rational_rejects_interior_pole():
 def test_zero_polynomial_rejected():
     with pytest.raises(FunctionModelError):
         Polynomial((0, 0))
+
+
+def test_empty_blaschke_product_rejected():
+    # the constant 1 would render as `blaschke:`, which does not parse
+    with pytest.raises(FunctionModelError, match="poly:1"):
+        BlaschkeProduct(())
+
+
+@pytest.mark.parametrize(
+    "f,expected",
+    [
+        # zeros at any modulus, none at the origin
+        (Polynomial((0, -2, 1)), [(2.0, 0.0)]),
+        # a Blaschke zero a and its pole 1/conj(a), at the angle of a
+        (BlaschkeProduct((0.5j, 0)), [(0.5, math.pi / 2), (2.0, math.pi / 2)]),
+        # the zero and every pole of a rational, however far out
+        (Rational(Polynomial((-0.5, 1)), Polynomial((-3, 1))), [(0.5, 0.0), (3.0, 0.0)]),
+        (ScaledRotation(Binomial(0.5), 2.0, 0.3), [(1.0, -0.3)]),
+    ],
+)
+def test_feature_moduli_lists_every_singular_modulus(f, expected):
+    assert [pytest.approx(point) for point in expected] == list(feature_moduli(f))
 
 
 def test_degree_cap():

@@ -5,7 +5,8 @@ Each disk case integrates G = Laplacian of W against the kernel 1 over
 |z| < r and compares it with 2 pi r M'(r), where M is the circle mean of W,
 taken from a closed form and differentiated analytically.  The circle cases
 compare circle means M(r) and their derivatives M'(r) with closed forms: at
-p = 2 for rationals and Blaschke products, and for 1 + z^64 through 2F1.  A
+p = 2 for rationals and Blaschke products, and for 1 + z^64 through 2F1; at
+every p, those of f(z^m) are compared with those of f at r^m.  A
 converged result must satisfy
 |value - exact| <= max(error_estimate, rel_tol * max(1, |exact|));
 unconverged results and typed errors are allowed.
@@ -17,12 +18,14 @@ import numpy as np
 import pytest
 
 from hardylab.fields import MeanParams
-from hardylab.functions import Binomial, Polynomial, Rational, ScaledRotation
+from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, Rational, ScaledRotation
 from hardylab.parsing import parse_function
 from hardylab.quadrature import (
     KERNEL_ONE,
+    TWO_PI,
     QuadratureError,
     QuadratureSpec,
+    circle_integrals,
     circle_mean,
     circle_mean_deriv,
     disk_integral_G,
@@ -210,17 +213,11 @@ def test_p2_circle_means_and_derivatives_within_their_error_bars(text, q):
             assert_within_error_bar(res, exact)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="item 10 (trapezoid counts): the mode 64 of 1 + z^64 folds onto "
-    "mode 0 at 32 and 64 steps, so the circle stops converged with estimate 0 "
-    "and is p * 2.8e-7 off the mean, above rel_tol 1e-7",
-)
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_aliased_circle_mean_within_its_error_bar(p):
     # the mean of |1 + w e^{i phi}|^p is 2F1(-p/2, -p/2; 1; |w|^2), with
-    # w = r^64 here: 1 + r^128 at p = 2
+    # w = r^64 here: 1 + r^128 at p = 2.  Mode 64 folds onto mode 0 at 32
+    # and 64 steps, which agree; the zeros on |z| = 1 ask for at least 98
     r = 0.79
     with mpmath.workdps(30):
         exact = float(mpmath.hyp2f1(-p / 2, -p / 2, 1, mpmath.mpf(r) ** 128))
@@ -228,6 +225,82 @@ def test_aliased_circle_mean_within_its_error_bar(p):
         exact = 1 + r**128
     res = circle_mean(Polynomial((1,) + (0,) * 63 + (1,)), MeanParams(p, 0), r, SPEC)
     assert_within_error_bar(res, exact)
+
+
+@pytest.mark.parametrize("r", [0.93, 0.95])
+@pytest.mark.parametrize("p", [1, 3])
+def test_circle_outside_a_ring_of_zeros_within_its_error_bar(p, r):
+    # z^64 / c - 1 with c = 0.75^64 has its zeros inside the circle, too far
+    # for arcs: with w = r^64 / c, the mean of |w e^{i phi} - 1|^p is
+    # w^p 2F1(-p/2, -p/2; 1; w^-2).  Mode 64 folds onto mode 0 at 32 and 64
+    # steps, 3e-7 to 3e-6 relative off, while the zeros ask for 98 to 108
+    c = 0.75**64
+    with mpmath.workdps(30):
+        w = mpmath.mpf(r) ** 64 / mpmath.mpf(c)
+        exact = float(w**p * mpmath.hyp2f1(-p / 2, -p / 2, 1, w**-2))
+    res = circle_mean(Polynomial((-1,) + (0,) * 63 + (1 / c,)), MeanParams(p, 0), r, SPEC)
+    assert_within_error_bar(res, exact)
+
+
+# subordination: g(z) = f(z^m) has W_g(r e^{i theta}) = (1 - r^2)^q |f(r^m e^{i m theta})|^p,
+# so M_{p,q}(r, g) = ((1 - r^2)/(1 - r^{2m}))^q M_{p,q}(r^m, f), which is
+# (1 - r^2)^q M_{p,0}(r^m, f), and d/dr follows by the chain rule.  The base f
+# has low degree and its circle at r^m lies far from any alias, so its q = 0
+# mean and derivative at rel_tol 1e-12 stand in for the exact values at every
+# p.  Bases are (text, degree), and m * degree <= 64 keeps f(z^m) within
+# MAX_POLY_DEGREE.
+SUBORDINATION_BASES = (
+    ("poly:1,1", 1), ("poly:1,-1.2", 1), ("rat:1,2|2,0.3,-1", 2), ("blaschke:0.5,-0.3+0.4i", 2),
+)
+SUBORDINATION_RADII = (0.3, 0.5, 0.7, 0.79, 0.9, 0.95)
+REFERENCE_SPEC = QuadratureSpec(1e-12)
+
+
+def subordinate(f, m):
+    """f(z^m): coefficients spread m apart, or each Blaschke zero's m-th roots."""
+    if isinstance(f, BlaschkeProduct):
+        return BlaschkeProduct(tuple(
+            abs(a) ** (1 / m) * np.exp(1j * (np.angle(a) + TWO_PI * j) / m)
+            for a in f.zeros for j in range(m)))
+
+    def spread(poly):
+        coeffs = [0j] * (m * (len(poly.coeffs) - 1) + 1)
+        coeffs[::m] = poly.coeffs
+        return Polynomial(tuple(coeffs))
+
+    return Rational(spread(f.num), spread(f.den)) if isinstance(f, Rational) else spread(f)
+
+
+def subordination_margins(text, m, p, q):
+    """(r, row, margin, converged) per radius and row W, dW/dr of f(z^m), the
+    margin being max(error_estimate, rel_tol max(1, |exact|)) / |error|."""
+    f = parse_function(text)
+    radii = SUBORDINATION_RADII
+    base = circle_integrals(f, MeanParams(p, 0), [r**m for r in radii], REFERENCE_SPEC,
+                            ("W", "dW/dr"))
+    sub = circle_integrals(subordinate(f, m), MeanParams(p, q), radii, SPEC, ("W", "dW/dr"))
+    out = []
+    for r, (mean0, dmean0), results in zip(radii, base, sub):
+        assert mean0.converged and dmean0.converged
+        w = 1 - r * r
+        exact = (w**q * mean0.value,
+                 w**q * m * r ** (m - 1) * dmean0.value - 2 * q * r * w ** (q - 1) * mean0.value)
+        for row, res, value in zip(("W", "dW/dr"), results, exact):
+            allowed = max(res.error_estimate, SPEC.rel_tol * max(1.0, abs(value)))
+            error = abs(res.value - value)
+            out.append((r, row, allowed / error if error else math.inf, res.converged))
+    return out
+
+
+@pytest.mark.parametrize("text,m", [
+    (text, m) for text, degree in SUBORDINATION_BASES for m in (8, 16, 32, 64) if m * degree <= 64
+])
+def test_subordinate_circle_means_within_their_error_bars(text, m):
+    # every p in (0.5, 1, 1.5, 2, 3) and q in (0, 1): at m = 64, r = 0.79 the
+    # mode 64 of f(z^m) folds onto mode 0 at 32 and 64 steps
+    bad = [(p, q) + case for p in (0.5, 1, 1.5, 2, 3) for q in (0, 1)
+           for case in subordination_margins(text, m, p, q) if case[3] and case[2] < 1]
+    assert not bad, bad
 
 
 def binomial_points():

@@ -530,7 +530,9 @@ def test_halve_mesh_stability():
 def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged, monkeypatch):
     calls = []
 
-    def disk_once(gfun, kernels, lo, hi, sings, end_scales, peaks, spec, level, theta_tol, fields):
+    def disk_once(
+        gfun, kernels, lo, hi, sings, end_scales, peaks, moduli, spec, level, theta_tol, fields
+    ):
         calls.append(level)
         return [1.0] * len(kernels), list(script[level]), 10, [True] * len(kernels)
 
@@ -807,6 +809,32 @@ def test_periodic_rule_matches_per_cell_reference(f, params, cells, n_rows):
         assert len(set(nodes.tolist())) == 3
 
 
+def test_cells_join_the_round_that_reaches_their_start():
+    # G of z at p = 2 is 4 everywhere: a periodic cell that starts at 4 steps
+    # stops there, a second one joins at 8 with both offsets and stops, and
+    # the cell next to the peak waits through an empty round for its arcs'
+    # 2 n0 = 64 steps, then takes two rounds; each cell keeps the bits, nodes
+    # and doublings of a lone run
+    f, params = monomial(1), MeanParams(2, 0)
+    s, weights = periodic_cells([(0.1, 0.2), (0.2, 0.3), (0.45, 0.55)], (KERNEL_ONE,))
+    peaks, starts, tol = [(0.5, 0.0)], [4, 8, 4], [1e-12] * 2
+    calls = []
+
+    def gfun(z):
+        calls.append(z.size)
+        return g_values(f, params, z)
+
+    batch = _cells_theta(on_circle(gfun), s, weights, 32, tol, 0.0, peaks, None, starts)
+    assert calls == [21 * 8, 21 * 16, 21 * 2 * 64, 21 * 2 * 64]
+    for c in range(3):
+        one = slice(c, c + 1)
+        alone = _cells_theta(
+            on_circle(gfun), s[one], weights[one], 32, tol, 0.0, peaks, None, starts[one])
+        assert all(a.tobytes() == b[one].tobytes() for a, b in zip(alone, batch))
+    assert batch[2].tolist() == [21 * 8, 21 * 16, 21 * 2 * 2 * 64]
+    assert batch[4].tolist() == [1, 1, 2]
+
+
 @pytest.mark.parametrize("peaks", [(), ((0.5, 0.0),)], ids=["periodic", "featured"])
 def test_rows_of_a_field_stack_match_one_field_runs(peaks):
     # a row of a G and W stack sums only its own field's nodes: while the
@@ -873,12 +901,13 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
         g[z == s_star] = np.nan
         return g
 
-    batches, summed = [], []
+    batches, summed, starts = [], [], set()
 
-    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields):
+    def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields, start):
         assert not peaks and fields is None
-        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields)
+        out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields, start)
         batches.append((s_nodes, out[2] == 0))
+        starts.update(start)
         return out
 
     def record_tree_sum(values):
@@ -904,13 +933,40 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     def gfun(z):
         return field(f, params, z)
 
+    # f = z has no off-origin zero or singular point, so every cell starts
+    # at 4 steps
+    assert starts == {4}
     tol = [0.125 * 0.25 * SPEC.rel_tol] * 2
-    leaves, values, err, nodes = disk_reference(gfun, cells, N_THETA_INIT, tol, 40)
+    leaves, values, err, nodes = disk_reference(gfun, cells, 4, tol, 40)
     assert leaves == cells[:hit] + [(a, cut), (cut, b)] + cells[hit + 1:]
     assert summed == [values]
     assert res.value == tree_sum(values)
     assert res.error_estimate == err
     assert res.nodes == nodes
+
+
+def test_monomial_disk_cells_start_at_four_steps(monkeypatch):
+    # z^2 has no off-origin zero or singular point, and G is constant on
+    # every circle: each periodic cell compares 4 steps with 8 and stops
+    cells = []
+
+    def cells_theta(*args):
+        out = _cells_theta(*args)
+        cells.append((args[1].shape[1], out[2]))
+        return out
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    res = disk_integral_G(monomial(2), MeanParams(1.5, 1), 0.9, KERNEL_ONE, SPEC)
+    assert res.converged and res.levels == 0
+    assert cells and all((nodes == 8 * n_s).all() for n_s, nodes in cells)
+
+
+def test_aliased_circle_takes_the_steps_of_the_bound():
+    # 1 + z^64 at r = 0.79: mode 64 folds onto mode 0 at 32 and 64 steps,
+    # and the zeros on |z| = 1 ask for ln(1e10) / ln(1 / 0.79) = 98 steps
+    f = Polynomial((1,) + (0,) * 63 + (1,))
+    res = circle_mean(f, MeanParams(1, 0), 0.79, SPEC)
+    assert res.converged and res.nodes >= 128
 
 
 def test_disk_collision_depth_cap(monkeypatch):
@@ -954,7 +1010,9 @@ def test_banded_field_calls_respect_batch_cap(monkeypatch):
     # around |z| = 0.5 split the circle there into tanh-sinh arcs, in the same
     # rounds as the periodic cells: a call holds at most BATCH_POINTS points
     # unless it is one periodic cell's round alone, and as a round holds more
-    # than one call, each kind of cell keeps to calls of its own
+    # than one call, each kind of cell keeps to calls of its own.  Periodic
+    # cells far from the zero start below 32 steps, so their first rounds fit
+    # one flat call across kinds
     f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.0)
     calls = []
     groups = record_arcs(monkeypatch)
@@ -967,7 +1025,7 @@ def test_banded_field_calls_respect_batch_cap(monkeypatch):
     res = disk_integral_G(f, params, 0.9, KERNEL_ONE, SPEC)
     assert res.converged
     assert groups and all(arcs == 1 for _, arcs in groups)
-    assert all(len(shape) == 3 for shape in calls)
+    assert all(len(shape) == 3 or math.prod(shape) <= BATCH_POINTS for shape in calls)
     for shape in calls:
         assert math.prod(shape) <= BATCH_POINTS or (len(shape) == 3 and shape[0] == 1)
     # rounds larger than the cap are cut into several calls
@@ -1032,15 +1090,15 @@ def test_ring_geometry_errors():
 
 # ------------------------------------------------------- batched schedules
 
-def circle_reference(fn, rel_tol, abs_tol, ref_floor):
+def circle_reference(fn, rel_tol, abs_tol, ref_floor, n0=N_THETA_INIT):
     """The periodic rule on one circle with scalar bookkeeping: (integral of
     fn(theta) over [0, 2 pi), last change, nodes, doublings, converged).
 
-    It starts at N_THETA_INIT nodes, adds the midpoints until the change is
-    within max(abs_tol, rel_tol * max(ref_floor, |value|, 1e-6 L1)) or the
-    nodes reach N_THETA_MAX, and raises _CellCollision at a non-finite node.
+    It starts at n0 nodes, adds the midpoints until the change is within
+    max(abs_tol, rel_tol * max(ref_floor, |value|, 1e-6 L1)) or the nodes
+    reach N_THETA_MAX, and raises _CellCollision at a non-finite node.
     """
-    n, total, l1 = N_THETA_INIT, None, None
+    n, total, l1 = n0, None, None
     theta = TWO_PI * np.arange(n) / n
     while True:
         vals = np.asarray(fn(theta), dtype=float)
@@ -1077,17 +1135,27 @@ def bits(res):
         ("const:1+1i", 2, 0, 0.6),
     ],
 )
-def test_lone_periodic_circle_matches_scalar_reference(fn, p, q, r):
+def test_lone_periodic_circle_matches_scalar_reference(fn, p, q, r, monkeypatch):
     # a circle is a one-node cell of the batched engine; its bits, nodes and
-    # stop are those of the scalar rule
+    # stop are those of the scalar rule from the engine's start: the binomial's
+    # point z = 1 asks 81 steps of the circle r = 0.75, which starts at 64
     f, params = parse_function(fn), MeanParams(p, q)
     tol = 0.5 * SPEC.rel_tol
+    starts = []
+
+    def cells_theta(*args):
+        starts.extend(args[8])
+        return _cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
     for integral, field in ((circle_mean, w_values), (circle_mean_deriv, radial_deriv_w_values)):
+        res = integral(f, params, r, SPEC)
         total, delta, nodes, doublings, conv = circle_reference(
-            lambda theta: field(f, params, r * np.exp(1j * theta)), tol, 0.0, 1.0
+            lambda theta: field(f, params, r * np.exp(1j * theta)), tol, 0.0, 1.0, starts[-1]
         )
         ref = quadrature.IntegralResult(total / TWO_PI, delta / TWO_PI, nodes, doublings, conv)
-        assert bits(integral(f, params, r, SPEC)) == bits(ref)
+        assert bits(res) == bits(ref)
+    assert starts == ([64] if fn.startswith("binom") else [N_THETA_INIT]) * 2
 
 
 def test_periodic_stop_rule_counts_the_l1_term():
