@@ -15,9 +15,11 @@ The five finite-r checks at one (f, p, q, r) share one memoised bundle,
 `evaluate_radius`: one usable radius, the circle mean of W and its
 derivative from one circle of W and dW/dr rows, and the area integrals of
 G under the four radial kernels and of W, all from one disk mesh.  Each
-checker is algebra over that bundle.  The circle side and the disk side of
-the bundle stay independent routes, so sharing them does not make the two
-sides of an identity agree by construction.
+identity is a row of FINITE_ROWS, algebra over that bundle and |f(0)|^p, run
+by _finite_check; the integrals a row reads decide the record's converged
+flag.  The circle side and the disk side of the bundle stay independent
+routes, so sharing them does not make the two sides of an identity agree by
+construction.
 """
 
 from __future__ import annotations
@@ -111,16 +113,8 @@ def usable_radius(f: AnalyticFunction, r: float, p: float) -> float:
 
 
 def _report(
-    tag: str,
-    f: AnalyticFunction,
-    params: MeanParams,
-    r: float,
-    lhs: float,
-    rhs: float,
-    budget: float,
-    spec: QuadratureSpec,
-    converged: bool = True,
-    info: dict | None = None,
+    tag: str, f: AnalyticFunction, params: MeanParams, r: float, lhs: float, rhs: float,
+    budget: float, spec: QuadratureSpec, converged: bool, info: dict | None = None,
 ) -> IdentityReport:
     abs_res = abs(lhs - rhs)
     rel_res = abs_res / max(1.0, abs(lhs))
@@ -176,62 +170,37 @@ def evaluate_radius(
     return RadiusBundle(r, *circle, *disk)
 
 
-def check_growth_identity(
-    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
-) -> IdentityReport:
+def _growth(b: RadiusBundle, f0p: float) -> tuple:
     """2 pi r * d(mean)/dr against the plain area integral of G over D_r."""
-    b = evaluate_radius(f, params, r, spec)
     d, g = b.deriv, b.g_one
     lhs = TWO_PI * b.r * d.value
-    budget = TWO_PI * b.r * d.error_estimate + g.error_estimate
-    return _report(
-        "growth", f, params, b.r, lhs, g.value, budget, spec,
-        converged=d.converged and g.converged,
-    )
+    return lhs, g.value, TWO_PI * b.r * d.error_estimate + g.error_estimate, (d, g)
 
 
-def check_log_r_identity(
-    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
-) -> IdentityReport:
+def _log_r(b: RadiusBundle, f0p: float) -> tuple:
     """Circle integral of W minus 2 pi |f(0)|^p against the log(r/|z|)-kernel
     area integral of G over D_r."""
-    b = evaluate_radius(f, params, r, spec)
     cm, g = b.mean, b.g_log_r
-    f0p = abs(eval_at(f, 0.0)) ** params.p
     lhs = TWO_PI * cm.value - TWO_PI * f0p
-    budget = TWO_PI * cm.error_estimate + g.error_estimate
-    return _report(
-        "log-r", f, params, b.r, lhs, g.value, budget, spec,
-        converged=cm.converged and g.converged,
-    )
+    return lhs, g.value, TWO_PI * cm.error_estimate + g.error_estimate, (cm, g)
 
 
-def check_log_unit_identity(
-    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
-) -> IdentityReport:
+def _log_unit(b: RadiusBundle, f0p: float) -> tuple:
     """Three-term boundary expression against the log(1/|z|)-kernel area
     integral of G over D_r."""
-    b = evaluate_radius(f, params, r, spec)
     r, cm, d, g = b.r, b.mean, b.deriv, b.g_log_unit
-    f0p = abs(eval_at(f, 0.0)) ** params.p
     lhs = TWO_PI * cm.value - TWO_PI * r * math.log(r) * d.value - TWO_PI * f0p
     budget = (
         TWO_PI * cm.error_estimate
         + TWO_PI * r * abs(math.log(r)) * d.error_estimate
         + g.error_estimate
     )
-    return _report(
-        "log-unit", f, params, r, lhs, g.value, budget, spec,
-        converged=cm.converged and d.converged and g.converged,
-    )
+    return lhs, g.value, budget, (cm, d, g)
 
 
-def check_weighted_area_identity(
-    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
-) -> IdentityReport:
+def _weighted_area(b: RadiusBundle, f0p: float) -> tuple:
     """(1-|z|^2)-kernel area integral of G plus 4x the area integral of W
     against the boundary flux r * int[(1-r^2) dW/dr + 2 r W] d theta."""
-    b = evaluate_radius(f, params, r, spec)
     r, cm, d, g, w = b.r, b.mean, b.deriv, b.g_one_minus_abs_sq, b.w_one
     lhs = g.value + 4.0 * w.value
     rhs = TWO_PI * r * ((1.0 - r * r) * d.value + 2.0 * r * cm.value)
@@ -241,29 +210,61 @@ def check_weighted_area_identity(
         + TWO_PI * r * (1.0 - r * r) * d.error_estimate
         + TWO_PI * 2.0 * r * r * cm.error_estimate
     )
-    return _report(
-        "weighted-area", f, params, r, lhs, rhs, budget, spec,
-        converged=g.converged and w.converged and cm.converged and d.converged,
-    )
+    return lhs, rhs, budget, (g, w, cm, d)
+
+
+def _hardy_stein(b: RadiusBundle, f0p: float) -> tuple:
+    """Unweighted circle mean against |f(0)|^p plus the normalised
+    log(r/|z|)-kernel area integral of |f|^{p-2}|f'|^2 (the q = 0 case of the
+    log-r identity divided by 2 pi)."""
+    cm, g = b.mean, b.g_log_r
+    return cm.value, f0p + g.value / TWO_PI, cm.error_estimate + g.error_estimate / TWO_PI, (cm, g)
+
+
+# one row per finite-r identity: from the bundle and |f(0)|^p it returns
+# (lhs, rhs, budget, the integrals it reads), and those integrals' flags are
+# the record's converged flag
+FINITE_ROWS = {"growth": _growth, "log-r": _log_r, "log-unit": _log_unit,
+               "weighted-area": _weighted_area, "hardy-stein": _hardy_stein}
+
+
+def _finite_check(
+    tag: str, f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
+) -> IdentityReport:
+    b = evaluate_radius(f, params, r, spec)
+    lhs, rhs, budget, reads = FINITE_ROWS[tag](b, abs(eval_at(f, 0.0)) ** params.p)
+    converged = all(res.converged for res in reads)
+    return _report(tag, f, params, b.r, lhs, rhs, budget, spec, converged)
+
+
+def check_growth_identity(
+    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
+) -> IdentityReport:
+    return _finite_check("growth", f, params, r, spec)
+
+
+def check_log_r_identity(
+    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
+) -> IdentityReport:
+    return _finite_check("log-r", f, params, r, spec)
+
+
+def check_log_unit_identity(
+    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
+) -> IdentityReport:
+    return _finite_check("log-unit", f, params, r, spec)
+
+
+def check_weighted_area_identity(
+    f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
+) -> IdentityReport:
+    return _finite_check("weighted-area", f, params, r, spec)
 
 
 def check_hardy_stein(
     f: AnalyticFunction, p: float, r: float, spec: QuadratureSpec
 ) -> IdentityReport:
-    """Unweighted circle mean against |f(0)|^p plus the normalised
-    log(r/|z|)-kernel area integral of |f|^{p-2}|f'|^2 (the q = 0 case of the
-    log-r identity divided by 2 pi)."""
-    params = MeanParams(p, 0.0)
-    b = evaluate_radius(f, params, r, spec)
-    cm, g = b.mean, b.g_log_r
-    f0p = abs(eval_at(f, 0.0)) ** p
-    lhs = cm.value
-    rhs = f0p + g.value / TWO_PI
-    budget = cm.error_estimate + g.error_estimate / TWO_PI
-    return _report(
-        "hardy-stein", f, params, b.r, lhs, rhs, budget, spec,
-        converged=cm.converged and g.converged,
-    )
+    return _finite_check("hardy-stein", f, MeanParams(p, 0.0), r, spec)
 
 
 # --------------------------------------------------------------------------
@@ -368,8 +369,7 @@ def check_area_limit_identity(
     rhs, rhs_order, rhs_spread = _richardson(rhs_vals)
     budget = 2.0 * TWO_PI * cm.error_estimate + area_err + lhs_spread + rhs_spread
     return _report(
-        "area-limit", f, params, r, lhs, rhs, budget, spec,
-        converged=converged,
+        "area-limit", f, params, r, lhs, rhs, budget, spec, converged,
         info={
             "lhs_order": float(lhs_order),
             "rhs_order": float(rhs_order),
@@ -377,14 +377,6 @@ def check_area_limit_identity(
             "rhs_spread": float(rhs_spread),
         },
     )
-
-
-CHECKERS = {
-    "growth": check_growth_identity,
-    "log-r": check_log_r_identity,
-    "log-unit": check_log_unit_identity,
-    "weighted-area": check_weighted_area_identity,
-}
 
 
 def run_identity_check(
@@ -396,11 +388,9 @@ def run_identity_check(
     radii: tuple[float, ...] = DEFAULT_R_SCHEDULE,
 ) -> IdentityReport:
     validate_identity_check(tag, f, params, radii)
-    if tag in CHECKERS:
-        return CHECKERS[tag](f, params, r, spec)
-    if tag == "hardy-stein":
-        return check_hardy_stein(f, params.p, r, spec)
-    return check_area_limit_identity(f, params, spec, radii)
+    if tag == "area-limit":
+        return check_area_limit_identity(f, params, spec, radii)
+    return _finite_check(tag, f, params, r, spec)
 
 
 def validate_identity_check(
@@ -412,7 +402,9 @@ def validate_identity_check(
     """Raise the ValueError that run_identity_check would raise on these
     inputs, before any integral is computed."""
     if tag not in IDENTITY_TAGS:
-        raise ValueError(f"unknown identity tag '{tag}'")
+        raise ValueError(
+            f"unknown identity tag '{tag}' (expected one of {', '.join(IDENTITY_TAGS)})"
+        )
     if tag == "hardy-stein" and params.q != 0:
         raise ValueError(f"hardy-stein: needs q = 0, got q = {params.q}")
     if tag == "area-limit":
@@ -462,6 +454,8 @@ def ring_limit_probe(
     slope, or when every residual already sits within rel_tol of the target
     (exact ring values, as for a constant at q = 0).
     """
+    if not eps_schedule:
+        raise ValueError("ring-limit probe needs at least one eps")
     z0 = complex(z0)
     if z0 != 0:
         dist, _ = nearest_zero(f, z0)

@@ -611,40 +611,42 @@ def _sharp_zero_angles(
     )
 
 
-def _disk_integral(
+def disk_integrals(
     f: AnalyticFunction,
     params: MeanParams,
     r: float,
-    rows: Sequence[tuple[str, Kernel]],
+    g_kernels: Sequence[Kernel],
+    w_weights: Sequence[Kernel],
     spec: QuadratureSpec,
-    s_lo: float,
-    force_level: int | None,
+    s_lo: float = 0.0,
 ) -> list[IntegralResult]:
-    """Integrals of kernel(|z|) * field(z) over the disk (or annulus) of
-    radius r, one per (field, kernel) row, field "G" or "W", from one mesh.
+    """Integrals of kernel(|z|) * G(z) per G kernel, then of weight(|z|) * W(z)
+    per weight (ONE or ONE_MINUS_ABS_SQ), over the disk |z| < r, or the
+    annulus s_lo < |z| < r when 0 < s_lo < r, from one mesh.
 
-    The rows are weight rows over the same nodes, fed by g_values, w_values
-    or, with both fields, gw_values.  The mesh grades toward the union of
-    their singular radii, for the most singular field present.  Each row has
-    its own tolerance, error estimate and converged flag; refinement stops
-    once every row meets its own, or unconverged once a level lowers none of
-    the estimates still above it.  Cells near a feature of f on or outside
-    the rim, or near an interior zero where G is unbounded (kp < 2), split
-    into tanh-sinh arcs there.
+    The integrals are weight rows over the same nodes, fed by g_values,
+    w_values or, with both lists, gw_values.  The mesh grades toward the
+    union of their singular radii, for the most singular field present.
+    Each row has its own tolerance, error estimate and converged flag;
+    refinement stops once every row meets its own, or unconverged once a
+    level lowers none of the estimates still above it.  Cells near a feature
+    of f on or outside the rim, or near an interior zero where G is
+    unbounded (kp < 2), split into tanh-sinh arcs there.
     """
+    if not g_kernels and not w_weights:
+        raise ValueError("disk_integrals needs at least one G kernel or W weight")
     r = _check_radius(r)
     if not 0.0 <= s_lo < r:
         raise ValueError(f"inner radius must satisfy 0 <= s_lo < r = {r}, got {s_lo}")
-    if any(name == "W" and k.name not in ("one", "one-minus-abs-sq") for name, k in rows):
+    if any(k.name not in ("one", "one-minus-abs-sq") for k in w_weights):
         raise ValueError("disk integrals of W support weights ONE and ONE_MINUS_ABS_SQ")
-    names = {name for name, _ in rows}
-    kernels = [kernel for _, kernel in rows]
-    if len(names) > 1:
-        field, fields = gw_values, [0 if name == "G" else 1 for name, _ in rows]
+    kernels = [*g_kernels, *w_weights]
+    if g_kernels and w_weights:
+        field, fields = gw_values, [0] * len(g_kernels) + [1] * len(w_weights)
     else:
-        field, fields = g_values if "G" in names else w_values, None
+        field, fields = g_values if g_kernels else w_values, None
     # the extra local mass exponent at a zero of the most singular field
-    mass_shift = 0.0 if "G" in names else 2.0
+    mass_shift = 0.0 if g_kernels else 2.0
     zeros = zeros_in_disk(f, r)
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
     sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
@@ -659,7 +661,7 @@ def _disk_integral(
     n_k = len(kernels)
     hint, last_err = [1.0] * n_k, [math.inf] * n_k
     nodes_total = 0
-    for level in range(MAX_LEVELS) if force_level is None else (force_level,):
+    for level in range(MAX_LEVELS):
         theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
         values, err, nodes, cells_conv = _disk_once(
             lambda s, u: field(f, params, s * u), kernels, s_lo, r, sings, end_scales, peaks,
@@ -677,22 +679,6 @@ def _disk_integral(
     return [IntegralResult(v, e, nodes_total, level, c) for v, e, c in zip(values, err, conv)]
 
 
-def disk_integrals(
-    f: AnalyticFunction,
-    params: MeanParams,
-    r: float,
-    g_kernels: Sequence[Kernel],
-    w_weights: Sequence[Kernel],
-    spec: QuadratureSpec,
-    s_lo: float = 0.0,
-) -> list[IntegralResult]:
-    """Integrals of kernel(|z|) * G(z) per G kernel, then of weight(|z|) * W(z)
-    per weight (ONE or ONE_MINUS_ABS_SQ), over the disk |z| < r, or the
-    annulus s_lo < |z| < r when 0 < s_lo < r, from one mesh."""
-    rows = [("G", kernel) for kernel in g_kernels] + [("W", weight) for weight in w_weights]
-    return _disk_integral(f, params, r, rows, spec, s_lo, None)
-
-
 def disk_integral_G(
     f: AnalyticFunction,
     params: MeanParams,
@@ -700,11 +686,10 @@ def disk_integral_G(
     kernel: Kernel,
     spec: QuadratureSpec,
     s_lo: float = 0.0,
-    force_level: int | None = None,
 ) -> IntegralResult:
     """Integral of kernel(|z|) * G(z) over the disk |z| < r, or the annulus
     s_lo < |z| < r when 0 < s_lo < r."""
-    return _disk_integral(f, params, r, (("G", kernel),), spec, s_lo, force_level)[0]
+    return disk_integrals(f, params, r, (kernel,), (), spec, s_lo)[0]
 
 
 def disk_integral_W(
@@ -714,11 +699,10 @@ def disk_integral_W(
     weight: Kernel,
     spec: QuadratureSpec,
     s_lo: float = 0.0,
-    force_level: int | None = None,
 ) -> IntegralResult:
     """Integral of weight(|z|) * W(z) over the disk |z| < r, or the annulus
     s_lo < |z| < r when 0 < s_lo < r; weight is ONE or ONE_MINUS_ABS_SQ."""
-    return _disk_integral(f, params, r, (("W", weight),), spec, s_lo, force_level)[0]
+    return disk_integrals(f, params, r, (), (weight,), spec, s_lo)[0]
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from hardylab.quadrature import (
     kernel_log_r_over_abs,
 )
 from hardylab.report import body_lines
+from test_quadrature import disk_level
 
 SPEC = QuadratureSpec()
 TWO_PI = 2 * math.pi
@@ -251,16 +252,15 @@ def test_criterion_8_numerical_hygiene():
         ]
         for f, params, r, kernel in halve_cases:
             res = disk_integral_G(f, params, r, kernel, SPEC)
-            finer = disk_integral_G(f, params, r, kernel, SPEC, force_level=res.levels + 1)
+            with disk_level(res.levels + 1):
+                finer = disk_integral_G(f, params, r, kernel, SPEC)
             assert res.converged
             assert abs(finer.value - res.value) < max(
                 res.error_estimate, 1e-13 * max(1.0, abs(res.value))
             )
         res = disk_integral_W(GOLDEN_BINOM_09, MeanParams(2, 1), 0.9, KERNEL_ONE, SPEC)
-        finer = disk_integral_W(
-            GOLDEN_BINOM_09, MeanParams(2, 1), 0.9, KERNEL_ONE, SPEC,
-            force_level=res.levels + 1,
-        )
+        with disk_level(res.levels + 1):
+            finer = disk_integral_W(GOLDEN_BINOM_09, MeanParams(2, 1), 0.9, KERNEL_ONE, SPEC)
         assert abs(finer.value - res.value) < max(
             res.error_estimate, 1e-13 * max(1.0, abs(res.value))
         )

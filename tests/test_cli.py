@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import hardylab.quadrature as quadrature
+import hardylab.identities as identities
 from hardylab.cli import build_parser, main
 from hardylab.identities import evaluate_radius
 
@@ -204,7 +204,8 @@ def test_identity_validates_every_tag_before_computing(capsys, monkeypatch):
     def no_disk(*args, **kwargs):
         raise AssertionError("a disk integral was computed")
 
-    monkeypatch.setattr(quadrature, "_disk_integral", no_disk)
+    # identities imports disk_integrals, so its name there is the one it calls
+    monkeypatch.setattr(identities, "disk_integrals", no_disk)
     evaluate_radius.cache_clear()
     code, _, err = run_cli(
         capsys,
@@ -213,6 +214,14 @@ def test_identity_validates_every_tag_before_computing(capsys, monkeypatch):
     )
     assert code == 2
     assert "hardy-stein" in err
+
+
+def test_unknown_identity_tag_names_the_known_ones(capsys):
+    # without --r: the unknown tag is the error reported, not the missing radius
+    code, _, err = run_cli(capsys, "identity", "--fn", "poly:1,1", "--p", "2", "--check",
+                           "growth,frobnicate")
+    assert code == 2
+    assert "unknown identity tag 'frobnicate' (expected one of growth, log-r," in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

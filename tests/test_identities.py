@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -371,6 +372,18 @@ def test_ring_limit_rejects_non_zero_centre():
         )
 
 
+def test_ring_limit_rejects_an_empty_eps_schedule(monkeypatch):
+    batches, ring_integrals = [], identities.ring_integrals
+    monkeypatch.setattr(
+        identities, "ring_integrals", lambda *a: batches.append(a[3]) or ring_integrals(*a)
+    )
+    with pytest.raises(ValueError, match="at least one eps"):
+        ring_limit_probe(
+            Polynomial((1, 1)), MeanParams(2, 0), 0.0, kernel_log_r_over_abs(0.9), 0.9, SPEC, ()
+        )
+    assert not batches
+
+
 # ------------------------------------------------------------------ plumbing
 
 def test_usable_radius_perturbs():
@@ -411,13 +424,14 @@ def test_each_disk_mesh_serves_every_integral_at_its_radius(monkeypatch):
     # the five finite-r checks at one point build one mesh, with G under the
     # four kernels and W; area-limit builds one mesh per piece of the disk
     meshes = []
-    disk_integral = quadrature._disk_integral
+    disk_integrals = identities.disk_integrals
 
-    def spy(f, params, r, rows, *args):
-        meshes.append([(field, kernel.name) for field, kernel in rows])
-        return disk_integral(f, params, r, rows, *args)
+    def spy(f, params, r, g_kernels, w_weights, *args):
+        meshes.append([("G", k.name) for k in g_kernels] + [("W", k.name) for k in w_weights])
+        return disk_integrals(f, params, r, g_kernels, w_weights, *args)
 
-    monkeypatch.setattr(quadrature, "_disk_integral", spy)
+    # identities imports disk_integrals, so its name there is the one it calls
+    monkeypatch.setattr(identities, "disk_integrals", spy)
     f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0.0)
     evaluate_radius.cache_clear()
     for tag in FINITE_TAGS:
@@ -445,3 +459,47 @@ def test_a_finite_check_makes_one_circle_batch(monkeypatch):
     evaluate_radius.cache_clear()
     assert rep.passed
     assert circles == [(1, 2)]
+
+
+# the bundle integrals each finite-r row reads
+ROW_READS = {
+    "growth": {"deriv", "g_one"},
+    "log-r": {"mean", "g_log_r"},
+    "log-unit": {"mean", "deriv", "g_log_unit"},
+    "weighted-area": {"mean", "deriv", "g_one_minus_abs_sq", "w_one"},
+    "hardy-stein": {"mean", "g_log_r"},
+}
+
+
+@pytest.mark.parametrize("tag", FINITE_TAGS)
+def test_each_row_reads_its_integrals_and_budgets_their_errors(tag, monkeypatch):
+    f, params, r = BlaschkeProduct((0.5,)), MeanParams(2.0, 0.0), 0.8
+    evaluate_radius.cache_clear()
+    real = evaluate_radius(f, params, r, SPEC)
+    evaluate_radius.cache_clear()
+    names = [field.name for field in dataclasses.fields(real) if field.name != "r"]
+    assert len(names) == 7
+
+    def run(**changes):
+        bundle = dataclasses.replace(real, **{
+            name: dataclasses.replace(getattr(real, name), **change)
+            for name, change in changes.items()
+        })
+        monkeypatch.setattr(identities, "evaluate_radius", lambda *args: bundle)
+        return run_identity_check(tag, f, params, r, SPEC)
+
+    base = run()
+    assert base.converged and base.passed
+    for name in names:
+        read = name in ROW_READS[tag]
+        # an unconverged integral fails the record exactly when the row reads it
+        rep = run(**{name: {"converged": False}})
+        assert (rep.converged, rep.passed) == (not read, not read), name
+        # an error of 1 on this integral alone is budgeted at |d(lhs - rhs)/d value|;
+        # lhs - rhs is linear in the value, so a unit step gives the derivative
+        value = getattr(real, name).value
+        step = run(**{name: {"value": value + 1.0}})
+        slope = (step.lhs - step.rhs) - (base.lhs - base.rhs)
+        assert (slope != 0.0) == read, name
+        errors = {other: {"error_estimate": float(other == name)} for other in names}
+        assert run(**errors).budget == pytest.approx(abs(slope), rel=1e-12, abs=0.0), name

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from hardylab.quadrature import (
     ARC_ROUNDING,
     ARC_T,
     _cells_theta,
-    _disk_integral,
     _radial_partition,
     _zero_singularities,
     BATCH_POINTS,
@@ -498,6 +498,26 @@ def test_disk_rejects_inner_radius_outside_range(integral, s_lo):
         integral(monomial(1), MeanParams(2, 0), 0.8, KERNEL_ONE, SPEC, s_lo=s_lo)
 
 
+@contextlib.contextmanager
+def disk_level(level):
+    """Disk integrals inside run the one mesh level `level`: the refinement
+    loop stops after its first level, and _disk_once runs that one `level`
+    levels finer."""
+    disk_once = quadrature._disk_once
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "MAX_LEVELS", 1)
+        mp.setattr(quadrature, "_disk_once", lambda *a: disk_once(*a[:9], a[9] + level, *a[10:]))
+        yield
+
+
+def test_disk_integrals_reject_an_empty_row_list(monkeypatch):
+    levels, disk_once = [], quadrature._disk_once
+    monkeypatch.setattr(quadrature, "_disk_once", lambda *a: levels.append(a[9]) or disk_once(*a))
+    with pytest.raises(ValueError, match="at least one G kernel or W weight"):
+        disk_integrals(monomial(1), MeanParams(2, 0), 0.8, (), (), SPEC)
+    assert not levels
+
+
 def test_halve_mesh_stability():
     cases = [
         (monomial(1), MeanParams(0.5, 0.5), kernel_log_r_over_abs(0.8)),
@@ -506,7 +526,8 @@ def test_halve_mesh_stability():
     ]
     for f, params, kernel in cases:
         res = disk_integral_G(f, params, 0.8, kernel, SPEC)
-        finer = disk_integral_G(f, params, 0.8, kernel, SPEC, force_level=res.levels + 1)
+        with disk_level(res.levels + 1):
+            finer = disk_integral_G(f, params, 0.8, kernel, SPEC)
         assert res.converged
         assert abs(finer.value - res.value) < max(res.error_estimate, 1e-13 * abs(res.value))
 
@@ -538,9 +559,7 @@ def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged,
 
     monkeypatch.setattr(quadrature, "_disk_once", disk_once)
     kernels = (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ)[:len(converged)]
-    results = _disk_integral(
-        monomial(1), MeanParams(2, 0), 0.9, [("G", k) for k in kernels], SPEC, 0.0, None
-    )
+    results = disk_integrals(monomial(1), MeanParams(2, 0), 0.9, kernels, (), SPEC)
     assert calls == list(range(levels + 1))
     assert [res.converged for res in results] == list(converged)
     assert [res.error_estimate for res in results] == list(script[levels])
@@ -917,7 +936,8 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
     monkeypatch.setattr(quadrature, "tree_sum", record_tree_sum)
     monkeypatch.setattr(quadrature, "g_values", field)
-    (res,) = _disk_integral(f, params, r, (("G", KERNEL_ONE),), SPEC, 0.0, 0)
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)  # level 0 alone
+    (res,) = disk_integrals(f, params, r, (KERNEL_ONE,), (), SPEC)
 
     # one batch of the whole level, where only cell `hit` collides, then one
     # batch of its two halves
