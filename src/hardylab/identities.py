@@ -7,16 +7,16 @@ false failure.  Finite-r identities are the primary surface; the r -> 1
 limit form is probed by Richardson extrapolation along r = 1 - 2^-j with an
 empirically fitted order.  Its area side integrates each piece of the disk
 once: the disk of the first radius, then the annulus between each pair of
-consecutive radii, one mesh per piece carrying both G (1-|z|^2) and W.  The
-extrapolated sequence is the running sum of the pieces, so its differences
-are the annulus integrals themselves.
+consecutive radii, one mesh per piece carrying both G (1-|z|^2) and W, all
+from one disk_integrals call.  The extrapolated sequence is the running sum
+of the pieces, so its differences are the annulus integrals themselves.
 
 The five finite-r checks at one (f, p, q, r) share one memoised bundle,
 `evaluate_radius`: one usable radius, the circle mean of W and its
-derivative from one circle of W and dW/dr rows, and the area integrals of
-G under the four radial kernels and of W, all from one disk mesh.  Each
-identity is a row of FINITE_ROWS, algebra over that bundle and |f(0)|^p, run
-by _finite_check; the integrals a row reads decide the record's converged
+derivative from one circle of W and dW/dr rows, the area integrals of G
+under the four radial kernels and of W, all from one disk mesh, and
+|f(0)|^p.  Each identity is a row of FINITE_ROWS, algebra over that bundle,
+run by _finite_check; the integrals a row reads decide the record's converged
 flag.  The circle side and the disk side of the bundle stay independent
 routes, so sharing them does not make the two sides of an identity agree by
 construction.
@@ -50,6 +50,7 @@ from .quadrature import (
     IntegralResult,
     Kernel,
     TWO_PI,
+    QuadratureError,
     QuadratureSpec,
     circle_integrals,
     disk_integrals,
@@ -140,10 +141,12 @@ def _report(
 @dataclass(frozen=True)
 class RadiusBundle:
     """The circle-side and disk-side integrals the finite-r checks share at
-    one usable radius r: the circle mean of W, its r-derivative, the area
-    integrals of G under the four radial kernels, and the area integral of W."""
+    one usable radius r: |f(0)|^p, the circle mean of W, its r-derivative,
+    the area integrals of G under the four radial kernels, and the area
+    integral of W."""
 
     r: float
+    f0p: float
     mean: IntegralResult
     deriv: IntegralResult
     g_one: IntegralResult
@@ -164,32 +167,32 @@ def evaluate_radius(
     r = usable_radius(f, r, params.p)
     kernels = (KERNEL_ONE, kernel_log_r_over_abs(r), KERNEL_LOG_ONE_OVER_ABS,
                KERNEL_ONE_MINUS_ABS_SQ)
-    disk = disk_integrals(f, params, r, kernels, (KERNEL_ONE,), spec)
+    (disk,) = disk_integrals(f, params, (r,), kernels, (KERNEL_ONE,), spec)
     circle = next(circle_integrals(f, params, (r,), spec, ("W", "dW/dr")))
     # the fields in row order: the circle's W and dW/dr, then the disk's rows
-    return RadiusBundle(r, *circle, *disk)
+    return RadiusBundle(r, abs(eval_at(f, 0.0)) ** params.p, *circle, *disk)
 
 
-def _growth(b: RadiusBundle, f0p: float) -> tuple:
+def _growth(b: RadiusBundle) -> tuple:
     """2 pi r * d(mean)/dr against the plain area integral of G over D_r."""
     d, g = b.deriv, b.g_one
     lhs = TWO_PI * b.r * d.value
     return lhs, g.value, TWO_PI * b.r * d.error_estimate + g.error_estimate, (d, g)
 
 
-def _log_r(b: RadiusBundle, f0p: float) -> tuple:
+def _log_r(b: RadiusBundle) -> tuple:
     """Circle integral of W minus 2 pi |f(0)|^p against the log(r/|z|)-kernel
     area integral of G over D_r."""
     cm, g = b.mean, b.g_log_r
-    lhs = TWO_PI * cm.value - TWO_PI * f0p
+    lhs = TWO_PI * cm.value - TWO_PI * b.f0p
     return lhs, g.value, TWO_PI * cm.error_estimate + g.error_estimate, (cm, g)
 
 
-def _log_unit(b: RadiusBundle, f0p: float) -> tuple:
+def _log_unit(b: RadiusBundle) -> tuple:
     """Three-term boundary expression against the log(1/|z|)-kernel area
     integral of G over D_r."""
     r, cm, d, g = b.r, b.mean, b.deriv, b.g_log_unit
-    lhs = TWO_PI * cm.value - TWO_PI * r * math.log(r) * d.value - TWO_PI * f0p
+    lhs = TWO_PI * cm.value - TWO_PI * r * math.log(r) * d.value - TWO_PI * b.f0p
     budget = (
         TWO_PI * cm.error_estimate
         + TWO_PI * r * abs(math.log(r)) * d.error_estimate
@@ -198,7 +201,7 @@ def _log_unit(b: RadiusBundle, f0p: float) -> tuple:
     return lhs, g.value, budget, (cm, d, g)
 
 
-def _weighted_area(b: RadiusBundle, f0p: float) -> tuple:
+def _weighted_area(b: RadiusBundle) -> tuple:
     """(1-|z|^2)-kernel area integral of G plus 4x the area integral of W
     against the boundary flux r * int[(1-r^2) dW/dr + 2 r W] d theta."""
     r, cm, d, g, w = b.r, b.mean, b.deriv, b.g_one_minus_abs_sq, b.w_one
@@ -213,15 +216,15 @@ def _weighted_area(b: RadiusBundle, f0p: float) -> tuple:
     return lhs, rhs, budget, (g, w, cm, d)
 
 
-def _hardy_stein(b: RadiusBundle, f0p: float) -> tuple:
+def _hardy_stein(b: RadiusBundle) -> tuple:
     """Unweighted circle mean against |f(0)|^p plus the normalised
     log(r/|z|)-kernel area integral of |f|^{p-2}|f'|^2 (the q = 0 case of the
     log-r identity divided by 2 pi)."""
-    cm, g = b.mean, b.g_log_r
+    cm, g, f0p = b.mean, b.g_log_r, b.f0p
     return cm.value, f0p + g.value / TWO_PI, cm.error_estimate + g.error_estimate / TWO_PI, (cm, g)
 
 
-# one row per finite-r identity: from the bundle and |f(0)|^p it returns
+# one row per finite-r identity: from the bundle it returns
 # (lhs, rhs, budget, the integrals it reads), and those integrals' flags are
 # the record's converged flag
 FINITE_ROWS = {"growth": _growth, "log-r": _log_r, "log-unit": _log_unit,
@@ -232,7 +235,7 @@ def _finite_check(
     tag: str, f: AnalyticFunction, params: MeanParams, r: float, spec: QuadratureSpec
 ) -> IdentityReport:
     b = evaluate_radius(f, params, r, spec)
-    lhs, rhs, budget, reads = FINITE_ROWS[tag](b, abs(eval_at(f, 0.0)) ** params.p)
+    lhs, rhs, budget, reads = FINITE_ROWS[tag](b)
     converged = all(res.converged for res in reads)
     return _report(tag, f, params, b.r, lhs, rhs, budget, spec, converged)
 
@@ -349,17 +352,26 @@ def check_area_limit_identity(
     The area side is integrated piece by piece: the disk of the first radius,
     then each annulus between consecutive radii, so no part of the disk is
     integrated twice and the differences Richardson works on are exactly the
-    annulus integrals.  Each piece is one mesh of G and W.  The rhs sequence
-    is the running sum of the pieces, and its error the sum of every piece's
-    error so far.  The record carries the last radius integrated."""
+    annulus integrals.  Each piece is one mesh of G and W, all from one
+    disk_integrals call, which stops before a failing circle's radius and
+    raises its error.  The rhs sequence is the running sum of the pieces,
+    and its error the sum of every piece's error so far.  The record carries
+    the last radius integrated."""
     used = _area_limit_radii(f, params, radii)
-    lhs_vals: list[float] = []
-    rhs_vals: list[float] = []
+    circles, error = [], None
+    try:
+        for (cm,) in circle_integrals(f, params, used, spec):
+            circles.append(cm)
+    except (ValueError, QuadratureError) as exc:  # raised after the pieces before it
+        error = exc
+    pieces = disk_integrals(
+        f, params, used[:len(circles)], (KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,), spec
+    ) if circles else []
+    if error is not None:
+        raise error
+    lhs_vals, rhs_vals, converged = [], [], True
     area = area_err = 0.0
-    converged = True
-    # a circle's error is raised after the disk pieces of the earlier radii
-    for lo, r, (cm,) in zip([0.0, *used], used, circle_integrals(f, params, used, spec)):
-        g, w = disk_integrals(f, params, r, (KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,), spec, lo)
+    for r, cm, (g, w) in zip(used, circles, pieces):
         area += g.value + 4.0 * w.value
         area_err += g.error_estimate + 4.0 * w.error_estimate
         lhs_vals.append(2.0 * TWO_PI * cm.value)

@@ -33,6 +33,9 @@ cells are graded geometrically toward the origin for log kernels, toward
 the modulus of every zero of f where the integrand is not smooth (G scales
 like |z-z0|^{kp-2} at a zero of order k), and toward the rim when the weight
 (1-|z|^2)^q, or a zero, pole or boundary singularity of f, lies just outside.
+The pieces of a radius list, the disk of its first radius and the annuli
+between consecutive radii, refine in one engine batch per level, each with
+its own mesh, peaks, tolerances and stop, so with the bits of a lone piece.
 """
 
 from __future__ import annotations
@@ -167,9 +170,9 @@ def _cells_theta(
     s_nodes: np.ndarray,
     weights: np.ndarray,
     n0: int,
-    tol_abs: Sequence[float],
+    tol_abs: Sequence[float] | np.ndarray,
     rel_tol: float = 0.0,
-    peaks: Sequence[tuple[float, float]] = (),
+    peaks: Sequence[Sequence[tuple[float, float]]] = (),
     fields: Sequence[int] | None = None,
     starts: Sequence[int] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -179,7 +182,7 @@ def _cells_theta(
     sums the other fields under zero weights: a zero term in kahan_rows can
     apply a pending carry).
 
-    A cell with a radial node within 0.2 |w| of a peak (|w|, angle) takes
+    A cell with a radial node within 0.2 |w| of its peaks[c] (|w|, angle) takes
     tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T], from 2 n0
     steps; the others are periodic, from starts[c] steps (n0 without starts;
     all powers of two), and a cell joins the round that reaches its start.
@@ -194,7 +197,7 @@ def _cells_theta(
     max(tol_abs[k], rel_tol * |value_k|), and stops unconverged once its
     changes are below that floor.  Every cell stops at N_THETA_MAX steps per
     arc, and at a non-finite node as a collision, with 0 nodes.  Returns
-    (values, deltas, nodes, conv, doublings) per cell.
+    (values, deltas, nodes, conv, doublings) per cell; tol_abs may be per cell.
     """
     n_cells, n_k, n_s = weights.shape
     # by_row turns per-field sums (cells, n_f, ...) into rows (cells, n_k, ...)
@@ -202,19 +205,20 @@ def _cells_theta(
     by_row = (lambda a: a) if index is None else (lambda a: a[:, index])
     values, deltas = np.zeros((2, n_cells, n_k))
     conv, (nodes, doublings) = np.zeros((n_cells, n_k), bool), np.zeros((2, n_cells), np.int64)
-    tol_abs = np.asarray(tol_abs, dtype=float)
+    tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (n_cells, n_k))
     feats: list[set[float]] = [set() for _ in range(n_cells)]
-    for s0, theta0 in peaks:
-        for c in np.flatnonzero(np.abs(s_nodes - s0).min(axis=1) < 0.2 * s0).tolist():
+    for s0, theta0 in set().union(*peaks):  # each peak once, over the cells it is theirs
+        idx = np.array([c for c, own in enumerate(peaks) if (s0, theta0) in own])
+        for c in idx[np.abs(s_nodes[idx] - s0).min(axis=1) < 0.2 * s0].tolist():
             feats[c].add(theta0 % TWO_PI)
     # the cells still refining, with their running sums: a group per arc count and start
     arcs, groups = [sorted(angles) for angles in feats], []
     keys = [(len(a), starts[c] if starts and not a else n0) for c, a in enumerate(arcs)]
     for key in sorted(set(keys)):
         m, idx = key[0], [c for c, k in enumerate(keys) if k == key]
-        g = {"cells": np.array(idx), "s": s_nodes[:, :, None], "w": weights}
+        g = {"cells": np.array(idx), "s": s_nodes[:, :, None], "w": weights, "tol": tol_abs}
         if len(idx) < n_cells:  # indexing copies; a batch of one kind skips it
-            g.update(s=s_nodes[idx, :, None], w=weights[idx])
+            g.update(s=s_nodes[idx, :, None], w=weights[idx], tol=tol_abs[idx])
         if m:
             a = [arcs[c] for c in idx]
             span = [[b - x for x, b in zip(row, row[1:] + [row[0] + TWO_PI])] for row in a]
@@ -293,7 +297,7 @@ def _cells_theta(
                     sums = [arr[finite] for arr in sums]
                 step = ARC_T / n if m else TWO_PI / n
                 delta, ok, settled = (_arc_round if m else _periodic_round)(
-                    g, *sums, step, len(o) == 2, tol_abs, rel_tol, by_row)
+                    g, *sums, step, len(o) == 2, rel_tol, by_row)
                 done = settled.all(axis=1) | ((4 if m else 2) * n >= N_THETA_MAX)
                 if done.any():
                     sel = slice(None) if done.all() else done  # a whole group needs no gathers
@@ -306,7 +310,7 @@ def _cells_theta(
     return values, deltas, nodes, conv, doublings
 
 
-def _periodic_round(g, sums, abs_sums, step, first, tol_abs, rel_tol, by_row):
+def _periodic_round(g, sums, abs_sums, step, first, rel_tol, by_row):
     """One round of periodic cells: (change, converged, settled) per row."""
     w, sums, abs_sums = g["w"], sums[:, :, :, 0], abs_sums[:, :, :, 0]
     if first:
@@ -315,16 +319,16 @@ def _periodic_round(g, sums, abs_sums, step, first, tol_abs, rel_tol, by_row):
     g["h"] = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
     new = kahan_rows(w * by_row(g["h"]))
     delta, g["value"] = np.abs(new - g["value"]), new
-    bound = tol_abs
+    bound = g["tol"]
     if rel_tol:
         g["l1"] = 0.5 * g["l1"] + (0.5 * step) * abs_sums[..., -1]
         l1_rows = (np.abs(w) * by_row(g["l1"])).sum(axis=2)
-        bound = np.maximum(tol_abs, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
+        bound = np.maximum(bound, rel_tol * np.maximum(np.abs(new), 1e-6 * l1_rows))
     ok = delta <= bound
     return delta, ok, ok
 
 
-def _arc_round(g, sums, _abs_sums, step, first, tol_abs, rel_tol, by_row):
+def _arc_round(g, sums, _abs_sums, step, first, rel_tol, by_row):
     """One round of featured cells, whose pieces g["h"][c, f, i, j] are arc j
     of field f at radial node i: (estimate, converged, settled) per row."""
     w, sums = g["w"][:, :, :, None], sums * g["span"][:, None, ..., 0]
@@ -336,7 +340,7 @@ def _arc_round(g, sums, _abs_sums, step, first, tol_abs, rel_tol, by_row):
     g["h"], g["value"] = pieces, kahan_rows(g["w"] * by_row(pieces.sum(axis=3)))
     top, g["prev"] = np.maximum(change, g["prev"]), change
     estimate = 2.0 * top + floor
-    ok = estimate <= np.maximum(tol_abs, rel_tol * np.abs(g["value"]))
+    ok = estimate <= np.maximum(g["tol"], rel_tol * np.abs(g["value"]))
     return estimate, ok, ok | (top <= floor)
 
 
@@ -390,7 +394,7 @@ def circle_integrals(
     batch = _cells_theta(
         lambda s, u: field(f, params, s * u), np.array(radii).reshape(-1, 1),
         np.ones((len(radii), len(index), 1)), N_THETA_INIT, [tol] * len(index), tol,
-        features, index if len(index) > 1 else None,
+        [features] * len(radii), index if len(index) > 1 else None,
         [N_THETA_INIT << any(abs(math.log(m / r)) < gap for m, _ in features) for r in radii],
     )
     for totals, deltas, nodes, convs, doublings in zip(*(a.tolist() for a in batch)):
@@ -513,62 +517,60 @@ def _radial_partition(
 def _disk_once(
     gfun: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kernels: Sequence[Kernel],
-    lo: float,
-    hi: float,
-    sings: Sequence[tuple[float, float, bool]],
-    end_scales: tuple[float | None, float | None],
-    peaks: Sequence[tuple[float, float]],
+    pieces: Sequence[list],
     moduli: Sequence[float],
     spec: QuadratureSpec,
     level: int,
-    theta_tol_cell: Sequence[float],
     fields: Sequence[int] | None,
-) -> tuple[list[float], list[float], int, list[bool]]:
-    """One disk level: (values, error estimates, nodes, cells converged) per
-    kernel, kernel k on field fields[k] of gfun.  Each radial cell carries the
-    Kronrod nodes; its Gauss weights are extra rows, so a kernel's error is
-    the sum over cells of |Kronrod - Gauss| plus its Kronrod row's changes."""
+) -> list[tuple[list[float], list[float], int, list[bool]]]:
+    """One disk level of pieces (lo, hi, sings, end_scales, peaks, theta_tol),
+    in one batch: per piece (values, error estimates, nodes, cells converged)
+    per kernel, kernel k on field fields[k] of gfun.  Each radial cell carries
+    the Kronrod nodes; its Gauss weights are extra rows, so a kernel's error
+    is the sum over cells of |Kronrod - Gauss| plus its Kronrod row's changes."""
     kron_x, kron_w, gauss_w = KRONROD_RULE
     n0 = N_THETA_INIT << min(level, 3)
     n_k = len(kernels)
-    row_tol = list(theta_tol_cell) * 2
     row_fields = None if fields is None else list(fields) * 2
+    leaves: list[list[tuple]] = [[] for _ in pieces]
 
-    def run(cells: list[tuple[float, float, int]]) -> list[tuple]:
-        """(values, changes, nodes, conv) of every leaf cell, in radial order."""
-        ends = np.array([(a, b) for a, b, _ in cells])
+    def run(cells: list[tuple[int, float, float, int]]) -> None:
+        """Append each leaf cell's (values, changes, nodes, conv) to its piece's leaves."""
+        ends = np.array([(a, b) for _, a, b, _ in cells])
         mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
         s = mid[:, None] + half[:, None] * kron_x
         radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
         # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
         weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
         # each periodic cell starts at the power of two >= n_min / 2, at least 4
-        ln, leaves = math.log(1e3 / spec.rel_tol), []
+        ln = math.log(1e3 / spec.rel_tol)
         eta = np.abs(np.log(np.divide.outer(s, moduli))).min(axis=(1, 2), initial=math.inf)
         n_min = ln / np.maximum(eta, ln / (4 * N_THETA_INIT))
         starts = np.maximum(4, 2 ** np.ceil(np.log2(np.maximum(n_min, 2) / 2))).astype(int)
         batch = _cells_theta(
-            gfun, s, weights, n0, row_tol, 0.0, peaks, row_fields, starts.tolist())
-        for (a, b, depth), leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
+            gfun, s, weights, n0, [pieces[i][5] * 2 for i, *_ in cells], 0.0,
+            [pieces[i][4] for i, *_ in cells], row_fields, starts.tolist())
+        for (i, a, b, depth), leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
             if leaf[2]:
-                leaves.append(leaf[:4])
+                leaves[i].append(leaf[:4])
                 continue
             # a node landed on a singular point: subdivide in place and retry
             if depth >= MAX_GRADE_DEPTH:
                 raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
             cut = 0.5 * (a + b)
-            leaves += run([(a, cut, depth + 1), (cut, b, depth + 1)])
-        return leaves
+            run([(i, a, cut, depth + 1), (i, cut, b, depth + 1)])
 
-    cells = _radial_partition(lo, hi, sings, end_scales, spec, level)
-    leaves = run([(a, b, 0) for a, b in cells])
-    values, changes, used, convs = (np.array(col) for col in zip(*leaves))
-    kronrod = values[:, :n_k]
-    err = np.abs(kronrod - values[:, n_k:]).sum(axis=0) + changes[:, :n_k].sum(axis=0)
-    conv = convs.all(axis=0)
-    all_conv = conv[:n_k] & conv[n_k:]
-    values = [tree_sum(col) for col in kronrod.T.tolist()]
-    return values, err.tolist(), int(used.sum()), all_conv.tolist()
+    run([(i, a, b, 0) for i, (lo, hi, sings, end_scales, *_) in enumerate(pieces)
+         for a, b in _radial_partition(lo, hi, sings, end_scales, spec, level)])
+    out = []
+    for piece in leaves:
+        values, changes, used, convs = (np.array(col) for col in zip(*piece))
+        kronrod = values[:, :n_k]
+        err = np.abs(kronrod - values[:, n_k:]).sum(axis=0) + changes[:, :n_k].sum(axis=0)
+        conv = convs.all(axis=0)
+        out.append(([tree_sum(col) for col in kronrod.T.tolist()], err.tolist(),
+                    int(used.sum()), (conv[:n_k] & conv[n_k:]).tolist()))
+    return out
 
 
 def _zero_singularities(
@@ -614,15 +616,18 @@ def _sharp_zero_angles(
 def disk_integrals(
     f: AnalyticFunction,
     params: MeanParams,
-    r: float,
+    radii: Sequence[float],
     g_kernels: Sequence[Kernel],
     w_weights: Sequence[Kernel],
     spec: QuadratureSpec,
     s_lo: float = 0.0,
-) -> list[IntegralResult]:
+) -> list[list[IntegralResult]]:
     """Integrals of kernel(|z|) * G(z) per G kernel, then of weight(|z|) * W(z)
-    per weight (ONE or ONE_MINUS_ABS_SQ), over the disk |z| < r, or the
-    annulus s_lo < |z| < r when 0 < s_lo < r, from one mesh.
+    per weight (ONE or ONE_MINUS_ABS_SQ), over each piece of a strictly
+    increasing radius list: the disk |z| < radii[0], or the annulus
+    s_lo < |z| < radii[0] when s_lo > 0, then each annulus between
+    consecutive radii.  One list of results per piece, each from one mesh,
+    and one engine batch per level for the pieces still refining.
 
     The integrals are weight rows over the same nodes, fed by g_values,
     w_values or, with both lists, gw_values.  The mesh grades toward the
@@ -630,14 +635,18 @@ def disk_integrals(
     Each row has its own tolerance, error estimate and converged flag;
     refinement stops once every row meets its own, or unconverged once a
     level lowers none of the estimates still above it.  Cells near a feature
-    of f on or outside the rim, or near an interior zero where G is
-    unbounded (kp < 2), split into tanh-sinh arcs there.
+    of f on or outside the piece's outer rim, or near an interior zero where
+    G is unbounded (kp < 2), split into tanh-sinh arcs there.
     """
     if not g_kernels and not w_weights:
         raise ValueError("disk_integrals needs at least one G kernel or W weight")
-    r = _check_radius(r)
-    if not 0.0 <= s_lo < r:
-        raise ValueError(f"inner radius must satisfy 0 <= s_lo < r = {r}, got {s_lo}")
+    radii = [_check_radius(r) for r in radii]
+    if not radii:
+        raise ValueError("disk_integrals needs at least one radius")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"disk radii must be strictly increasing, got {radii}")
+    if not 0.0 <= s_lo < radii[0]:
+        raise ValueError(f"inner radius must satisfy 0 <= s_lo < r = {radii[0]}, got {s_lo}")
     if any(k.name not in ("one", "one-minus-abs-sq") for k in w_weights):
         raise ValueError("disk integrals of W support weights ONE and ONE_MINUS_ABS_SQ")
     kernels = [*g_kernels, *w_weights]
@@ -647,36 +656,39 @@ def disk_integrals(
         field, fields = g_values if g_kernels else w_values, None
     # the extra local mass exponent at a zero of the most singular field
     mass_shift = 0.0 if g_kernels else 2.0
-    zeros = zeros_in_disk(f, r)
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
-    sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
     features = feature_moduli(f)
-    boundary_scale = _boundary_scale(params, r, features)
-    peaks = [(m, a) for m, a in features if m >= r]
-    peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
-
-    below = [s_lo - s0 for s0, _, _ in sings if s0 < s_lo]
-    end_scales = (min(below, default=None), boundary_scale)
-
-    n_k = len(kernels)
-    hint, last_err = [1.0] * n_k, [math.inf] * n_k
-    nodes_total = 0
+    tol = 0.125 * 0.25 * spec.rel_tol  # a kernel's angular tolerance per max(1, |value|)
+    pieces = []  # (lo, hi, sings, end_scales, peaks, angular tolerance per kernel)
+    for lo, r in zip([s_lo, *radii], radii):
+        zeros = zeros_in_disk(f, r)
+        sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
+        below = [lo - s0 for s0, _, _ in sings if s0 < lo]
+        ends = (min(below, default=None), _boundary_scale(params, r, features))
+        peaks = tuple((m, a) for m, a in features if m >= r)
+        peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
+        pieces.append([lo, r, sings, ends, peaks, [tol] * len(kernels)])
+    live, results = list(range(len(pieces))), [None] * len(pieces)
+    last_errs, nodes_total = [[math.inf] * len(kernels) for _ in pieces], [0] * len(pieces)
     for level in range(MAX_LEVELS):
-        theta_tol = [0.125 * 0.25 * spec.rel_tol * h for h in hint]
-        values, err, nodes, cells_conv = _disk_once(
-            lambda s, u: field(f, params, s * u), kernels, s_lo, r, sings, end_scales, peaks,
-            [m for m, _ in features], spec, level, theta_tol, fields,
-        )
-        nodes_total += nodes
-        conv = [
-            e <= spec.rel_tol * max(1.0, abs(v)) and c
-            for e, v, c in zip(err, values, cells_conv)
-        ]
-        # a level that lowers no unconverged row's estimate ends refinement
-        if all(conv) or not any(e < e0 for e, e0, c in zip(err, last_err, conv) if not c):
+        runs = _disk_once(lambda s, u: field(f, params, s * u), kernels, [pieces[i] for i in live],
+                          [m for m, _ in features], spec, level, fields)
+        for i, (values, err, nodes, cells_conv) in zip(live, runs):
+            nodes_total[i] += nodes
+            conv = [
+                e <= spec.rel_tol * max(1.0, abs(v)) and c
+                for e, v, c in zip(err, values, cells_conv)
+            ]
+            # a level that lowers no unconverged row's estimate ends refinement
+            if (all(conv) or level == MAX_LEVELS - 1
+                    or not any(e < e0 for e, e0, c in zip(err, last_errs[i], conv) if not c)):
+                results[i] = [IntegralResult(v, e, nodes_total[i], level, c)
+                              for v, e, c in zip(values, err, conv)]
+            pieces[i][5], last_errs[i] = [tol * max(1.0, abs(v)) for v in values], err
+        live = [i for i in live if results[i] is None]
+        if not live:
             break
-        hint, last_err = [max(1.0, abs(v)) for v in values], err
-    return [IntegralResult(v, e, nodes_total, level, c) for v, e, c in zip(values, err, conv)]
+    return results
 
 
 def disk_integral_G(
@@ -689,7 +701,7 @@ def disk_integral_G(
 ) -> IntegralResult:
     """Integral of kernel(|z|) * G(z) over the disk |z| < r, or the annulus
     s_lo < |z| < r when 0 < s_lo < r."""
-    return disk_integrals(f, params, r, (kernel,), (), spec, s_lo)[0]
+    return disk_integrals(f, params, (r,), (kernel,), (), spec, s_lo)[0][0]
 
 
 def disk_integral_W(
@@ -702,7 +714,7 @@ def disk_integral_W(
 ) -> IntegralResult:
     """Integral of weight(|z|) * W(z) over the disk |z| < r, or the annulus
     s_lo < |z| < r when 0 < s_lo < r; weight is ONE or ONE_MINUS_ABS_SQ."""
-    return disk_integrals(f, params, r, (), (weight,), spec, s_lo)[0]
+    return disk_integrals(f, params, (r,), (), (weight,), spec, s_lo)[0][0]
 
 
 # --------------------------------------------------------------------------

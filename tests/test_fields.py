@@ -589,9 +589,9 @@ for text in ("poly:0.3-0.2i,-0.5,0.1+0.4i,0.8,-0.6i,2.1", "blaschke:0.5", "binom
         gw_values(f, params, z)
     calls += faults() - before
 f, spec = parse_function("blaschke:0.5"), QuadratureSpec()
-disk_integrals(f, params, 0.9, [KERNEL_ONE], [KERNEL_ONE], spec)
+disk_integrals(f, params, (0.9,), [KERNEL_ONE], [KERNEL_ONE], spec)
 before = faults()
-disk_integrals(f, params, 0.9, [KERNEL_ONE], [KERNEL_ONE], spec)
+disk_integrals(f, params, (0.9,), [KERNEL_ONE], [KERNEL_ONE], spec)
 print(calls, faults() - before)
 """
 

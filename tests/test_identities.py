@@ -10,6 +10,7 @@ from hardylab.parsing import parse_function
 from hardylab.report import SuiteReport, body_lines
 from hardylab.quadrature import (
     KERNEL_ONE_MINUS_ABS_SQ,
+    IntegralResult,
     QuadratureSpec,
     kernel_log_r_over_abs,
 )
@@ -235,7 +236,8 @@ def test_area_limit_integrates_each_annulus_once(monkeypatch):
 
 def test_area_limit_raises_a_circle_failure_where_the_loop_meets_it(monkeypatch):
     # the circle means of the schedule are one batch; a non-finite node on
-    # the third circle still raises after the first two radii's disk pieces
+    # the third circle still raises after one disk call over the first two
+    # radii's pieces
     w_values, disks = quadrature.w_values, identities.disk_integrals
     radii, pieces = (0.5, 0.75, 0.875, 0.9375), []
 
@@ -250,7 +252,7 @@ def test_area_limit_raises_a_circle_failure_where_the_loop_meets_it(monkeypatch)
     )
     with pytest.raises(quadrature.QuadratureError, match="non-finite"):
         check_area_limit_identity(Polynomial((1, 1)), MeanParams(2, 0), SPEC, radii)
-    assert pieces == [0.5, 0.75]
+    assert pieces == [[0.5, 0.75]]
 
 
 def test_one_membership_error_class_for_all_checks():
@@ -422,13 +424,15 @@ def test_finite_checks_share_one_radius_bundle():
 
 def test_each_disk_mesh_serves_every_integral_at_its_radius(monkeypatch):
     # the five finite-r checks at one point build one mesh, with G under the
-    # four kernels and W; area-limit builds one mesh per piece of the disk
+    # four kernels and W; area-limit builds one mesh per piece of the disk,
+    # all pieces in one call
     meshes = []
     disk_integrals = identities.disk_integrals
 
-    def spy(f, params, r, g_kernels, w_weights, *args):
-        meshes.append([("G", k.name) for k in g_kernels] + [("W", k.name) for k in w_weights])
-        return disk_integrals(f, params, r, g_kernels, w_weights, *args)
+    def spy(f, params, radii, g_kernels, w_weights, *args):
+        meshes.append((len(radii), [("G", k.name) for k in g_kernels]
+                       + [("W", k.name) for k in w_weights]))
+        return disk_integrals(f, params, radii, g_kernels, w_weights, *args)
 
     # identities imports disk_integrals, so its name there is the one it calls
     monkeypatch.setattr(identities, "disk_integrals", spy)
@@ -436,11 +440,11 @@ def test_each_disk_mesh_serves_every_integral_at_its_radius(monkeypatch):
     evaluate_radius.cache_clear()
     for tag in FINITE_TAGS:
         run_identity_check(tag, f, params, 0.9, SPEC)
-    assert meshes == [[("G", "one"), ("G", "log-r"), ("G", "log-unit"),
-                       ("G", "one-minus-abs-sq"), ("W", "one")]]
+    assert meshes == [(1, [("G", "one"), ("G", "log-r"), ("G", "log-unit"),
+                           ("G", "one-minus-abs-sq"), ("W", "one")])]
     meshes.clear()
     check_area_limit_identity(f, params, SPEC)
-    assert meshes == [[("G", "one-minus-abs-sq"), ("W", "one")]] * 10
+    assert meshes == [(10, [("G", "one-minus-abs-sq"), ("W", "one")])]
 
 
 def test_a_finite_check_makes_one_circle_batch(monkeypatch):
@@ -477,7 +481,8 @@ def test_each_row_reads_its_integrals_and_budgets_their_errors(tag, monkeypatch)
     evaluate_radius.cache_clear()
     real = evaluate_radius(f, params, r, SPEC)
     evaluate_radius.cache_clear()
-    names = [field.name for field in dataclasses.fields(real) if field.name != "r"]
+    names = [field.name for field in dataclasses.fields(real)
+             if isinstance(getattr(real, field.name), IntegralResult)]
     assert len(names) == 7
 
     def run(**changes):

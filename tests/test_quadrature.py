@@ -321,7 +321,7 @@ def test_disk_integrals_g_every_kernel_closed_form(n, p):
         TWO_PI * r ** (a + 2) / (a + 2),
         TWO_PI * (r ** (a + 2) / (a + 2) - r ** (a + 4) / (a + 4)),
     )
-    results = disk_integrals(monomial(n), MeanParams(p, 0), r, kernels, weights, SPEC)
+    (results,) = disk_integrals(monomial(n), MeanParams(p, 0), (r,), kernels, weights, SPEC)
     assert len(results) == len(kernels) + len(weights)
     for kernel, res, exact in zip(kernels + weights, results, closed):
         assert res.converged, kernel.name
@@ -506,15 +506,15 @@ def disk_level(level):
     disk_once = quadrature._disk_once
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "MAX_LEVELS", 1)
-        mp.setattr(quadrature, "_disk_once", lambda *a: disk_once(*a[:9], a[9] + level, *a[10:]))
+        mp.setattr(quadrature, "_disk_once", lambda *a: disk_once(*a[:5], a[5] + level, *a[6:]))
         yield
 
 
 def test_disk_integrals_reject_an_empty_row_list(monkeypatch):
     levels, disk_once = [], quadrature._disk_once
-    monkeypatch.setattr(quadrature, "_disk_once", lambda *a: levels.append(a[9]) or disk_once(*a))
+    monkeypatch.setattr(quadrature, "_disk_once", lambda *a: levels.append(a[5]) or disk_once(*a))
     with pytest.raises(ValueError, match="at least one G kernel or W weight"):
-        disk_integrals(monomial(1), MeanParams(2, 0), 0.8, (), (), SPEC)
+        disk_integrals(monomial(1), MeanParams(2, 0), (0.8,), (), (), SPEC)
     assert not levels
 
 
@@ -551,15 +551,13 @@ def test_halve_mesh_stability():
 def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged, monkeypatch):
     calls = []
 
-    def disk_once(
-        gfun, kernels, lo, hi, sings, end_scales, peaks, moduli, spec, level, theta_tol, fields
-    ):
+    def disk_once(gfun, kernels, pieces, moduli, spec, level, fields):
         calls.append(level)
-        return [1.0] * len(kernels), list(script[level]), 10, [True] * len(kernels)
+        return [([1.0] * len(kernels), list(script[level]), 10, [True] * len(kernels))]
 
     monkeypatch.setattr(quadrature, "_disk_once", disk_once)
     kernels = (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ)[:len(converged)]
-    results = disk_integrals(monomial(1), MeanParams(2, 0), 0.9, kernels, (), SPEC)
+    (results,) = disk_integrals(monomial(1), MeanParams(2, 0), (0.9,), kernels, (), SPEC)
     assert calls == list(range(levels + 1))
     assert [res.converged for res in results] == list(converged)
     assert [res.error_estimate for res in results] == list(script[levels])
@@ -679,7 +677,7 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
         s, weights, peaks = banded_cell(points, a, b)
         angles = [angle for _, angle in peaks]
         values, deltas, nodes, conv, doublings = _cells_theta(
-            on_circle(gfun), s[None], weights[None, None], n0, [1e-9], peaks=peaks
+            on_circle(gfun), s[None], weights[None, None], n0, [1e-9], peaks=[peaks]
         )
         assert conv[0, 0]
         # the last step count per arc, n = 2 n0 * 2^doublings
@@ -706,7 +704,7 @@ def test_banded_rule_non_finite_node_is_a_collision():
         return g
 
     _, _, nodes, _, _ = _cells_theta(
-        on_circle(gfun), s[None], weights[None, None], N_THETA_INIT, [math.inf], peaks=peaks
+        on_circle(gfun), s[None], weights[None, None], N_THETA_INIT, [math.inf], peaks=[peaks]
     )
     assert nodes.tolist() == [0]
     with pytest.raises(_CellCollision):
@@ -728,7 +726,7 @@ def test_featured_round_over_the_cap_is_sliced():
         return g_values(f, params, z)
 
     values, _, nodes, conv, doublings = _cells_theta(
-        on_circle(gfun), s, weights, 256, [math.inf] * 2, peaks=peaks
+        on_circle(gfun), s, weights, 256, [math.inf] * 2, peaks=[peaks]
     )
     assert conv.all() and doublings.tolist() == [1] and nodes.tolist() == [43_008]
     assert [math.prod(shape) for shape in shapes] == [10_752] * 4
@@ -836,7 +834,7 @@ def test_cells_join_the_round_that_reaches_their_start():
     # and doublings of a lone run
     f, params = monomial(1), MeanParams(2, 0)
     s, weights = periodic_cells([(0.1, 0.2), (0.2, 0.3), (0.45, 0.55)], (KERNEL_ONE,))
-    peaks, starts, tol = [(0.5, 0.0)], [4, 8, 4], [1e-12] * 2
+    peaks, starts, tol = [((0.5, 0.0),)] * 3, [4, 8, 4], [1e-12] * 2
     calls = []
 
     def gfun(z):
@@ -848,7 +846,7 @@ def test_cells_join_the_round_that_reaches_their_start():
     for c in range(3):
         one = slice(c, c + 1)
         alone = _cells_theta(
-            on_circle(gfun), s[one], weights[one], 32, tol, 0.0, peaks, None, starts[one])
+            on_circle(gfun), s[one], weights[one], 32, tol, 0.0, peaks[one], None, starts[one])
         assert all(a.tobytes() == b[one].tobytes() for a, b in zip(alone, batch))
     assert batch[2].tolist() == [21 * 8, 21 * 16, 21 * 2 * 2 * 64]
     assert batch[4].tolist() == [1, 1, 2]
@@ -867,10 +865,10 @@ def test_rows_of_a_field_stack_match_one_field_runs(peaks):
     stack = np.concatenate([weights, weights], axis=1)
     for k, field in enumerate((g_values, w_values)):
         alone = _cells_theta(
-            on_circle(lambda z: field(f, params, z)), s, weights, 32, tol, peaks=peaks)
+            on_circle(lambda z: field(f, params, z)), s, weights, 32, tol, peaks=[peaks] * 3)
         both = _cells_theta(
             on_circle(lambda z: gw_values(f, params, z)), s, stack, 32,
-            (free + tol) if k else (tol + free), peaks=peaks, fields=[0] * 4 + [1] * 4)
+            (free + tol) if k else (tol + free), peaks=[peaks] * 3, fields=[0] * 4 + [1] * 4)
         rows = slice(4 * k, 4 * k + 4)
         assert alone[0].tobytes() == both[0][:, rows].tobytes()
         assert alone[1].tobytes() == both[1][:, rows].tobytes()
@@ -923,7 +921,7 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     batches, summed, starts = [], [], set()
 
     def cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields, start):
-        assert not peaks and fields is None
+        assert not any(peaks) and fields is None
         out = _cells_theta(gfun, s_nodes, weights, n0, tol_abs, rel_tol, peaks, fields, start)
         batches.append((s_nodes, out[2] == 0))
         starts.update(start)
@@ -937,7 +935,7 @@ def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     monkeypatch.setattr(quadrature, "tree_sum", record_tree_sum)
     monkeypatch.setattr(quadrature, "g_values", field)
     monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)  # level 0 alone
-    (res,) = disk_integrals(f, params, r, (KERNEL_ONE,), (), SPEC)
+    ((res,),) = disk_integrals(f, params, (r,), (KERNEL_ONE,), (), SPEC)
 
     # one batch of the whole level, where only cell `hit` collides, then one
     # batch of its two halves
@@ -1001,6 +999,104 @@ def test_disk_collision_depth_cap(monkeypatch):
     with pytest.raises(QuadratureError, match="cell subdivision depth cap reached"):
         disk_integral_G(f, params, 0.9, KERNEL_ONE, SPEC)
 
+
+
+def disk_bits(pieces):
+    """Every result of a disk call, per piece, floats as exact hex."""
+    return [[bits(res) for res in piece] for piece in pieces]
+
+
+@pytest.mark.parametrize(
+    "fn,p,q,radii,rel_tol",
+    [
+        # golden's binom:0.9 area-limit schedule
+        ("binom:0.9", 2, 1, tuple(1.0 - 2.0**-j for j in range(1, 11)), 1e-7),
+        # the zero at 0.85 is a peak of the first two pieces only
+        ("poly:-0.85,1", 2, 0, (0.5, 0.8, 0.9, 0.95), 1e-7),
+        # the last two pieces refine to level 1, under different hints
+        ("binom:0.9", 3, 0, (0.5, 0.75, 0.9, 0.95), 1e-10),
+    ],
+    ids=["golden-binom", "peak-outside-two-pieces", "pieces-past-level-0"],
+)
+def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monkeypatch):
+    # the pieces share one engine batch per level, and each keeps the bits,
+    # nodes, levels and flags of a lone call over it
+    f, params, spec = parse_function(fn), MeanParams(p, q), QuadratureSpec(rel_tol)
+    rows = ((KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,))
+    batches = []
+
+    def cells_theta(*args):
+        batches.append(len(args[1]))
+        return _cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    together = disk_integrals(f, params, radii, *rows, spec)
+    levels = [piece[0].levels for piece in together]
+    assert len(batches) == max(levels) + 1
+    for lo, r, piece in zip((0.0,) + radii, radii, together):
+        alone = disk_integrals(f, params, (r,), *rows, spec, s_lo=lo)
+        assert disk_bits(alone) == disk_bits([piece])
+    if rel_tol < 1e-7:
+        # the level-1 hints max(1, |value|) of the two pieces differ
+        assert levels == [0, 0, 1, 1] and 1 < together[2][0].value < together[3][0].value
+
+
+def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
+    # a node of the last piece's first cell is singular: that cell alone
+    # splits, in a second batch of its two halves, which keep their piece's
+    # peaks (none: the zero at 0.85 is a peak of the first two pieces only),
+    # and every piece keeps the bits of a lone call under the same field
+    f, params, radii = parse_function("poly:-0.85,1"), MeanParams(2.0, 0.0), (0.5, 0.8, 0.9)
+    sings = _zero_singularities(zeros_in_disk(f, 0.9), params.p, 0.0, False)
+    cells = _radial_partition(0.8, 0.9, sings, (None, None), SPEC, 0)
+    s_star = periodic_cells(cells, (KERNEL_ONE,))[0][0, 10]
+
+    def field(f, params, z):
+        g = g_values(f, params, z)
+        g[z == s_star] = np.nan
+        return g
+
+    batches = []
+
+    def cells_theta(*args):
+        out = _cells_theta(*args)
+        batches.append((len(args[1]), int((out[2] == 0).sum())))
+        return out
+
+    monkeypatch.setattr(quadrature, "g_values", field)
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    together = disk_integrals(f, params, radii, (KERNEL_ONE,), (), SPEC)
+    assert [piece[0].levels for piece in together] == [0, 0, 0]
+    assert batches[1:] == [(2, 0)] and batches[0][1] == 1
+    for lo, r, piece in zip((0.0,) + radii, radii, together):
+        alone = disk_integrals(f, params, (r,), (KERNEL_ONE,), (), SPEC, s_lo=lo)
+        assert disk_bits(alone) == disk_bits([piece])
+
+
+@pytest.mark.parametrize(
+    "radii,s_lo,match",
+    [
+        ((), 0.0, "at least one radius"),
+        ((0.5, 0.5), 0.0, "strictly increasing"),
+        ((0.7, 0.5, 0.9), 0.0, "strictly increasing"),
+        ((0.5, 0.7), 0.5, "s_lo"),
+        ((0.5, 0.7), 0.6, "s_lo"),
+    ],
+    ids=["empty", "repeated", "decreasing", "s_lo-at-first", "s_lo-past-first"],
+)
+def test_disk_integrals_reject_a_bad_radius_list_before_any_field_call(
+    radii, s_lo, match, monkeypatch
+):
+    def no_field(*args):
+        raise AssertionError("field called")
+
+    for name in ("g_values", "w_values", "gw_values"):
+        monkeypatch.setattr(quadrature, name, no_field)
+    rows = ((KERNEL_ONE,), (KERNEL_ONE,))
+    with pytest.raises(ValueError, match=match):
+        disk_integrals(monomial(1), MeanParams(2, 0), radii, *rows, SPEC, s_lo)
+    with pytest.raises(AssertionError, match="field called"):
+        disk_integrals(monomial(1), MeanParams(2, 0), (0.5, 0.7), *rows, SPEC)
 
 def test_disk_field_calls_respect_batch_cap(monkeypatch):
     # W of (z - 0.5) at p = 0.5 has a cusp on |z| = 0.5, which the periodic
