@@ -124,7 +124,7 @@ def rate_probe(
 ) -> RateProbeResult:
     """Sample D(r) = d(mean^p)/dr along the schedule and judge whether
     (1-r) D(r) is consistent with decay."""
-    _check_schedule(radii, 0, "rate probe radii must be strictly increasing")
+    _check_schedule(radii, 1, "rate probe needs at least one radius, strictly increasing")
     if membership_hint(f, params.p, params.q) != MembershipHint.MEMBER:
         raise MembershipRequiredError("rate probe requires membership_hint(f, p, q) = member")
     used_r, (means, d_vals), _ = _profile(f, params, radii, spec, ("W", "dW/dr"))

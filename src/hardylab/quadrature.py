@@ -17,10 +17,11 @@ cells: off-origin zeros with kp < 2 for G, and features on or outside the
 rim; circle means: any feature; rings: none) splits the circle at the
 features' angles into tanh-sinh arcs, which converge double-exponentially
 where the periodic rule would need O(s/dist) nodes.  The cells of a batch
-refine in the same rounds, sharing field calls, and stop one by one with the
-bits of lone runs.  A circle's rows read W, dW/dr or both, one wd_values
-stack.  Node contributions are combined by compensated summation and cells by
-a fixed binary tree, so results are bit-identical between runs.
+refine in the same rounds, the cells of one arc count and start sharing
+their field calls, and stop one by one with the bits of lone runs.  A
+circle's rows read W, dW/dr or both, one wd_values stack.  Node
+contributions are combined by compensated summation and cells by a fixed
+binary tree, so results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
@@ -186,7 +187,10 @@ def _cells_theta(
     tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T], from 2 n0
     steps; the others are periodic, from starts[c] steps (n0 without starts;
     all powers of two), and a cell joins the round that reaches its start.
-    Each round adds the midpoints.  A periodic cell stops once every row's change is within
+    Each round adds the midpoints, a group (the cells of one arc count and
+    start) in field calls of whole cells up to BATCH_POINTS points, or of one
+    periodic cell over it; a featured cell over it takes slices of its steps.
+    A periodic cell stops once every row's change is within
     max(tol_abs[k], rel_tol * max(|value_k|, 1e-6 L1_k)), L1_k the row over
     |integrand|.  A featured cell sums its changes over arcs and radial
     nodes, so errors of opposite sign cannot cancel.  Its estimate is twice
@@ -228,12 +232,6 @@ def _cells_theta(
         groups.append((m, key[1], g))
     # the groups refining, and those waiting for their start
     groups, pending, n = [], groups, min((start for _, start, _ in groups), default=n0)
-
-    def cell_nodes(gi, j0, j1, cut):
-        (m, _, g), o, c = groups[gi], offsets[gi], slice(j0, j1)
-        theta = g["a"][c] + g["span"][c] * _arc_nodes(2 * n, o)[0][:, cut] if m else None
-        return g["s"][c], np.exp(1j * theta).reshape(j1 - j0, 1, -1) if m else _unit_nodes(n, o)
-
     # rows holding inf - inf are collisions
     with np.errstate(invalid="ignore"):
         while groups or pending:
@@ -241,54 +239,31 @@ def _cells_theta(
             pending = [group for group in pending if group[1] > n]
             # a group's first round, at its start, takes both offsets
             offsets = [(0.0, 0.5) if start == n else (0.5,) for _, start, _ in groups]
-            # whole cells per field call of up to BATCH_POINTS, across groups only
-            # if the round fits one call; a featured cell over it takes k slices
-            calls: list[list[tuple]] = [[]]
-            room = BATCH_POINTS
-            sizes = [n_s * (2 * m or 1) * n * len(o) for (m, _, _), o in zip(groups, offsets)]
-            share = sum(size * len(g["cells"]) for size, (_, _, g) in zip(sizes, groups))
-            for gi, ((m, _, g), size) in enumerate(zip(groups, sizes)):
-                if share > BATCH_POINTS and calls[-1]:
-                    room = 0  # the group starts a call of its own
-                k = min(n, 1 << ((size - 1) // BATCH_POINTS).bit_length()) if m else 1
-                j, q, width = 0, 0, 2 * n // k
-                while j < len(g["cells"]):
-                    if room < size // k and calls[-1]:
-                        calls.append([])
-                        room = BATCH_POINTS
-                    take = 1 if k > 1 else min(max(room // size, 1), len(g["cells"]) - j)
-                    calls[-1].append((gi, j, j + take, slice(q * width, (q + 1) * width)))
-                    room -= take * size // k
-                    q = (q + 1) % k
-                    j += 0 if q else take
             parts: list[list[tuple]] = [[] for _ in groups]
-            for call in filter(None, calls):  # a round between starts can be empty
-                args = [cell_nodes(*part) for part in call]
-                if len(call) == 1:
-                    out = [integrand(*args[0])]
-                else:
-                    # one flat call over cells of several groups
-                    shapes = [np.broadcast_shapes(s.shape, u.shape) for s, u in args]
-                    flat = integrand(*(np.concatenate(
-                        [np.broadcast_to(arg[i], sh).ravel() for arg, sh in zip(args, shapes)]
-                    ) for i in (0, 1)))
-                    out = np.split(
-                        flat, np.cumsum([math.prod(sh) for sh in shapes])[:-1], axis=-1)
-                    del flat
-                for (gi, j0, j1, cut), mat in zip(call, out):
-                    m, o = groups[gi][0], offsets[gi]
-                    # (cells, fields, radial nodes, arcs, offsets, steps): a sum per offset
-                    mat = np.asarray(mat, dtype=float).reshape(
-                        n_f, j1 - j0, n_s, max(m, 1), len(o), -1).swapaxes(0, 1)
-                    # a non-finite node makes its sum non-finite
-                    sums = (mat * _arc_nodes(2 * n, o)[1][:, cut] if m else mat).sum(axis=5)
-                    part = (np.isfinite(sums).all(axis=(1, 2, 3, 4)), sums,
-                            np.abs(mat).sum(axis=5) if rel_tol and not m else sums)
-                    if cut.start:  # a later slice of the same featured cell
-                        prior = parts[gi].pop()
-                        part = (part[0] & prior[0],) + (sums + prior[1],) * 2
-                    parts[gi].append(part)
-                del out, mat  # free these fields before the next call makes its own
+            for (m, _, g), o, group_parts in zip(groups, offsets, parts):
+                # runs of whole cells of up to BATCH_POINTS per field call; a
+                # featured cell over it takes k slices of its steps, one call each
+                size = n_s * (2 * m or 1) * n * len(o)
+                k = min(n, 1 << ((size - 1) // BATCH_POINTS).bit_length()) if m else 1
+                take, width = max(BATCH_POINTS // size, 1), 2 * n // k
+                for c in (slice(j, j + take) for j in range(0, len(g["cells"]), take)):
+                    s = g["s"][c]
+                    for cut in (slice(q * width, (q + 1) * width) for q in range(k)):
+                        u = _unit_nodes(n, o) if not m else np.exp(
+                            1j * (g["a"][c] + g["span"][c] * _arc_nodes(2 * n, o)[0][:, cut])
+                        ).reshape(len(s), 1, -1)
+                        # (cells, fields, radial nodes, arcs, offsets, steps): a sum per offset
+                        mat = np.asarray(integrand(s, u), dtype=float).reshape(
+                            n_f, len(s), n_s, max(m, 1), len(o), -1).swapaxes(0, 1)
+                        # a non-finite node makes its sum non-finite
+                        sums = (mat * _arc_nodes(2 * n, o)[1][:, cut] if m else mat).sum(axis=5)
+                        part = (np.isfinite(sums).all(axis=(1, 2, 3, 4)), sums,
+                                np.abs(mat).sum(axis=5) if rel_tol and not m else sums)
+                        if cut.start:  # a later slice of the same featured cell
+                            prior = group_parts.pop()
+                            part = (part[0] & prior[0],) + (sums + prior[1],) * 2
+                        group_parts.append(part)
+                        del u, mat  # free these before the next call makes its own
             kept = []
             for (m, t0, g), part, o in zip(groups, parts, offsets):
                 finite, *sums = map(np.concatenate, zip(*part)) if part[1:] else part[0]
@@ -620,14 +595,12 @@ def disk_integrals(
     g_kernels: Sequence[Kernel],
     w_weights: Sequence[Kernel],
     spec: QuadratureSpec,
-    s_lo: float = 0.0,
 ) -> list[list[IntegralResult]]:
     """Integrals of kernel(|z|) * G(z) per G kernel, then of weight(|z|) * W(z)
     per weight (ONE or ONE_MINUS_ABS_SQ), over each piece of a strictly
-    increasing radius list: the disk |z| < radii[0], or the annulus
-    s_lo < |z| < radii[0] when s_lo > 0, then each annulus between
-    consecutive radii.  One list of results per piece, each from one mesh,
-    and one engine batch per level for the pieces still refining.
+    increasing radius list: the disk |z| < radii[0], then each annulus
+    between consecutive radii.  One list of results per piece, each from one
+    mesh, and one engine batch per level for the pieces still refining.
 
     The integrals are weight rows over the same nodes, fed by g_values,
     w_values or, with both lists, gw_values.  The mesh grades toward the
@@ -645,8 +618,6 @@ def disk_integrals(
         raise ValueError("disk_integrals needs at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"disk radii must be strictly increasing, got {radii}")
-    if not 0.0 <= s_lo < radii[0]:
-        raise ValueError(f"inner radius must satisfy 0 <= s_lo < r = {radii[0]}, got {s_lo}")
     if any(k.name not in ("one", "one-minus-abs-sq") for k in w_weights):
         raise ValueError("disk integrals of W support weights ONE and ONE_MINUS_ABS_SQ")
     kernels = [*g_kernels, *w_weights]
@@ -660,7 +631,7 @@ def disk_integrals(
     features = feature_moduli(f)
     tol = 0.125 * 0.25 * spec.rel_tol  # a kernel's angular tolerance per max(1, |value|)
     pieces = []  # (lo, hi, sings, end_scales, peaks, angular tolerance per kernel)
-    for lo, r in zip([s_lo, *radii], radii):
+    for lo, r in zip([0.0, *radii], radii):
         zeros = zeros_in_disk(f, r)
         sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
         below = [lo - s0 for s0, _, _ in sings if s0 < lo]
@@ -697,11 +668,9 @@ def disk_integral_G(
     r: float,
     kernel: Kernel,
     spec: QuadratureSpec,
-    s_lo: float = 0.0,
 ) -> IntegralResult:
-    """Integral of kernel(|z|) * G(z) over the disk |z| < r, or the annulus
-    s_lo < |z| < r when 0 < s_lo < r."""
-    return disk_integrals(f, params, (r,), (kernel,), (), spec, s_lo)[0][0]
+    """Integral of kernel(|z|) * G(z) over the disk |z| < r."""
+    return disk_integrals(f, params, (r,), (kernel,), (), spec)[0][0]
 
 
 def disk_integral_W(
@@ -710,11 +679,10 @@ def disk_integral_W(
     r: float,
     weight: Kernel,
     spec: QuadratureSpec,
-    s_lo: float = 0.0,
 ) -> IntegralResult:
-    """Integral of weight(|z|) * W(z) over the disk |z| < r, or the annulus
-    s_lo < |z| < r when 0 < s_lo < r; weight is ONE or ONE_MINUS_ABS_SQ."""
-    return disk_integrals(f, params, (r,), (), (weight,), spec, s_lo)[0][0]
+    """Integral of weight(|z|) * W(z) over the disk |z| < r; weight is ONE
+    or ONE_MINUS_ABS_SQ."""
+    return disk_integrals(f, params, (r,), (), (weight,), spec)[0][0]
 
 
 # --------------------------------------------------------------------------

@@ -177,6 +177,7 @@ BAD_SCHEDULES = {
              (0.9, 0.8, 0.7, 0.6, 0.5)),
     "rate-repeat": (lambda radii: rate_probe(ONE_Z, MeanParams(2, 0), SPEC, radii),
                     (0.5, 0.6, 0.6, 0.7)),
+    "rate-empty": (lambda radii: rate_probe(ONE_Z, MeanParams(2, 0), SPEC, radii), ()),
     "monotonicity": (lambda radii: monotonicity_check(ONE_Z, 2.0, SPEC, radii),
                      DEFAULT_MONOTONICITY_GRID[::-1]),
     "logconvexity": (lambda radii: logconvexity_check(ONE_Z, 2.0, SPEC, radii),
@@ -189,8 +190,9 @@ BAD_SCHEDULES = {
 
 @pytest.mark.parametrize("case", BAD_SCHEDULES)
 def test_schedule_checks_reject_bad_schedules_before_any_integral(case, monkeypatch):
-    # a schedule that does not strictly increase, or log-convexity on fewer
-    # than 3 radii, is a ValueError before any field is evaluated
+    # a schedule that does not strictly increase, an empty rate schedule, or
+    # log-convexity on fewer than 3 radii, is a ValueError before any field
+    # is evaluated
     check, radii = BAD_SCHEDULES[case]
     no_field_calls(monkeypatch)
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -5,8 +5,8 @@ Each disk case integrates G = Laplacian of W against the kernel 1 over
 |z| < r and compares it with 2 pi r M'(r), where M is the circle mean of W,
 taken from a closed form and differentiated analytically.  The circle cases
 compare circle means M(r) and their derivatives M'(r) with closed forms: at
-p = 2 for rationals and Blaschke products, and for 1 + z^64 through 2F1; at
-every p, those of f(z^m) are compared with those of f at r^m.  A
+p = 2 for rationals and Blaschke products, and for binomials and 1 + z^64
+through 2F1 at every p; those of f(z^m) are compared with those of f at r^m.  A
 converged result must satisfy
 |value - exact| <= max(error_estimate, rel_tol * max(1, |exact|));
 unconverged results and typed errors are allowed.
@@ -42,14 +42,19 @@ def assert_within_error_bar(res, exact):
         assert abs(res.value - exact) <= allowed, (res.value, exact, res.error_estimate)
 
 
-def binomial_disk_g(alpha, params, r):
+def binomial_circle_mean(alpha, params, r):
     """(1 - z)^(-alpha): M = (1 - r^2)^q 2F1(a, a; 1; r^2) with a = alpha p / 2,
-    and d/dx 2F1(a, a; 1; x) = a^2 2F1(a + 1, a + 1; 2; x)."""
+    and M' = 2 r dM/dx, x = r^2, with d/dx 2F1(a, a; 1; x) = a^2 2F1(a + 1,
+    a + 1; 2; x): (M, M') as mpmath numbers at the working precision."""
+    a, x, q = mpmath.mpf(alpha * params.p) / 2, mpmath.mpf(r) ** 2, params.q
+    h, dh = mpmath.hyp2f1(a, a, 1, x), a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x)
+    return (1 - x) ** q * h, 2 * r * ((1 - x) ** q * dh - q * (1 - x) ** (q - 1) * h)
+
+
+def binomial_disk_g(alpha, params, r):
+    """2 pi r M'(r) for (1 - z)^(-alpha)."""
     with mpmath.workdps(30):
-        a, x, q = mpmath.mpf(alpha * params.p) / 2, mpmath.mpf(r) ** 2, params.q
-        h, dh = mpmath.hyp2f1(a, a, 1, x), a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x)
-        dmean_dx = (1 - x) ** q * dh - q * (1 - x) ** (q - 1) * h
-        return float(2 * mpmath.pi * r * 2 * r * dmean_dx)
+        return float(2 * mpmath.pi * r * binomial_circle_mean(alpha, params, r)[1])
 
 
 def monomial_disk_g(n, params, r):
@@ -132,6 +137,25 @@ def test_sharp_zero_estimate_bounds_its_error():
     exact = shifted_zero_disk_g(0.5, params.p, r)
     assert res.converged
     assert abs(res.value - exact) <= res.error_estimate, (res.value, exact, res.error_estimate)
+
+
+BINOMIAL_CIRCLE_RADII = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("q", [0, 0.5, 1])
+@pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 2])
+def test_binomial_circle_means_and_derivatives_within_their_error_bars(alpha, p, q):
+    # every p, one circle batch of M and M' per (alpha, p, q); the circles
+    # near the binomial's point 1 take tanh-sinh arcs
+    params = MeanParams(p, q)
+    batch = circle_integrals(Binomial(alpha), params, BINOMIAL_CIRCLE_RADII, SPEC, ("W", "dW/dr"))
+    for r, results in zip(BINOMIAL_CIRCLE_RADII, batch):
+        with mpmath.workdps(30):
+            exact = [float(value) for value in binomial_circle_mean(alpha, params, r)]
+        for res, value in zip(results, exact):
+            assert res.converged, (r, res)
+            assert_within_error_bar(res, value)
 
 
 def p2_circle_mean(f, q, r):

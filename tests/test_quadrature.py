@@ -443,7 +443,7 @@ def test_disk_additivity_over_annulus():
     params = MeanParams(1.5, 0.5)
     whole = disk_integral_G(f, params, 0.8, KERNEL_ONE, SPEC)
     inner = disk_integral_G(f, params, 0.6, KERNEL_ONE, SPEC)
-    ring = disk_integral_G(f, params, 0.8, KERNEL_ONE, SPEC, s_lo=0.6)
+    ring = disk_integrals(f, params, (0.6, 0.8), (KERNEL_ONE,), (), SPEC)[1][0]
     assert abs(whole.value - inner.value - ring.value) <= (
         whole.error_estimate + inner.error_estimate + ring.error_estimate + 1e-12
     )
@@ -465,8 +465,8 @@ def test_rim_annulus_closed_forms(n, p):
     )
     w_exact = 2 * mpmath.pi * (b ** (c + 2) - a ** (c + 2)) / (c + 2)
     params = MeanParams(p, 0)
-    g = disk_integral_G(monomial(n), params, hi, KERNEL_ONE_MINUS_ABS_SQ, SPEC, s_lo=lo)
-    w = disk_integral_W(monomial(n), params, hi, KERNEL_ONE, SPEC, s_lo=lo)
+    g = disk_integrals(monomial(n), params, (lo, hi), (KERNEL_ONE_MINUS_ABS_SQ,), (), SPEC)[1][0]
+    w = disk_integrals(monomial(n), params, (lo, hi), (), (KERNEL_ONE,), SPEC)[1][0]
     for res, exact in ((g, g_exact), (w, w_exact)):
         assert res.converged
         exact = float(exact)
@@ -478,24 +478,13 @@ def test_annulus_above_sharp_zero_tiles_the_disk():
     # 1e-6 above the zero, where G ~ |z - 0.5|^{-0.5}
     f, params = BlaschkeProduct((0.5,)), MeanParams(1.5, 0)
     lo, hi = 0.500001, 0.75
-    for integral, kernel in (
-        (disk_integral_G, KERNEL_ONE_MINUS_ABS_SQ),
-        (disk_integral_W, KERNEL_ONE),
-    ):
-        inner = integral(f, params, lo, kernel, SPEC)
-        ring = integral(f, params, hi, kernel, SPEC, s_lo=lo)
-        whole = integral(f, params, hi, kernel, SPEC)
+    for rows in (((KERNEL_ONE_MINUS_ABS_SQ,), ()), ((), (KERNEL_ONE,))):
+        (inner,), (ring,) = disk_integrals(f, params, (lo, hi), *rows, SPEC)
+        ((whole,),) = disk_integrals(f, params, (hi,), *rows, SPEC)
         assert inner.converged and ring.converged and whole.converged
         assert abs(inner.value + ring.value - whole.value) <= (
             inner.error_estimate + ring.error_estimate + whole.error_estimate
         )
-
-
-@pytest.mark.parametrize("s_lo", [0.9, 0.8, -0.1])
-@pytest.mark.parametrize("integral", [disk_integral_G, disk_integral_W])
-def test_disk_rejects_inner_radius_outside_range(integral, s_lo):
-    with pytest.raises(ValueError, match="s_lo"):
-        integral(monomial(1), MeanParams(2, 0), 0.8, KERNEL_ONE, SPEC, s_lo=s_lo)
 
 
 @contextlib.contextmanager
@@ -1006,6 +995,12 @@ def disk_bits(pieces):
     return [[bits(res) for res in piece] for piece in pieces]
 
 
+def lone_piece(f, params, lo, r, rows, spec):
+    """The piece lo < |z| < r of a radius list alone: the disk at lo = 0, else
+    the annulus of (lo, r)."""
+    return disk_integrals(f, params, (lo, r) if lo else (r,), *rows, spec)[-1]
+
+
 @pytest.mark.parametrize(
     "fn,p,q,radii,rel_tol",
     [
@@ -1034,8 +1029,7 @@ def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monke
     levels = [piece[0].levels for piece in together]
     assert len(batches) == max(levels) + 1
     for lo, r, piece in zip((0.0,) + radii, radii, together):
-        alone = disk_integrals(f, params, (r,), *rows, spec, s_lo=lo)
-        assert disk_bits(alone) == disk_bits([piece])
+        assert disk_bits([lone_piece(f, params, lo, r, rows, spec)]) == disk_bits([piece])
     if rel_tol < 1e-7:
         # the level-1 hints max(1, |value|) of the two pieces differ
         assert levels == [0, 0, 1, 1] and 1 < together[2][0].value < together[3][0].value
@@ -1069,24 +1063,24 @@ def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
     assert [piece[0].levels for piece in together] == [0, 0, 0]
     assert batches[1:] == [(2, 0)] and batches[0][1] == 1
     for lo, r, piece in zip((0.0,) + radii, radii, together):
-        alone = disk_integrals(f, params, (r,), (KERNEL_ONE,), (), SPEC, s_lo=lo)
-        assert disk_bits(alone) == disk_bits([piece])
+        lone = lone_piece(f, params, lo, r, ((KERNEL_ONE,), ()), SPEC)
+        assert disk_bits([lone]) == disk_bits([piece])
 
 
 @pytest.mark.parametrize(
-    "radii,s_lo,match",
+    "radii,match",
     [
-        ((), 0.0, "at least one radius"),
-        ((0.5, 0.5), 0.0, "strictly increasing"),
-        ((0.7, 0.5, 0.9), 0.0, "strictly increasing"),
-        ((0.5, 0.7), 0.5, "s_lo"),
-        ((0.5, 0.7), 0.6, "s_lo"),
+        ((), "at least one radius"),
+        ((0.5, 0.5), "strictly increasing"),
+        ((0.7, 0.5, 0.9), "strictly increasing"),
+        # an annulus lo < |z| < 0.8 with lo at, past or below its range
+        ((0.8, 0.8), "strictly increasing"),
+        ((0.9, 0.8), "strictly increasing"),
+        ((-0.1, 0.8), "0 < r < 1"),
     ],
-    ids=["empty", "repeated", "decreasing", "s_lo-at-first", "s_lo-past-first"],
+    ids=["empty", "repeated", "decreasing", "lo-at-r", "lo-past-r", "lo-neg"],
 )
-def test_disk_integrals_reject_a_bad_radius_list_before_any_field_call(
-    radii, s_lo, match, monkeypatch
-):
+def test_disk_integrals_reject_a_bad_radius_list_before_any_field_call(radii, match, monkeypatch):
     def no_field(*args):
         raise AssertionError("field called")
 
@@ -1094,7 +1088,7 @@ def test_disk_integrals_reject_a_bad_radius_list_before_any_field_call(
         monkeypatch.setattr(quadrature, name, no_field)
     rows = ((KERNEL_ONE,), (KERNEL_ONE,))
     with pytest.raises(ValueError, match=match):
-        disk_integrals(monomial(1), MeanParams(2, 0), radii, *rows, SPEC, s_lo)
+        disk_integrals(monomial(1), MeanParams(2, 0), radii, *rows, SPEC)
     with pytest.raises(AssertionError, match="field called"):
         disk_integrals(monomial(1), MeanParams(2, 0), (0.5, 0.7), *rows, SPEC)
 
@@ -1125,10 +1119,8 @@ def test_banded_field_calls_respect_batch_cap(monkeypatch):
     # G of blaschke:0.5 at p = 1.5 is unbounded at the zero, so the cells
     # around |z| = 0.5 split the circle there into tanh-sinh arcs, in the same
     # rounds as the periodic cells: a call holds at most BATCH_POINTS points
-    # unless it is one periodic cell's round alone, and as a round holds more
-    # than one call, each kind of cell keeps to calls of its own.  Periodic
-    # cells far from the zero start below 32 steps, so their first rounds fit
-    # one flat call across kinds
+    # unless it is one periodic cell's round alone, and each kind of cell
+    # keeps to calls of its own, even where a round would fit one call
     f, params = parse_function("blaschke:0.5"), MeanParams(1.5, 0.0)
     calls = []
     groups = record_arcs(monkeypatch)
@@ -1141,7 +1133,7 @@ def test_banded_field_calls_respect_batch_cap(monkeypatch):
     res = disk_integral_G(f, params, 0.9, KERNEL_ONE, SPEC)
     assert res.converged
     assert groups and all(arcs == 1 for _, arcs in groups)
-    assert all(len(shape) == 3 or math.prod(shape) <= BATCH_POINTS for shape in calls)
+    assert all(len(shape) == 3 for shape in calls)
     for shape in calls:
         assert math.prod(shape) <= BATCH_POINTS or (len(shape) == 3 and shape[0] == 1)
     # rounds larger than the cap are cut into several calls
@@ -1349,7 +1341,7 @@ def test_circle_schedule_matches_lone_runs(deriv, monkeypatch):
 def test_mixed_circle_schedule_matches_lone_runs(deriv, monkeypatch):
     # zeros at 0.5 and 0.6 e^{2.2i}: r = 0.55 is near both (two arcs),
     # r = 0.68 near the second (one arc), and 0.3 and 0.9 are periodic, so
-    # one batch mixes three kinds of cell in flat field calls
+    # one batch holds three kinds of cell, each in field calls of its own
     f, params = parse_function("blaschke:0.5,-0.35309-0.48529i"), MeanParams(1.5, 0.5)
     radii = (0.3, 0.55, 0.68, 0.9)
     field_name = "radial_deriv_w_values" if deriv else "w_values"
@@ -1362,7 +1354,7 @@ def test_mixed_circle_schedule_matches_lone_runs(deriv, monkeypatch):
     results = list(circle_integrals(f, params, radii, SPEC, ("dW/dr",) if deriv else ("W",)))
     batch_calls = len(shapes)
     assert groups[:2] == [([2], 1), ([1], 2)]
-    assert any(len(shape) == 1 for shape in shapes)
+    assert not any(len(shape) == 1 for shape in shapes)
     lone = circle_mean_deriv if deriv else circle_mean
     assert [bits(res) for (res,) in results] == [bits(lone(f, params, r, SPEC)) for r in radii]
     assert all(res.converged for (res,) in results)
