@@ -487,6 +487,17 @@ def test_annulus_above_sharp_zero_tiles_the_disk():
         )
 
 
+@pytest.mark.parametrize("s_lo", [0.9, 0.8, -0.1])
+@pytest.mark.parametrize("integral", ["disk_integral_G", "disk_integral_W"])
+def test_disk_rejects_inner_radius_outside_range(integral, s_lo):
+    # an annulus s_lo < |z| < 0.8 of G or W is piece 1 of the radius list
+    # (s_lo, 0.8), which needs 0 <= s_lo < 0.8
+    rows = ((KERNEL_ONE,), ()) if integral == "disk_integral_G" else ((), (KERNEL_ONE,))
+    match = "0 < r < 1" if s_lo < 0 else "strictly increasing"
+    with pytest.raises(ValueError, match=match):
+        disk_integrals(monomial(1), MeanParams(2, 0), (s_lo, 0.8), *rows, SPEC)
+
+
 @contextlib.contextmanager
 def disk_level(level):
     """Disk integrals inside run the one mesh level `level`: the refinement
@@ -1073,12 +1084,11 @@ def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
         ((), "at least one radius"),
         ((0.5, 0.5), "strictly increasing"),
         ((0.7, 0.5, 0.9), "strictly increasing"),
-        # an annulus lo < |z| < 0.8 with lo at, past or below its range
-        ((0.8, 0.8), "strictly increasing"),
-        ((0.9, 0.8), "strictly increasing"),
-        ((-0.1, 0.8), "0 < r < 1"),
+        # an inner radius at or past the first radius of (0.5, 0.7)
+        ((0.5, 0.5, 0.7), "strictly increasing"),
+        ((0.6, 0.5, 0.7), "strictly increasing"),
     ],
-    ids=["empty", "repeated", "decreasing", "lo-at-r", "lo-past-r", "lo-neg"],
+    ids=["empty", "repeated", "decreasing", "s_lo-at-first", "s_lo-past-first"],
 )
 def test_disk_integrals_reject_a_bad_radius_list_before_any_field_call(radii, match, monkeypatch):
     def no_field(*args):
