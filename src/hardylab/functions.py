@@ -383,27 +383,45 @@ def nearest_zero(f: AnalyticFunction, z: complex) -> tuple[float, Zero | None]:
 # --------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=512)
-def feature_moduli(f: AnalyticFunction) -> tuple[tuple[float, float], ...]:
-    """(modulus, angle) of every off-origin point where f vanishes or is
-    singular: the zeros of f, the poles of a rational, the poles 1/conj(a)
-    of a Blaschke product and the binomial's point z = 1.  The angle is that
-    of the point itself, so under c * f(e^{i phi} z) a feature w of f moves
-    to e^{-i phi} w.  Disk cells and circle means within 0.2 |w| of a
-    feature split the circle at its angle, and every modulus bounds the
-    annulus where W and G are analytic, which sets a periodic cell's
-    fewest trapezoid steps.  Memoised, as f is immutable.
+def feature_moduli(f: AnalyticFunction, p: float = 1.0) -> tuple[tuple[float, float], ...]:
+    """(modulus, angle) of every off-origin point where W = |f|^p (1 -
+    |z|^2)^q is not real-analytic at exponent p: the poles of a rational, the
+    poles 1/conj(a) of a Blaschke product, the binomial's point z = 1 and,
+    unless p is even, the zeros of f.  At even p, W = (f conj f)^{p/2} (1 -
+    |z|^2)^q is real-analytic at a zero, and so are G, dW/dr and grad W; the
+    zeros count toward fourier_band instead.  The angle is that of the point
+    itself, so under c * f(e^{i phi} z) a feature w of f moves to e^{-i phi}
+    w.  Disk cells and circle means within 0.2 |w| of a feature split the
+    circle at its angle, and every modulus bounds the annulus where W and G
+    are analytic, which sets a periodic cell's fewest trapezoid steps.
+    Memoised, as f is immutable.
     """
     if isinstance(f, ScaledRotation):
-        return tuple((m, a - f.rotation) for m, a in feature_moduli(f.inner))
+        return tuple((m, a - f.rotation) for m, a in feature_moduli(f.inner, p))
     if isinstance(f, Binomial):
         return ((1.0, 0.0),)
     if isinstance(f, BlaschkeProduct):
         zeros = [(abs(a), cmath.phase(a)) for a in f.zeros if a != 0]
-        return tuple(zeros + [(1.0 / m, angle) for m, angle in zeros])
-    points = list(_polynomial_roots(f.coeffs if isinstance(f, Polynomial) else f.num.coeffs))
-    if isinstance(f, Rational):
-        points += _polynomial_roots(f.den.coeffs)
-    return tuple((abs(w), cmath.phase(w)) for w in points if w != 0)
+        poles = [(1.0 / m, angle) for m, angle in zeros]
+    else:
+        roots = _polynomial_roots(f.coeffs if isinstance(f, Polynomial) else f.num.coeffs)
+        zeros = [(abs(w), cmath.phase(w)) for w in roots if w != 0]
+        poles = [(abs(w), cmath.phase(w))
+                 for w in (_polynomial_roots(f.den.coeffs) if isinstance(f, Rational) else ())]
+    return tuple(poles if p % 2 == 0 else zeros + poles)
+
+
+def fourier_band(f: AnalyticFunction, p: float) -> int:
+    """At even p, the degree in theta of prod |z - a|^p over the off-origin
+    zeros a of f, with orders, inside the unit disk and out: (p/2) times
+    their number.  On every circle |z| = s that product is a trigonometric
+    polynomial of this degree, so the modes of W beyond it decay as fast as
+    the features of feature_moduli(f, p) allow.  0 at any other p.
+    """
+    if p % 2:
+        return 0
+    # the zeros are the features an even exponent drops
+    return int(p) // 2 * (len(feature_moduli(f)) - len(feature_moduli(f, p)))
 
 
 # --------------------------------------------------------------------------

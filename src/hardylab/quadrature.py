@@ -7,14 +7,19 @@ circle mean is a cell with one radial node of weight 1, and a ring a cell
 whose integrand is the flux through |z - z0| = s.  The engine halves the step
 of a trapezoid rule in t, each level adding the odd multiples of the new
 step.  A periodic cell takes theta = t.  As W and G are analytic between the
-moduli |w| of f's zeros and singular points, its n-step error on |z| = s
-falls like exp(-n eta), eta = min |ln(|w|/s)| (Trefethen & Weideman, SIAM
-Review 56, 2014), so it starts at the power of two >= n_min / 2, n_min =
+moduli |w| of f's features (feature_moduli: its singular points, and its
+off-origin zeros unless p is even), its n-step error on |z| = s falls like
+exp(-n eta), eta = min |ln(|w|/s)| (Trefethen & Weideman, SIAM Review 56,
+2014), so it starts at the power of two >= n_min / 2, n_min =
 ln(1e3/rel_tol) / eta <= 4 N_THETA_INIT (disk cells at least 4, circles at
 least N_THETA_INIT): no change is taken below n_min, where a mode can alias
-onto the mean.  A cell within 0.2 |w| of a feature w of known angle (disk
-cells: off-origin zeros with kp < 2 for G, and features on or outside the
-rim; circle means: any feature; rings: none) splits the circle at the
+onto the mean.  At even p, |f|^p = (f conj f)^{p/2} is real-analytic at a
+zero, and on |z| = s the product of |z - a|^p over the off-origin zeros a is
+a trigonometric polynomial of degree band = (p/2) * their number with
+orders (fourier_band), which n steps integrate exactly only for n > band:
+n_min gains band + 1.  A cell within 0.2 |w| of a feature w of known angle
+(disk cells: off-origin zeros with kp < 2 for G, and features on or outside
+the rim; circle means: any feature; rings: none) splits the circle at the
 features' angles into tanh-sinh arcs, which converge double-exponentially
 where the periodic rule would need O(s/dist) nodes.  The cells of a batch
 refine in the same rounds, the cells of one arc count and start sharing
@@ -25,15 +30,17 @@ binary tree, so results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
-estimate is the sum over cells of |K21 - G10| plus the angular estimates;
-the first level within rel_tol * max(1, |value|) is the result, else every
-radial cell splits, up to MAX_LEVELS levels or until a level lowers no
-unconverged kernel's estimate.  A stack of kernels shares one mesh as weight
+estimate is the sum over cells of |K21 - G10| plus the angular estimates,
+plus the rounding floor KRONROD_ROUNDING times the sum of |K21|; the first
+level within rel_tol * max(1, |value|) is the result, else every radial
+cell splits, up to MAX_LEVELS levels or until a level lowers no unconverged
+kernel's estimate.  A stack of kernels shares one mesh as weight
 rows, of G, of W, or of both from one gw_values call per batch.  Radial
 cells are graded geometrically toward the origin for log kernels, toward
 the modulus of every zero of f where the integrand is not smooth (G scales
-like |z-z0|^{kp-2} at a zero of order k), and toward the rim when the weight
-(1-|z|^2)^q, or a zero, pole or boundary singularity of f, lies just outside.
+like |z-z0|^{kp-2} at a zero of order k; at even p only a zero at the origin
+is graded toward), and toward the rim when the weight (1-|z|^2)^q, or a
+feature of f, lies just outside.
 The pieces of a radius list, the disk of its first radius and the annuli
 between consecutive radii, refine in one engine batch per level, each with
 its own mesh, peaks, tolerances and stop, so with the bits of a lone piece.
@@ -52,7 +59,9 @@ from .accum import kahan_rows, tree_sum
 from .fields import (
     MeanParams, g_values, grad_w_values, gw_values, radial_deriv_w_values, w_values, wd_values,
 )
-from .functions import AnalyticFunction, Zero, _unit_disk_zeros, feature_moduli, zeros_in_disk
+from .functions import (
+    AnalyticFunction, Zero, _unit_disk_zeros, feature_moduli, fourier_band, zeros_in_disk,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +77,10 @@ MAX_GRADE_DEPTH = 40
 # and the rounding floor of an arc estimate per unit of sum |pieces| / (1 - s)
 ARC_T = 4.0
 ARC_ROUNDING = 4e-15
+# the rounding floor of a disk estimate per unit of sum |Kronrod value| over
+# its cells: once the angular rule is exact, |K21 - G10| and the angular
+# changes are rounding noise, which can fall below the rounding of the value
+KRONROD_ROUNDING = 16 * 2.0**-52
 # cap on the points of one field call over a batch of cells
 BATCH_POINTS = 1 << 14
 
@@ -186,7 +199,9 @@ def _cells_theta(
     A cell with a radial node within 0.2 |w| of its peaks[c] (|w|, angle) takes
     tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T], from 2 n0
     steps; the others are periodic, from starts[c] steps (n0 without starts;
-    all powers of two), and a cell joins the round that reaches its start.
+    all powers of two; _starts makes them from the moduli of f's features
+    and, at even p, the band of its zeros), and a cell joins the round that
+    reaches its start.
     Each round adds the midpoints, a group (the cells of one arc count and
     start) in field calls of whole cells up to BATCH_POINTS points, or of one
     periodic cell over it; a featured cell over it takes slices of its steps.
@@ -319,6 +334,20 @@ def _arc_round(g, sums, _abs_sums, step, first, rel_tol, by_row):
     return estimate, ok, ok | (top <= floor)
 
 
+def _starts(s: np.ndarray, moduli: Sequence[float], band: int | np.ndarray,
+            spec: QuadratureSpec, floor: int) -> np.ndarray:
+    """The first step count of each periodic cell with radial nodes s[c]:
+    the power of two >= n_min / 2, at least floor.  n_min = ln(1e3 /
+    rel_tol) / eta, eta = min |ln(s / m)| over the moduli m, taken as at
+    most 4 N_THETA_INIT, plus band + 1 for a Fourier band > 0 (one, or one
+    per cell): the modes above it decay like exp(-(mode - band) eta), and
+    n steps are exact on the modes up to band only for n > band."""
+    ln = math.log(1e3 / spec.rel_tol)
+    eta = np.abs(np.log(np.divide.outer(s, moduli))).min(axis=(1, 2), initial=math.inf)
+    n_min = ln / np.maximum(eta, ln / (4 * N_THETA_INIT)) + (band + (band > 0))
+    return np.maximum(floor, 2 ** np.ceil(np.log2(np.maximum(n_min, 2) / 2))).astype(int)
+
+
 # --------------------------------------------------------------------------
 # circle means
 # --------------------------------------------------------------------------
@@ -362,15 +391,14 @@ def circle_integrals(
             radii, error = radii[:k], exc
             break
 
-    tol, features = 0.5 * spec.rel_tol, feature_moduli(f) if radii else ()
-    # the start rule of disk cells with floor N_THETA_INIT, in floats (numpy
-    # costs more on a few radii): 2 N_THETA_INIT steps where n_min exceeds it
-    gap = math.log(1e3 / spec.rel_tol) / (2 * N_THETA_INIT)
+    tol, features = 0.5 * spec.rel_tol, feature_moduli(f, params.p) if radii else ()
+    s_nodes = np.array(radii).reshape(-1, 1)
+    band = fourier_band(f, params.p)
+    starts = _starts(s_nodes, [m for m, _ in features], band, spec, N_THETA_INIT)
     batch = _cells_theta(
-        lambda s, u: field(f, params, s * u), np.array(radii).reshape(-1, 1),
-        np.ones((len(radii), len(index), 1)), N_THETA_INIT, [tol] * len(index), tol,
-        [features] * len(radii), index if len(index) > 1 else None,
-        [N_THETA_INIT << any(abs(math.log(m / r)) < gap for m, _ in features) for r in radii],
+        lambda s, u: field(f, params, s * u), s_nodes, np.ones((len(radii), len(index), 1)),
+        N_THETA_INIT, [tol] * len(index), tol, [features] * len(radii),
+        index if len(index) > 1 else None, starts.tolist(),
     )
     for totals, deltas, nodes, convs, doublings in zip(*(a.tolist() for a in batch)):
         if not nodes:
@@ -498,11 +526,13 @@ def _disk_once(
     level: int,
     fields: Sequence[int] | None,
 ) -> list[tuple[list[float], list[float], int, list[bool]]]:
-    """One disk level of pieces (lo, hi, sings, end_scales, peaks, theta_tol),
-    in one batch: per piece (values, error estimates, nodes, cells converged)
-    per kernel, kernel k on field fields[k] of gfun.  Each radial cell carries
-    the Kronrod nodes; its Gauss weights are extra rows, so a kernel's error
-    is the sum over cells of |Kronrod - Gauss| plus its Kronrod row's changes."""
+    """One disk level of pieces (lo, hi, sings, end_scales, peaks, theta_tol,
+    band), in one batch: per piece (values, error estimates, nodes, cells
+    converged) per kernel, kernel k on field fields[k] of gfun.  Each radial
+    cell carries the Kronrod nodes; its Gauss weights are extra rows, so a
+    kernel's error is the sum over cells of |Kronrod - Gauss| plus its
+    Kronrod row's changes, plus KRONROD_ROUNDING times the sum over cells of
+    |Kronrod value|."""
     kron_x, kron_w, gauss_w = KRONROD_RULE
     n0 = N_THETA_INIT << min(level, 3)
     n_k = len(kernels)
@@ -517,11 +547,7 @@ def _disk_once(
         radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
         # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
         weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
-        # each periodic cell starts at the power of two >= n_min / 2, at least 4
-        ln = math.log(1e3 / spec.rel_tol)
-        eta = np.abs(np.log(np.divide.outer(s, moduli))).min(axis=(1, 2), initial=math.inf)
-        n_min = ln / np.maximum(eta, ln / (4 * N_THETA_INIT))
-        starts = np.maximum(4, 2 ** np.ceil(np.log2(np.maximum(n_min, 2) / 2))).astype(int)
+        starts = _starts(s, moduli, np.array([pieces[i][6] for i, *_ in cells]), spec, 4)
         batch = _cells_theta(
             gfun, s, weights, n0, [pieces[i][5] * 2 for i, *_ in cells], 0.0,
             [pieces[i][4] for i, *_ in cells], row_fields, starts.tolist())
@@ -541,7 +567,8 @@ def _disk_once(
     for piece in leaves:
         values, changes, used, convs = (np.array(col) for col in zip(*piece))
         kronrod = values[:, :n_k]
-        err = np.abs(kronrod - values[:, n_k:]).sum(axis=0) + changes[:, :n_k].sum(axis=0)
+        err = (np.abs(kronrod - values[:, n_k:]).sum(axis=0) + changes[:, :n_k].sum(axis=0)
+               + KRONROD_ROUNDING * np.abs(kronrod).sum(axis=0))
         conv = convs.all(axis=0)
         out.append(([tree_sum(col) for col in kronrod.T.tolist()], err.tolist(),
                     int(used.sum()), (conv[:n_k] & conv[n_k:]).tolist()))
@@ -555,12 +582,15 @@ def _zero_singularities(
 
     The 2D mass of G within distance d of a zero of order k scales like
     d^{kp} (for W like d^{kp+2}); a kernel with a log singularity at the
-    origin (log_origin) adds one level there.
+    origin (log_origin) adds one level there.  At even p the fields are
+    real-analytic at a zero, so only a zero at the origin, whose mass
+    exponent shortens the log kernel's ladder, is graded toward.
     """
     sings = []
     for z in zeros:
         s0 = abs(z.location)
-        sings.append((s0, z.order * p + mass_shift, log_origin and s0 == 0.0))
+        if s0 == 0.0 or p % 2:
+            sings.append((s0, z.order * p + mass_shift, log_origin and s0 == 0.0))
     if log_origin and all(abs(z.location) > 0 for z in zeros):
         # pure log singularity over a smooth field: mass ~ d^2 log(1/d)
         sings.append((0.0, 2.0, True))
@@ -608,8 +638,9 @@ def disk_integrals(
     Each row has its own tolerance, error estimate and converged flag;
     refinement stops once every row meets its own, or unconverged once a
     level lowers none of the estimates still above it.  Cells near a feature
-    of f on or outside the piece's outer rim, or near an interior zero where
-    G is unbounded (kp < 2), split into tanh-sinh arcs there.
+    of f on or outside the piece's outer rim (feature_moduli: a zero is one
+    unless p is even), or near an interior zero where G is unbounded (kp <
+    2), split into tanh-sinh arcs there.
     """
     if not g_kernels and not w_weights:
         raise ValueError("disk_integrals needs at least one G kernel or W weight")
@@ -628,9 +659,9 @@ def disk_integrals(
     # the extra local mass exponent at a zero of the most singular field
     mass_shift = 0.0 if g_kernels else 2.0
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
-    features = feature_moduli(f)
+    features, band = feature_moduli(f, params.p), fourier_band(f, params.p)
     tol = 0.125 * 0.25 * spec.rel_tol  # a kernel's angular tolerance per max(1, |value|)
-    pieces = []  # (lo, hi, sings, end_scales, peaks, angular tolerance per kernel)
+    pieces = []  # (lo, hi, sings, end_scales, peaks, angular tolerance per kernel, band)
     for lo, r in zip([0.0, *radii], radii):
         zeros = zeros_in_disk(f, r)
         sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
@@ -638,7 +669,7 @@ def disk_integrals(
         ends = (min(below, default=None), _boundary_scale(params, r, features))
         peaks = tuple((m, a) for m, a in features if m >= r)
         peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
-        pieces.append([lo, r, sings, ends, peaks, [tol] * len(kernels)])
+        pieces.append([lo, r, sings, ends, peaks, [tol] * len(kernels), band])
     live, results = list(range(len(pieces))), [None] * len(pieces)
     last_errs, nodes_total = [[math.inf] * len(kernels) for _ in pieces], [0] * len(pieces)
     for level in range(MAX_LEVELS):

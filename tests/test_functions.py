@@ -19,6 +19,7 @@ from hardylab.functions import (
     ScaledRotation,
     eval_at,
     feature_moduli,
+    fourier_band,
     membership_hint,
     zeros_in_disk,
 )
@@ -108,6 +109,25 @@ def test_empty_blaschke_product_rejected():
 )
 def test_feature_moduli_lists_every_singular_modulus(f, expected):
     assert [pytest.approx(point) for point in expected] == list(feature_moduli(f))
+
+
+@pytest.mark.parametrize(
+    "f,poles,zeros",
+    [
+        (Polynomial((0, -2, 1)), [], 1),
+        (BlaschkeProduct((0.5j, 0, 0.5j)), [(2.0, math.pi / 2)] * 2, 2),
+        (Rational(Polynomial((-0.5, 1)), Polynomial((-3, 1))), [(3.0, 0.0)], 1),
+        (ScaledRotation(Binomial(0.5), 2.0, 0.3), [(1.0, -0.3)], 0),
+    ],
+)
+def test_even_p_counts_zeros_as_band_not_features(f, poles, zeros):
+    # |f|^p is real-analytic at a zero at even p: the off-origin zeros, with
+    # orders, leave the features and make a band of p/2 modes each
+    for p in (2.0, 4):
+        assert [pytest.approx(point) for point in poles] == list(feature_moduli(f, p))
+        assert fourier_band(f, p) == p // 2 * zeros
+    assert fourier_band(f, 3.0) == fourier_band(f, 1.5) == 0
+    assert len(feature_moduli(f, 3.0)) == len(poles) + zeros
 
 
 def test_degree_cap():

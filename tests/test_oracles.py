@@ -19,6 +19,7 @@ import pytest
 
 from hardylab.fields import MeanParams
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, Rational, ScaledRotation
+from hardylab.golden import seeded_poly5
 from hardylab.parsing import parse_function
 from hardylab.quadrature import (
     KERNEL_ONE,
@@ -73,89 +74,6 @@ def shifted_zero_disk_g(a, p, r):
         h, dh = mpmath.hyp2f1(b, b, 1, x), b * b * mpmath.hyp2f1(b + 1, b + 1, 2, x)
         dmean = p * r_ ** (p - 1) * h + r_**p * dh * (-2 * x / r_)
         return float(2 * mpmath.pi * r_ * dmean)
-
-
-def binomial_case(alpha, p, q, r):
-    params = MeanParams(p, q)
-    return pytest.param(
-        Binomial(alpha), params, r, binomial_disk_g(alpha, params, r),
-        id=f"binom:{alpha}-p{p}-q{q}-r{r}",
-    )
-
-
-def monomial_case(n, p, q, r):
-    params = MeanParams(p, q)
-    return pytest.param(
-        Polynomial((0,) * n + (1,)), params, r, monomial_disk_g(n, params, r),
-        id=f"z^{n}-p{p}-q{q}-r{r}",
-    )
-
-
-def shifted_zero_case(p, r):
-    return pytest.param(
-        Polynomial((-0.5, 1)), MeanParams(p, 0), r, shifted_zero_disk_g(0.5, p, r),
-        id=f"z-0.5-p{p}-r{r}",
-    )
-
-
-CASES = (
-    [
-        binomial_case(alpha, p, q, r)
-        for alpha, p, q in ((0.9, 2, 0), (0.9, 2, 1), (0.5, 1.5, 0.5), (2, 1, 0))
-        for r in (0.5, 0.9, 0.99)
-    ]
-    + [
-        monomial_case(n, p, q, r)
-        for n, p, q in ((1, 2, 0), (1, 0.5, 0), (2, 1.5, 1), (3, 0.5, 0.5))
-        for r in (0.5, 0.9, 0.99)
-    ]
-    + [
-        shifted_zero_case(p, r)
-        for p, r in ((1.5, 0.7), (1.5, 0.9), (3, 0.7), (3, 0.9), (0.5, 0.9))
-    ]
-)
-
-
-@pytest.mark.parametrize("f,params,r,exact", CASES)
-def test_converged_disk_g_within_its_error_bar(f, params, r, exact):
-    try:
-        res = disk_integral_G(f, params, r, KERNEL_ONE, SPEC)
-    except QuadratureError:
-        return
-    assert_within_error_bar(res, exact)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="item 3 (zero-centred patches): next to the zero of z - 0.5 at "
-    "p = 0.5 the disk-G estimate (1.5e-8) is below the error (4.6e-8); the "
-    "case above passes only on the rel_tol floor",
-)
-def test_sharp_zero_estimate_bounds_its_error():
-    params, r = MeanParams(0.5, 0), 0.9
-    res = disk_integral_G(Polynomial((-0.5, 1)), params, r, KERNEL_ONE, SPEC)
-    exact = shifted_zero_disk_g(0.5, params.p, r)
-    assert res.converged
-    assert abs(res.value - exact) <= res.error_estimate, (res.value, exact, res.error_estimate)
-
-
-BINOMIAL_CIRCLE_RADII = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
-
-
-@pytest.mark.parametrize("q", [0, 0.5, 1])
-@pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3])
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 2])
-def test_binomial_circle_means_and_derivatives_within_their_error_bars(alpha, p, q):
-    # every p, one circle batch of M and M' per (alpha, p, q); the circles
-    # near the binomial's point 1 take tanh-sinh arcs
-    params = MeanParams(p, q)
-    batch = circle_integrals(Binomial(alpha), params, BINOMIAL_CIRCLE_RADII, SPEC, ("W", "dW/dr"))
-    for r, results in zip(BINOMIAL_CIRCLE_RADII, batch):
-        with mpmath.workdps(30):
-            exact = [float(value) for value in binomial_circle_mean(alpha, params, r)]
-        for res, value in zip(results, exact):
-            assert res.converged, (r, res)
-            assert_within_error_bar(res, value)
 
 
 def p2_circle_mean(f, q, r):
@@ -219,6 +137,110 @@ def poly_mul(a, b):
     return out
 
 
+def binomial_case(alpha, p, q, r):
+    params = MeanParams(p, q)
+    return pytest.param(
+        Binomial(alpha), params, r, binomial_disk_g(alpha, params, r),
+        id=f"binom:{alpha}-p{p}-q{q}-r{r}",
+    )
+
+
+def monomial_case(n, p, q, r):
+    params = MeanParams(p, q)
+    return pytest.param(
+        Polynomial((0,) * n + (1,)), params, r, monomial_disk_g(n, params, r),
+        id=f"z^{n}-p{p}-q{q}-r{r}",
+    )
+
+
+def shifted_zero_case(p, r):
+    return pytest.param(
+        Polynomial((-0.5, 1)), MeanParams(p, 0), r, shifted_zero_disk_g(0.5, p, r),
+        id=f"z-0.5-p{p}-r{r}",
+    )
+
+
+def p2_case(text, q, r):
+    """2 pi r M'(r) at p = 2 from p2_circle_mean."""
+    return pytest.param(
+        parse_function(text), MeanParams(2, q), r, 2 * math.pi * r * p2_circle_mean(
+            parse_function(text), q, r)[1], id=f"{text}-p2-q{q}-r{r}",
+    )
+
+
+CASES = (
+    [
+        binomial_case(alpha, p, q, r)
+        for alpha, p, q in ((0.9, 2, 0), (0.9, 2, 1), (0.5, 1.5, 0.5), (2, 1, 0))
+        for r in (0.5, 0.9, 0.99)
+    ]
+    + [
+        monomial_case(n, p, q, r)
+        for n, p, q in ((1, 2, 0), (1, 0.5, 0), (2, 1.5, 1), (3, 0.5, 0.5))
+        for r in (0.5, 0.9, 0.99)
+    ]
+    + [
+        shifted_zero_case(p, r)
+        for p, r in ((1.5, 0.7), (1.5, 0.9), (3, 0.7), (3, 0.9), (0.5, 0.9))
+    ]
+    # at even p a zero is no feature: no radial ladder and no arcs around it
+    + [p2_case("blaschke:0.5", q, 0.8) for q in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("f,params,r,exact", CASES)
+def test_converged_disk_g_within_its_error_bar(f, params, r, exact):
+    try:
+        res = disk_integral_G(f, params, r, KERNEL_ONE, SPEC)
+    except QuadratureError:
+        return
+    assert_within_error_bar(res, exact)
+
+
+def test_even_p_disk_g_next_to_interior_zeros_within_its_error_bar():
+    # G = 4 |f'|^2 at p = 2, so the integral is 4 pi sum n |c_n|^2 r^{2n}; the
+    # zeros at 0.611, 0.686 and 0.734 get no radial ladder and no arcs
+    f, r = seeded_poly5(), 0.8
+    res = disk_integral_G(f, MeanParams(2, 0), r, KERNEL_ONE, SPEC)
+    exact = 4 * math.pi * math.fsum(n * abs(c) ** 2 * r ** (2 * n) for n, c in enumerate(f.coeffs))
+    assert res.converged
+    assert abs(res.value - exact) <= res.error_estimate
+    assert abs(res.value - exact) <= SPEC.rel_tol * exact
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="item 3 (zero-centred patches): next to the zero of z - 0.5 at "
+    "p = 0.5 the disk-G estimate (1.5e-8) is below the error (4.6e-8); the "
+    "case above passes only on the rel_tol floor",
+)
+def test_sharp_zero_estimate_bounds_its_error():
+    params, r = MeanParams(0.5, 0), 0.9
+    res = disk_integral_G(Polynomial((-0.5, 1)), params, r, KERNEL_ONE, SPEC)
+    exact = shifted_zero_disk_g(0.5, params.p, r)
+    assert res.converged
+    assert abs(res.value - exact) <= res.error_estimate, (res.value, exact, res.error_estimate)
+
+
+BINOMIAL_CIRCLE_RADII = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("q", [0, 0.5, 1])
+@pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 2])
+def test_binomial_circle_means_and_derivatives_within_their_error_bars(alpha, p, q):
+    # every p, one circle batch of M and M' per (alpha, p, q); the circles
+    # near the binomial's point 1 take tanh-sinh arcs
+    params = MeanParams(p, q)
+    batch = circle_integrals(Binomial(alpha), params, BINOMIAL_CIRCLE_RADII, SPEC, ("W", "dW/dr"))
+    for r, results in zip(BINOMIAL_CIRCLE_RADII, batch):
+        with mpmath.workdps(30):
+            exact = [float(value) for value in binomial_circle_mean(alpha, params, r)]
+        for res, value in zip(results, exact):
+            assert res.converged, (r, res)
+            assert_within_error_bar(res, value)
+
+
 P2_RADII = (0.3, 0.7) + tuple(1.0 - 2.0**-j for j in (1, 4, 8, 12, 16, 20))
 
 
@@ -249,6 +271,22 @@ def test_aliased_circle_mean_within_its_error_bar(p):
         exact = 1 + r**128
     res = circle_mean(Polynomial((1,) + (0,) * 63 + (1,)), MeanParams(p, 0), r, SPEC)
     assert_within_error_bar(res, exact)
+
+
+@pytest.mark.parametrize("m", [16, 32, 33])
+def test_p4_circle_means_of_one_plus_z_power_within_their_error_bars(m):
+    # |1 + w|^4 has the mean 1 + 4 |w|^2 + |w|^4, here with |w| = r^m.  At
+    # even p the zeros on |z| = 1 are no features but a band of 2m modes,
+    # and m = 32 puts the band at 64, where 64 steps fold mode 64 onto the mean
+    radii = (0.79, 0.9, 0.95)
+    f = Polynomial((1,) + (0,) * (m - 1) + (1,))
+    batch = circle_integrals(f, MeanParams(4, 0), radii, SPEC, ("W", "dW/dr"))
+    for r, results in zip(radii, batch):
+        exact = (1 + 4 * r ** (2 * m) + r ** (4 * m),
+                 8 * m * r ** (2 * m - 1) + 4 * m * r ** (4 * m - 1))
+        for res, value in zip(results, exact):
+            assert res.converged, (r, res)
+            assert_within_error_bar(res, value)
 
 
 @pytest.mark.parametrize("r", [0.93, 0.95])
@@ -320,9 +358,9 @@ def subordination_margins(text, m, p, q):
     (text, m) for text, degree in SUBORDINATION_BASES for m in (8, 16, 32, 64) if m * degree <= 64
 ])
 def test_subordinate_circle_means_within_their_error_bars(text, m):
-    # every p in (0.5, 1, 1.5, 2, 3) and q in (0, 1): at m = 64, r = 0.79 the
-    # mode 64 of f(z^m) folds onto mode 0 at 32 and 64 steps
-    bad = [(p, q) + case for p in (0.5, 1, 1.5, 2, 3) for q in (0, 1)
+    # every p in (0.5, 1, 1.5, 2, 3, 4) and q in (0, 1): at m = 64, r = 0.79
+    # the mode 64 of f(z^m) folds onto mode 0 at 32 and 64 steps
+    bad = [(p, q) + case for p in (0.5, 1, 1.5, 2, 3, 4) for q in (0, 1)
            for case in subordination_margins(text, m, p, q) if case[3] and case[2] < 1]
     assert not bad, bad
 

@@ -24,6 +24,7 @@ from hardylab.functions import (
     ScaledRotation,
     zeros_in_disk,
 )
+from hardylab.golden import seeded_poly5
 from hardylab.parsing import parse_function
 import hardylab.quadrature as quadrature
 from hardylab.quadrature import (
@@ -37,6 +38,7 @@ from hardylab.quadrature import (
     KERNEL_LOG_ONE_OVER_ABS,
     KERNEL_ONE,
     KERNEL_ONE_MINUS_ABS_SQ,
+    KRONROD_ROUNDING,
     KRONROD_RULE,
     N_THETA_INIT,
     N_THETA_MAX,
@@ -266,7 +268,8 @@ def test_circle_rules_agree_at_the_band_edge(integral, monkeypatch):
 
 @pytest.mark.parametrize("r", [0.3, 0.55])
 def test_circle_non_finite_node_raises(r, monkeypatch):
-    # r = 0.3 is periodic and r = 0.55 one tanh-sinh arc
+    # r = 0.3 is periodic and r = 0.55 one tanh-sinh arc (at odd p: at even
+    # p the zero is no feature)
     def broken(f, params, z):
         out = w_values(f, params, z)
         out[..., -1] = np.nan
@@ -274,7 +277,7 @@ def test_circle_non_finite_node_raises(r, monkeypatch):
 
     monkeypatch.setattr(quadrature, "w_values", broken)
     with pytest.raises(QuadratureError, match="non-finite integrand value on circle"):
-        circle_mean(BlaschkeProduct((0.5,)), MeanParams(2, 0), r, SPEC)
+        circle_mean(BlaschkeProduct((0.5,)), MeanParams(3, 0), r, SPEC)
 
 
 # ------------------------------------------------------------- disk integrals
@@ -881,9 +884,10 @@ def disk_reference(gfun, cells, n0, tol, max_depth):
     """Per-cell driver of one disk level with every cell periodic: a cell
     with a non-finite node is replaced in place by its two halves.  The
     error is the sum over cells of |Kronrod - Gauss| plus the sum of the
-    Kronrod row's angular changes."""
+    Kronrod row's angular changes, plus KRONROD_ROUNDING times the sum of
+    |Kronrod value|."""
     work = [(a, b, 0) for a, b in cells]
-    leaves, values, radial_err, theta_err, nodes = [], [], 0.0, 0.0, 0
+    leaves, values, radial_err, theta_err, abs_sum, nodes = [], [], 0.0, 0.0, 0.0, 0
     while work:
         a, b, depth = work.pop(0)
         s, weights = periodic_cells([(a, b)], (KERNEL_ONE,))
@@ -900,8 +904,9 @@ def disk_reference(gfun, cells, n0, tol, max_depth):
         values.append(value)
         radial_err += abs(value - gauss)
         theta_err += delta
+        abs_sum += abs(value)
         nodes += used
-    return leaves, values, radial_err + theta_err, nodes
+    return leaves, values, radial_err + theta_err + KRONROD_ROUNDING * abs_sum, nodes
 
 
 def test_disk_collision_splits_one_cell_in_place(monkeypatch):
@@ -987,6 +992,51 @@ def test_aliased_circle_takes_the_steps_of_the_bound():
     assert res.converged and res.nodes >= 128
 
 
+@pytest.mark.parametrize("p,start", [(2, 64), (4, 128)])
+def test_circle_start_covers_the_band_of_zeros(p, start, monkeypatch):
+    # at even p, |1 + z^64|^p is a trigonometric polynomial of degree 32 p on
+    # |z| = r, which n steps integrate exactly only for n > 32 p: the circle
+    # starts at the power of two >= (32 p + 1) / 2
+    starts = []
+
+    def cells_theta(*args):
+        starts.extend(args[8])
+        return _cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    res = circle_mean(Polynomial((1,) + (0,) * 63 + (1,)), MeanParams(p, 0), 0.9, SPEC)
+    assert res.converged and starts == [start]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_disk_mesh_grades_toward_zeros_at_odd_p_only(p, monkeypatch):
+    # at p = 2 the zeros of poly5 at 0.611, 0.686 and 0.734 are no singular
+    # points: the mesh has no breakpoint there, and the band of its 5 zeros
+    # asks for 6 steps, so every cell starts at 4.  At p = 3 they keep both.
+    f = seeded_poly5()
+    zeros = {abs(z.location) for z in zeros_in_disk(f, 0.8)}
+    partitions, starts = [], set()
+    radial_partition, cells_theta = quadrature._radial_partition, quadrature._cells_theta
+
+    def partition(*args):
+        partitions.append(radial_partition(*args))
+        return partitions[-1]
+
+    def spy(*args):
+        starts.update(args[8])
+        return cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_radial_partition", partition)
+    monkeypatch.setattr(quadrature, "_cells_theta", spy)
+    res = disk_integral_G(f, MeanParams(p, 0), 0.8, KERNEL_ONE, SPEC)
+    ends = {x for cells in partitions for cell in cells for x in cell}
+    assert res.converged and len(zeros) == 3
+    if p == 2:
+        assert not zeros & ends and starts == {4}
+    else:
+        assert zeros <= ends and max(starts) > 4
+
+
 def test_disk_collision_depth_cap(monkeypatch):
     f, params = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0)
 
@@ -1017,8 +1067,9 @@ def lone_piece(f, params, lo, r, rows, spec):
     [
         # golden's binom:0.9 area-limit schedule
         ("binom:0.9", 2, 1, tuple(1.0 - 2.0**-j for j in range(1, 11)), 1e-7),
-        # the zero at 0.85 is a peak of the first two pieces only
-        ("poly:-0.85,1", 2, 0, (0.5, 0.8, 0.9, 0.95), 1e-7),
+        # the zero at 0.85 is a peak of the first two pieces only (at odd p:
+        # at even p a zero is no feature)
+        ("poly:-0.85,1", 3, 0, (0.5, 0.8, 0.9, 0.95), 1e-7),
         # the last two pieces refine to level 1, under different hints
         ("binom:0.9", 3, 0, (0.5, 0.75, 0.9, 0.95), 1e-10),
     ],
@@ -1049,9 +1100,10 @@ def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monke
 def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
     # a node of the last piece's first cell is singular: that cell alone
     # splits, in a second batch of its two halves, which keep their piece's
-    # peaks (none: the zero at 0.85 is a peak of the first two pieces only),
-    # and every piece keeps the bits of a lone call under the same field
-    f, params, radii = parse_function("poly:-0.85,1"), MeanParams(2.0, 0.0), (0.5, 0.8, 0.9)
+    # peaks (none: the zero at 0.85 is a peak of the first two pieces only,
+    # at odd p), and every piece keeps the bits of a lone call under the same
+    # field
+    f, params, radii = parse_function("poly:-0.85,1"), MeanParams(3.0, 0.0), (0.5, 0.8, 0.9)
     sings = _zero_singularities(zeros_in_disk(f, 0.9), params.p, 0.0, False)
     cells = _radial_partition(0.8, 0.9, sings, (None, None), SPEC, 0)
     s_star = periodic_cells(cells, (KERNEL_ONE,))[0][0, 10]
