@@ -29,20 +29,22 @@ contributions are combined by compensated summation and cells by a fixed
 binary tree, so results are bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
-Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A kernel's
-estimate is the sum over cells of |K21 - G10| plus the angular estimates,
-plus the rounding floor KRONROD_ROUNDING times the sum of |K21|; the first
-level within rel_tol * max(1, |value|) is the result, else every radial
-cell splits, up to MAX_LEVELS levels or until a level lowers no unconverged
-kernel's estimate.  A stack of kernels shares one mesh as weight
-rows, of G, of W, or of both from one gw_values call per batch.  Radial
+Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A cell's
+estimate is |K21 - G10| plus its angular estimate plus the rounding floor
+KRONROD_ROUNDING |K21|, and a kernel's is the sum over cells.  Within
+rel_tol * max(1, |value|) it is the result; else each round bisects the
+cells that carry the excess, worst first (QUADPACK's QAG, Piessens et al.
+1983), but none whose angular rule ended unconverged, for MAX_LEVELS
+rounds or until a round lowers no unconverged kernel's estimate.  A stack
+of kernels shares one mesh as weight rows, of G, of W, or of both from one
+gw_values call per batch.  Radial
 cells are graded geometrically toward the origin for log kernels, toward
 the modulus of every zero of f where the integrand is not smooth (G scales
 like |z-z0|^{kp-2} at a zero of order k; at even p only a zero at the origin
 is graded toward), and toward the rim when the weight (1-|z|^2)^q, or a
 feature of f, lies just outside.
 The pieces of a radius list, the disk of its first radius and the annuli
-between consecutive radii, refine in one engine batch per level, each with
+between consecutive radii, refine in one engine batch per round, each with
 its own mesh, peaks, tolerances and stop, so with the bits of a lone piece.
 """
 
@@ -66,12 +68,12 @@ from .functions import (
 TWO_PI = 2.0 * math.pi
 
 # fixed mesh policy: initial angular steps and doubling cap (per arc), uniform
-# radial cells, disk refinement levels, and the depth cap of geometric radial
+# radial cells, disk refinement rounds, and the depth cap of geometric radial
 # grading and cell splitting
 N_THETA_INIT = 32
 N_THETA_MAX = 1 << 20
 N_RADIAL_BASE = 8
-MAX_LEVELS = 5
+MAX_LEVELS = 5  # disk rounds: the partition, then up to 4 of bisection
 MAX_GRADE_DEPTH = 40
 # tanh-sinh arcs: t in [-ARC_T, ARC_T], where the end weights are below 1e-35,
 # and the rounding floor of an arc estimate per unit of sum |pieces| / (1 - s)
@@ -118,7 +120,7 @@ class IntegralResult:
     value: float
     error_estimate: float
     nodes: int
-    levels: int
+    levels: int  # a circle's doublings of its first step count; a disk's bisection rounds
     converged: bool
 
 
@@ -334,14 +336,14 @@ def _arc_round(g, sums, _abs_sums, step, first, rel_tol, by_row):
     return estimate, ok, ok | (top <= floor)
 
 
-def _starts(s: np.ndarray, moduli: Sequence[float], band: int | np.ndarray,
-            spec: QuadratureSpec, floor: int) -> np.ndarray:
+def _starts(s: np.ndarray, moduli: Sequence[float], band: int, spec: QuadratureSpec,
+            floor: int) -> np.ndarray:
     """The first step count of each periodic cell with radial nodes s[c]:
     the power of two >= n_min / 2, at least floor.  n_min = ln(1e3 /
     rel_tol) / eta, eta = min |ln(s / m)| over the moduli m, taken as at
-    most 4 N_THETA_INIT, plus band + 1 for a Fourier band > 0 (one, or one
-    per cell): the modes above it decay like exp(-(mode - band) eta), and
-    n steps are exact on the modes up to band only for n > band."""
+    most 4 N_THETA_INIT, plus band + 1 for a Fourier band > 0: the modes
+    above it decay like exp(-(mode - band) eta), and n steps are exact on
+    the modes up to band only for n > band."""
     ln = math.log(1e3 / spec.rel_tol)
     eta = np.abs(np.log(np.divide.outer(s, moduli))).min(axis=(1, 2), initial=math.inf)
     n_min = ln / np.maximum(eta, ln / (4 * N_THETA_INIT)) + (band + (band > 0))
@@ -463,17 +465,12 @@ def _grade_policy(mass_exp: float, tol: float, log_bump: bool) -> tuple[float, i
     return min(0.5, max(0.05, ratio)), MAX_GRADE_DEPTH
 
 
-def _radial_partition(
-    lo: float,
-    hi: float,
-    sings: Sequence[tuple[float, float, bool]],
-    end_scales: tuple[float | None, float | None],
-    spec: QuadratureSpec,
-    level: int,
-) -> list[tuple[float, float]]:
-    """Breakpoints of [lo, hi]: uniform base cells, geometric ladders toward
+def _radial_partition(lo: float, hi: float, sings: Sequence[tuple[float, float, bool]],
+                      end_scales: tuple[float | None, float | None],
+                      spec: QuadratureSpec) -> list[tuple[float, float]]:
+    """Radial cells of [lo, hi]: uniform base cells, geometric ladders toward
     each singular radius, geometric approach to an endpoint whose nearest
-    singularity sits just outside.  `level` splits every cell 2^level-fold."""
+    singularity sits just outside."""
     pts = {lo, hi}
     for k in range(1, N_RADIAL_BASE):
         pts.add(lo + (hi - lo) * k / N_RADIAL_BASE)
@@ -502,77 +499,48 @@ def _radial_partition(
             merged.append(x)
     if merged[-1] != hi:
         merged.append(hi)
-    cells = []
-    splits = 1 << level
-    for a, b in zip(merged[:-1], merged[1:]):
-        if not b > a:
-            continue
-        step = (b - a) / splits
-        for j in range(splits):
-            cells.append((a + j * step, a + (j + 1) * step))
-    return cells
+    # each cell ends at a + (b - a), not b: the golden records pin the bits of that mesh
+    return [(a, a + (b - a)) for a, b in zip(merged[:-1], merged[1:]) if b > a]
 
 
 # --------------------------------------------------------------------------
 # disk integration
 # --------------------------------------------------------------------------
 
-def _disk_once(
-    gfun: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    kernels: Sequence[Kernel],
-    pieces: Sequence[list],
-    moduli: Sequence[float],
-    spec: QuadratureSpec,
-    level: int,
-    fields: Sequence[int] | None,
-) -> list[tuple[list[float], list[float], int, list[bool]]]:
-    """One disk level of pieces (lo, hi, sings, end_scales, peaks, theta_tol,
-    band), in one batch: per piece (values, error estimates, nodes, cells
-    converged) per kernel, kernel k on field fields[k] of gfun.  Each radial
-    cell carries the Kronrod nodes; its Gauss weights are extra rows, so a
-    kernel's error is the sum over cells of |Kronrod - Gauss| plus its
-    Kronrod row's changes, plus KRONROD_ROUNDING times the sum over cells of
-    |Kronrod value|."""
+def _disk_once(gfun: Callable[[np.ndarray, np.ndarray], np.ndarray], kernels: Sequence[Kernel],
+               pieces: Sequence[list], cells: Sequence[tuple[int, float, float, int]],
+               moduli: Sequence[float], band: int, spec: QuadratureSpec,
+               fields: Sequence[int] | None) -> list[tuple]:
+    """One engine batch of radial cells (piece, a, b, depth) of pieces
+    (peaks, theta_tol), started by _starts: the leaves the cells end as, in
+    order, each the cell followed by (values, changes, nodes, conv) per row,
+    kernel k on field fields[k] of gfun.  Each radial cell carries the
+    Kronrod nodes; its Gauss weights are extra rows, n_k..2 n_k - 1."""
     kron_x, kron_w, gauss_w = KRONROD_RULE
-    n0 = N_THETA_INIT << min(level, 3)
-    n_k = len(kernels)
-    row_fields = None if fields is None else list(fields) * 2
-    leaves: list[list[tuple]] = [[] for _ in pieces]
+    ends = np.array([(a, b) for _, a, b, _ in cells])
+    mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
+    s = mid[:, None] + half[:, None] * kron_x
+    radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
+    # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
+    weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
+    batch = _cells_theta(
+        gfun, s, weights, N_THETA_INIT, [pieces[i][1] * 2 for i, *_ in cells], 0.0,
+        [pieces[i][0] for i, *_ in cells], None if fields is None else list(fields) * 2,
+        _starts(s, moduli, band, spec, 4).tolist())
+    leaves = []
+    for cell, leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
+        # a node landed on a singular point: the cell's halves take its place
+        leaves += [(*cell, *leaf[:4])] if leaf[2] else _disk_once(
+            gfun, kernels, pieces, _halves(*cell), moduli, band, spec, fields)
+    return leaves
 
-    def run(cells: list[tuple[int, float, float, int]]) -> None:
-        """Append each leaf cell's (values, changes, nodes, conv) to its piece's leaves."""
-        ends = np.array([(a, b) for _, a, b, _ in cells])
-        mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
-        s = mid[:, None] + half[:, None] * kron_x
-        radial = np.stack([half[:, None] * kernel.radial(s) * s for kernel in kernels], axis=1)
-        # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
-        weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
-        starts = _starts(s, moduli, np.array([pieces[i][6] for i, *_ in cells]), spec, 4)
-        batch = _cells_theta(
-            gfun, s, weights, n0, [pieces[i][5] * 2 for i, *_ in cells], 0.0,
-            [pieces[i][4] for i, *_ in cells], row_fields, starts.tolist())
-        for (i, a, b, depth), leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
-            if leaf[2]:
-                leaves[i].append(leaf[:4])
-                continue
-            # a node landed on a singular point: subdivide in place and retry
-            if depth >= MAX_GRADE_DEPTH:
-                raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
-            cut = 0.5 * (a + b)
-            run([(i, a, cut, depth + 1), (i, cut, b, depth + 1)])
 
-    run([(i, a, b, 0) for i, (lo, hi, sings, end_scales, *_) in enumerate(pieces)
-         for a, b in _radial_partition(lo, hi, sings, end_scales, spec, level)])
-    out = []
-    for piece in leaves:
-        values, changes, used, convs = (np.array(col) for col in zip(*piece))
-        kronrod = values[:, :n_k]
-        err = (np.abs(kronrod - values[:, n_k:]).sum(axis=0) + changes[:, :n_k].sum(axis=0)
-               + KRONROD_ROUNDING * np.abs(kronrod).sum(axis=0))
-        conv = convs.all(axis=0)
-        out.append(([tree_sum(col) for col in kronrod.T.tolist()], err.tolist(),
-                    int(used.sum()), (conv[:n_k] & conv[n_k:]).tolist()))
-    return out
+def _halves(i: int, a: float, b: float, depth: int) -> list[tuple[int, float, float, int]]:
+    """The cell (piece i, a, b, depth) cut at its midpoint, in radial order."""
+    if depth >= MAX_GRADE_DEPTH:
+        raise QuadratureError(f"cell subdivision depth cap reached on [{a}, {b}]")
+    cut = 0.5 * (a + b)
+    return [(i, a, cut, depth + 1), (i, cut, b, depth + 1)]
 
 
 def _zero_singularities(
@@ -607,15 +575,26 @@ def _boundary_scale(
     return min(scales, default=None)
 
 
-def _sharp_zero_angles(
-    zeros: Sequence[Zero], p: float, mass_shift: float
-) -> tuple[tuple[float, float], ...]:
-    """Off-origin zeros where the field is unbounded (kp + mass_shift < 2)."""
-    return tuple(
-        (abs(z.location), math.atan2(z.location.imag, z.location.real))
-        for z in zeros
-        if abs(z.location) > 0 and z.order * p + mass_shift < 2.0
-    )
+def _sharp_zero_angles(zeros: Sequence[Zero], p: float) -> tuple[tuple[float, float], ...]:
+    """Off-origin zeros, where the fields are not smooth unless p is even."""
+    return tuple((abs(z.location), math.atan2(z.location.imag, z.location.real))
+                 for z in zeros if abs(z.location) > 0 and p % 2)
+
+
+def _worst_cells(est: np.ndarray, free: np.ndarray, err: Sequence[float],
+                 tols: Sequence[float]) -> set[int]:
+    """The cells to bisect: per row k whose estimate err[k] exceeds tols[k],
+    the free cells of largest est[:, k], worst first, until they carry the
+    excess.  A radial split cannot lower an angular error, so a cell whose
+    angular rule ended unconverged is not free, and a row whose such cells
+    alone reach its tolerance takes none."""
+    split = set()
+    for k, (e, t) in enumerate(zip(err, tols)):
+        if e > t and est[~free, k].sum() < t:
+            order = np.argsort(-est[:, k], kind="stable")
+            order = order[free[order]]
+            split.update(order[:np.searchsorted(np.cumsum(est[order, k]), e - t) + 1].tolist())
+    return split
 
 
 def disk_integrals(
@@ -630,17 +609,19 @@ def disk_integrals(
     per weight (ONE or ONE_MINUS_ABS_SQ), over each piece of a strictly
     increasing radius list: the disk |z| < radii[0], then each annulus
     between consecutive radii.  One list of results per piece, each from one
-    mesh, and one engine batch per level for the pieces still refining.
+    mesh, and one engine batch per round for the pieces still refining.
 
     The integrals are weight rows over the same nodes, fed by g_values,
     w_values or, with both lists, gw_values.  The mesh grades toward the
     union of their singular radii, for the most singular field present.
-    Each row has its own tolerance, error estimate and converged flag;
-    refinement stops once every row meets its own, or unconverged once a
-    level lowers none of the estimates still above it.  Cells near a feature
-    of f on or outside the piece's outer rim (feature_moduli: a zero is one
-    unless p is even), or near an interior zero where G is unbounded (kp <
-    2), split into tanh-sinh arcs there.
+    Each row has its own tolerance, error estimate and converged flag (a
+    cell's angular row is converged once within the tolerance the piece's
+    value sets).  Each round bisects _worst_cells, whose halves take their
+    place, until every row meets its tolerance, or unconverged when none is
+    left, after MAX_LEVELS rounds, or once a round lowers no estimate still
+    above it.  Cells near a feature of f on or outside the piece's rim, or
+    near an off-origin zero inside it (feature_moduli: a zero is one unless
+    p is even), split into tanh-sinh arcs there.
     """
     if not g_kernels and not w_weights:
         raise ValueError("disk_integrals needs at least one G kernel or W weight")
@@ -661,36 +642,51 @@ def disk_integrals(
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
     features, band = feature_moduli(f, params.p), fourier_band(f, params.p)
     tol = 0.125 * 0.25 * spec.rel_tol  # a kernel's angular tolerance per max(1, |value|)
-    pieces = []  # (lo, hi, sings, end_scales, peaks, angular tolerance per kernel, band)
-    for lo, r in zip([0.0, *radii], radii):
+    pieces, batch = [], []  # per piece (peaks, angular tolerance per kernel); its cells
+    for i, (lo, r) in enumerate(zip([0.0, *radii], radii)):
         zeros = zeros_in_disk(f, r)
         sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
         below = [lo - s0 for s0, _, _ in sings if s0 < lo]
         ends = (min(below, default=None), _boundary_scale(params, r, features))
+        batch += [(i, a, b, 0) for a, b in _radial_partition(lo, r, sings, ends, spec)]
         peaks = tuple((m, a) for m, a in features if m >= r)
-        peaks += _sharp_zero_angles(zeros, params.p, mass_shift)
-        pieces.append([lo, r, sings, ends, peaks, [tol] * len(kernels), band])
-    live, results = list(range(len(pieces))), [None] * len(pieces)
-    last_errs, nodes_total = [[math.inf] * len(kernels) for _ in pieces], [0] * len(pieces)
-    for level in range(MAX_LEVELS):
-        runs = _disk_once(lambda s, u: field(f, params, s * u), kernels, [pieces[i] for i in live],
-                          [m for m, _ in features], spec, level, fields)
-        for i, (values, err, nodes, cells_conv) in zip(live, runs):
-            nodes_total[i] += nodes
-            conv = [
-                e <= spec.rel_tol * max(1.0, abs(v)) and c
-                for e, v, c in zip(err, values, cells_conv)
-            ]
-            # a level that lowers no unconverged row's estimate ends refinement
-            if (all(conv) or level == MAX_LEVELS - 1
+        pieces.append([peaks + _sharp_zero_angles(zeros, params.p), [tol] * len(kernels)])
+    n_k, leaves, spent = len(kernels), [[] for _ in pieces], [0] * len(pieces)
+    results, last_errs = [None] * len(pieces), [[math.inf] * n_k] * len(pieces)
+    for rounds in range(MAX_LEVELS):
+        for leaf in _disk_once(lambda s, u: field(f, params, s * u), kernels, pieces, batch,
+                               [m for m, _ in features], band, spec, fields):
+            leaves[leaf[0]].append(leaf)
+            spent[leaf[0]] += leaf[6]
+        batch = []
+        for i in [i for i, res in enumerate(results) if res is None]:
+            leaves[i].sort(key=lambda leaf: leaf[1])  # halves take their parent's place
+            values, changes, _, convs = (np.array(col) for col in zip(*(x[4:] for x in leaves[i])))
+            kronrod = values[:, :n_k]
+            radial, angular, size = (np.abs(kronrod - values[:, n_k:]), changes[:, :n_k],
+                                     np.abs(kronrod))
+            err = (radial.sum(axis=0) + angular.sum(axis=0)
+                   + KRONROD_ROUNDING * size.sum(axis=0)).tolist()
+            value = [tree_sum(col) for col in kronrod.T.tolist()]
+            tols = [spec.rel_tol * max(1.0, abs(v)) for v in value]
+            pieces[i][1], free = [tol * max(1.0, abs(v)) for v in value], convs.all(axis=1)
+            # an angular row whose change is within the tolerance the piece's
+            # value now sets is converged (round 0 ran before that value)
+            convs |= changes <= pieces[i][1] * 2
+            conv = [e <= t and c for e, t, c in zip(
+                err, tols, (convs[:, :n_k] & convs[:, n_k:]).all(axis=0).tolist())]
+            split = _worst_cells(radial + angular + KRONROD_ROUNDING * size, free, err, tols)
+            # a round that lowers no unconverged row's estimate ends refinement
+            if (not split or rounds == MAX_LEVELS - 1
                     or not any(e < e0 for e, e0, c in zip(err, last_errs[i], conv) if not c)):
-                results[i] = [IntegralResult(v, e, nodes_total[i], level, c)
-                              for v, e, c in zip(values, err, conv)]
-            pieces[i][5], last_errs[i] = [tol * max(1.0, abs(v)) for v in values], err
-        live = [i for i in live if results[i] is None]
-        if not live:
-            break
-    return results
+                results[i] = [IntegralResult(v, e, spent[i], rounds, c)
+                              for v, e, c in zip(value, err, conv)]
+            else:
+                batch += [half for j in sorted(split) for half in _halves(*leaves[i][j][:4])]
+                leaves[i] = [x for j, x in enumerate(leaves[i]) if j not in split]
+            last_errs[i] = err
+        if not batch:
+            return results
 
 
 def disk_integral_G(

@@ -3,7 +3,9 @@ error bar, and the binomial family's pointwise values match mpmath.
 
 Each disk case integrates G = Laplacian of W against the kernel 1 over
 |z| < r and compares it with 2 pi r M'(r), where M is the circle mean of W,
-taken from a closed form and differentiated analytically.  The circle cases
+taken from a closed form and differentiated analytically; the shifted zero
+z - a is also taken at angles off the real axis, and a Blaschke zero there
+through check_growth_identity, whose two routes must agree.  The circle cases
 compare circle means M(r) and their derivatives M'(r) with closed forms: at
 p = 2 for rationals and Blaschke products, and for binomials and 1 + z^64
 through 2F1 at every p; those of f(z^m) are compared with those of f at r^m.  A
@@ -20,6 +22,7 @@ import pytest
 from hardylab.fields import MeanParams
 from hardylab.functions import Binomial, BlaschkeProduct, Polynomial, Rational, ScaledRotation
 from hardylab.golden import seeded_poly5
+from hardylab.identities import check_growth_identity
 from hardylab.parsing import parse_function
 from hardylab.quadrature import (
     KERNEL_ONE,
@@ -195,6 +198,29 @@ def test_converged_disk_g_within_its_error_bar(f, params, r, exact):
     except QuadratureError:
         return
     assert_within_error_bar(res, exact)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.68, 0.8, 0.9])
+@pytest.mark.parametrize("r", [0.3, 0.7, 0.9])
+@pytest.mark.parametrize("phi", [0.172, 0.5, 1, 2])
+@pytest.mark.parametrize("p", [2.5, 3])
+def test_rotated_shifted_zero_disk_g_within_its_error_bar(p, phi, r, ratio):
+    # G of z - a e^{i phi} is G of z - a rotated, so the integral is the
+    # closed form's; off the real axis the zero's angle can fall between the
+    # nodes of a periodic cell, so at p not even every cell next to it takes
+    # arcs, also where kp >= 2 and G is bounded
+    a = ratio * r
+    f = Polynomial((-a * complex(math.cos(phi), math.sin(phi)), 1))
+    res = disk_integral_G(f, MeanParams(p, 0), r, KERNEL_ONE, SPEC)
+    assert_within_error_bar(res, shifted_zero_disk_g(a, p, r))
+
+
+def test_growth_identity_next_to_an_off_axis_zero_at_p3():
+    # next to the zero G is |z - a| times a smooth factor: the disk route
+    # must resolve that kink as the circle route does, or the identity fails
+    f = parse_function("blaschke:-0.19-0.3775i")
+    report = check_growth_identity(f, MeanParams(3, 0.5), 0.8, SPEC)
+    assert report.converged and report.passed
 
 
 def test_even_p_disk_g_next_to_interior_zeros_within_its_error_bar():

@@ -503,22 +503,27 @@ def test_disk_rejects_inner_radius_outside_range(integral, s_lo):
 
 @contextlib.contextmanager
 def disk_level(level):
-    """Disk integrals inside run the one mesh level `level`: the refinement
-    loop stops after its first level, and _disk_once runs that one `level`
-    levels finer."""
-    disk_once = quadrature._disk_once
+    """Disk integrals inside run round 0 alone, over the cells of
+    _radial_partition each split 2^level-fold."""
+    partition = quadrature._radial_partition
+
+    def finer(*args):
+        n = 1 << level
+        return [(a + j * (b - a) / n, a + (j + 1) * (b - a) / n)
+                for a, b in partition(*args) for j in range(n)]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "MAX_LEVELS", 1)
-        mp.setattr(quadrature, "_disk_once", lambda *a: disk_once(*a[:5], a[5] + level, *a[6:]))
+        mp.setattr(quadrature, "_radial_partition", finer)
         yield
 
 
 def test_disk_integrals_reject_an_empty_row_list(monkeypatch):
-    levels, disk_once = [], quadrature._disk_once
-    monkeypatch.setattr(quadrature, "_disk_once", lambda *a: levels.append(a[5]) or disk_once(*a))
+    calls, disk_once = [], quadrature._disk_once
+    monkeypatch.setattr(quadrature, "_disk_once", lambda *a: calls.append(a) or disk_once(*a))
     with pytest.raises(ValueError, match="at least one G kernel or W weight"):
         disk_integrals(monomial(1), MeanParams(2, 0), (0.8,), (), (), SPEC)
-    assert not levels
+    assert not calls
 
 
 def test_halve_mesh_stability():
@@ -535,6 +540,23 @@ def test_halve_mesh_stability():
         assert abs(finer.value - res.value) < max(res.error_estimate, 1e-13 * abs(res.value))
 
 
+def scripted_disk_once(calls, leaf):
+    """A stand-in for _disk_once, recording each batch of cells (piece, a, b,
+    depth) in calls: a cell ends as one leaf of 10 nodes, its Kronrod values
+    0, so a piece's value is 0, its tolerance rel_tol and its estimate the sum
+    over leaves of the Gauss values and changes that leaf(cell) gives per
+    kernel, with its angular flag."""
+    def disk_once(gfun, kernels, pieces, cells, *_):
+        calls.append(cells)
+        out = []
+        for cell in cells:
+            gauss, change, conv = leaf(cell)
+            out.append((*cell, [0.0] * len(kernels) + list(gauss),
+                        list(change) * 2, 10, [conv] * 2 * len(kernels)))
+        return out
+    return disk_once
+
+
 @pytest.mark.parametrize(
     "script,levels,converged",
     [
@@ -542,7 +564,7 @@ def test_halve_mesh_stability():
         ([(2.17e-6,), (3.84e-6,), (1.2e-2,)], 1, (False,)),
         # a flat estimate is no progress either
         ([(1e-6,), (1e-6,), (1e-9,)], 1, (False,)),
-        # a steady fall runs to MAX_LEVELS, and one that reaches tol converges
+        # a steady fall runs to MAX_LEVELS rounds, and one that reaches tol converges
         ([(5e-6,), (4e-6,), (3e-6,), (2e-6,), (1e-6,)], 4, (False,)),
         ([(1e-5,), (1e-6,), (1e-7,)], 2, (True,)),
         # a converged kernel whose estimate rises does not stop the others
@@ -552,27 +574,65 @@ def test_halve_mesh_stability():
     ],
 )
 def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged, monkeypatch):
+    # the lowest cell carries the piece's whole estimate, script[depth] after
+    # `depth` bisections, so each round bisects it alone, worst first: its
+    # lower half carries the next estimate and its upper half none
     calls = []
-
-    def disk_once(gfun, kernels, pieces, moduli, spec, level, fields):
-        calls.append(level)
-        return [([1.0] * len(kernels), list(script[level]), 10, [True] * len(kernels))]
-
-    monkeypatch.setattr(quadrature, "_disk_once", disk_once)
+    zeros = (0.0,) * len(converged)
+    leaf = lambda cell: (script[cell[3]] if cell[1] == 0.0 else zeros, zeros, True)
+    monkeypatch.setattr(quadrature, "_disk_once", scripted_disk_once(calls, leaf))
     kernels = (KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ)[:len(converged)]
     (results,) = disk_integrals(monomial(1), MeanParams(2, 0), (0.9,), kernels, (), SPEC)
-    assert calls == list(range(levels + 1))
+    first = calls[0][0]
+    assert [len(cells) for cells in calls[1:]] == [2] * levels
+    assert all(cells[0] == (0, 0.0, first[2] / 2**d, d) for d, cells in enumerate(calls[1:], 1))
     assert [res.converged for res in results] == list(converged)
     assert [res.error_estimate for res in results] == list(script[levels])
-    assert all(res.levels == levels and res.nodes == 10 * (levels + 1) for res in results)
+    nodes = 10 * sum(map(len, calls))
+    assert all(res.levels == levels and res.nodes == nodes for res in results)
+
+
+@pytest.mark.parametrize("stuck,levels", [(2e-6, 0), (5e-8, 1)])
+def test_disk_bisection_leaves_angularly_unconverged_cells(stuck, levels, monkeypatch):
+    # the top cell's angular rule ends unconverged with a change of `stuck`,
+    # and the lowest cell carries 1e-6 of radial estimate, 1e-9 once split.
+    # A radial split cannot lower an angular error: over the tolerance
+    # (1e-7), the stuck cell stops its piece at once with round 0's nodes;
+    # under it, the lowest cell alone is split and the stuck one never is
+    calls = []
+
+    def leaf(cell):
+        _, a, b, depth = cell
+        if b == 0.9:
+            return (0.0,), (stuck,), False
+        return ((1e-6, 1e-9)[depth] if a == 0.0 else 0.0,), (0.0,), True
+
+    monkeypatch.setattr(quadrature, "_disk_once", scripted_disk_once(calls, leaf))
+    ((res,),) = disk_integrals(monomial(1), MeanParams(2, 0), (0.9,), (KERNEL_ONE,), (), SPEC)
+    assert len(calls) == levels + 1 and not res.converged and res.levels == levels
+    assert res.nodes == 10 * sum(map(len, calls))
+    if levels:
+        a, b = calls[0][0][1:3]
+        assert calls[1] == [(0, a, b / 2, 1), (0, b / 2, b, 1)]
+        assert res.error_estimate == 1e-9 + stuck
 
 
 @pytest.mark.parametrize("q", [0, 1])
-def test_disk_refinement_reaches_a_level_that_lowers_the_estimate(q):
-    # at tol 1e-12 level 0 estimates 2.7e-12 and level 1 under 2e-15
+def test_disk_refinement_reaches_a_level_that_lowers_the_estimate(q, monkeypatch):
+    # at tol 1e-12 round 0 estimates 2.7e-12 over 48 cells, most of it on the
+    # cells next to the origin: round 1 bisects 1 (q = 0) or 2 of them, where
+    # splitting all 48 took 24,192 nodes
+    batches = []
+
+    def cells_theta(*args):
+        batches.append(len(args[1]))
+        return _cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
     spec = QuadratureSpec(1e-12)
     res = disk_integral_G(monomial(1), MeanParams(0.7, q), 0.5, KERNEL_ONE, spec)
     assert res.converged and res.levels == 1
+    assert batches[0] == 48 and batches[1] <= 4 and res.nodes < 24192
     if q == 0:
         # the integral of G over D_r is 2 pi r M'(r), and M(r) = r^p
         assert abs(res.value - TWO_PI * 0.7 * 0.5**0.7) <= spec.rel_tol * res.value
@@ -912,7 +972,7 @@ def disk_reference(gfun, cells, n0, tol, max_depth):
 def test_disk_collision_splits_one_cell_in_place(monkeypatch):
     f, params, r = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0), 0.9
     sings = _zero_singularities(zeros_in_disk(f, r), params.p, 0.0, False)
-    cells = _radial_partition(0.0, r, sings, (None, None), SPEC, 0)
+    cells = _radial_partition(0.0, r, sings, (None, None), SPEC)
     s, _weights = periodic_cells(cells, (KERNEL_ONE,))
     hit = 3
     # theta = 0 is a node of the first round only, so only cell `hit` collides
@@ -1070,13 +1130,13 @@ def lone_piece(f, params, lo, r, rows, spec):
         # the zero at 0.85 is a peak of the first two pieces only (at odd p:
         # at even p a zero is no feature)
         ("poly:-0.85,1", 3, 0, (0.5, 0.8, 0.9, 0.95), 1e-7),
-        # the last two pieces refine to level 1, under different hints
-        ("binom:0.9", 3, 0, (0.5, 0.75, 0.9, 0.95), 1e-10),
+        # the disk refines to round 1 next to the origin, the annuli stop at 0
+        ("poly:0,1", 0.7, 0, (0.5, 0.75, 0.9), 1e-12),
     ],
     ids=["golden-binom", "peak-outside-two-pieces", "pieces-past-level-0"],
 )
 def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monkeypatch):
-    # the pieces share one engine batch per level, and each keeps the bits,
+    # the pieces share one engine batch per round, and each keeps the bits,
     # nodes, levels and flags of a lone call over it
     f, params, spec = parse_function(fn), MeanParams(p, q), QuadratureSpec(rel_tol)
     rows = ((KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,))
@@ -1093,20 +1153,21 @@ def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monke
     for lo, r, piece in zip((0.0,) + radii, radii, together):
         assert disk_bits([lone_piece(f, params, lo, r, rows, spec)]) == disk_bits([piece])
     if rel_tol < 1e-7:
-        # the level-1 hints max(1, |value|) of the two pieces differ
-        assert levels == [0, 0, 1, 1] and 1 < together[2][0].value < together[3][0].value
+        # the disk's round-1 hint max(1, |value|) is its value, not the annuli's 1
+        assert levels == [1, 0, 0] and together[0][0].value > 1 > together[1][0].value
 
 
 def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
-    # a node of the last piece's first cell is singular: that cell alone
+    # a node of the second piece's first cell is singular: that cell alone
     # splits, in a second batch of its two halves, which keep their piece's
-    # peaks (none: the zero at 0.85 is a peak of the first two pieces only,
-    # at odd p), and every piece keeps the bits of a lone call under the same
-    # field
+    # peaks (the zero at 0.85, which cells below 0.68 are too far from to take
+    # arcs, so the planted node is sampled), and every piece keeps the bits
+    # of a lone call under the same field
     f, params, radii = parse_function("poly:-0.85,1"), MeanParams(3.0, 0.0), (0.5, 0.8, 0.9)
-    sings = _zero_singularities(zeros_in_disk(f, 0.9), params.p, 0.0, False)
-    cells = _radial_partition(0.8, 0.9, sings, (None, None), SPEC, 0)
+    sings = _zero_singularities(zeros_in_disk(f, 0.8), params.p, 0.0, False)
+    cells = _radial_partition(0.5, 0.8, sings, (None, None), SPEC)
     s_star = periodic_cells(cells, (KERNEL_ONE,))[0][0, 10]
+    assert cells[0][1] < 0.68
 
     def field(f, params, z):
         g = g_values(f, params, z)
@@ -1155,18 +1216,20 @@ def test_disk_integrals_reject_a_bad_radius_list_before_any_field_call(radii, ma
         disk_integrals(monomial(1), MeanParams(2, 0), (0.5, 0.7), *rows, SPEC)
 
 def test_disk_field_calls_respect_batch_cap(monkeypatch):
-    # W of (z - 0.5) at p = 0.5 has a cusp on |z| = 0.5, which the periodic
-    # rule resolves slowly: the cells there double far beyond BATCH_POINTS
-    f, params = Polynomial((-0.5, 1.0)), MeanParams(0.5, 0.0)
-    shapes = []
-    unspied = disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC)
+    # at p = 16 the 64 zeros of 1 + z^64 on |z| = 1 are no features but a
+    # Fourier band of 8 * 64 = 512, so every periodic cell starts at 512
+    # steps, 21 * 512 * 2 points, over BATCH_POINTS; the cells near the pole
+    # at 1.1 take arcs, several to a call
+    f = Rational(Polynomial((1.0,) + (0.0,) * 63 + (1.0,)), Polynomial((1.0, -1 / 1.1)))
+    params, shapes = MeanParams(16, 1), []
+    unspied = disk_integral_W(f, params, 0.95, KERNEL_ONE, SPEC)
 
     def field(f, params, z):
         shapes.append(z.shape)
         return w_values(f, params, z)
 
     monkeypatch.setattr(quadrature, "w_values", field)
-    res = disk_integral_W(f, params, 0.9, KERNEL_ONE, SPEC)
+    res = disk_integral_W(f, params, 0.95, KERNEL_ONE, SPEC)
     assert res.converged
     assert res.value == unspied.value
     for shape in shapes:
