@@ -211,12 +211,12 @@ def _cells_theta(
     max(tol_abs[k], rel_tol * max(|value_k|, 1e-6 L1_k)), L1_k the row over
     |integrand|.  A featured cell sums its changes over arcs and radial
     nodes, so errors of opposite sign cannot cancel.  Its estimate is twice
-    the larger of its last two changes (before the integrand is resolved
-    the error halves per level, and one change can be small by luck) plus
+    its last change, as a halved tanh-sinh step about squares the error
+    (inf in its first round, whose change can be small by luck), plus
     ARC_ROUNDING sum |pieces| / (1 - s) per radial node, for the rounding of
     1 - z and 1 - |z|^2 near the rim; it converges once that is within
     max(tol_abs[k], rel_tol * |value_k|), and stops unconverged once its
-    changes are below that floor.  Every cell stops at N_THETA_MAX steps per
+    change is below that floor.  Every cell stops at N_THETA_MAX steps per
     arc, and at a non-finite node as a collision, with 0 nodes.  Returns
     (values, deltas, nodes, conv, doublings) per cell; tol_abs may be per cell.
     """
@@ -244,7 +244,7 @@ def _cells_theta(
             a = [arcs[c] for c in idx]
             span = [[b - x for x, b in zip(row, row[1:] + [row[0] + TWO_PI])] for row in a]
             a, span = np.array([a, span])[:, :, None, :, None, None]
-            g.update(a=a, span=span, prev=np.full((len(idx), n_k), math.inf),
+            g.update(a=a, span=span,
                      floor=ARC_ROUNDING * np.abs(g["w"]) / (1.0 - g["s"].swapaxes(1, 2)))
         groups.append((m, key[1], g))
     # the groups refining, and those waiting for their start
@@ -321,8 +321,8 @@ def _periodic_round(g, sums, abs_sums, step, first, rel_tol, by_row):
 
 
 def _arc_round(g, sums, _abs_sums, step, first, rel_tol, by_row):
-    """One round of featured cells, whose pieces g["h"][c, f, i, j] are arc j
-    of field f at radial node i: (estimate, converged, settled) per row."""
+    """One round of featured cells, pieces g["h"][c, f, i, j] of arc j, field f,
+    radial node i: (estimate, converged, settled) per row; estimate = 2 change + floor."""
     w, sums = g["w"][:, :, :, None], sums * g["span"][:, None, ..., 0]
     if first:
         g["h"] = step * sums[..., 0]
@@ -330,7 +330,7 @@ def _arc_round(g, sums, _abs_sums, step, first, rel_tol, by_row):
     change = np.abs(w * by_row(pieces - g["h"])).sum(axis=(2, 3))
     floor = (g["floor"] * by_row(np.abs(pieces).sum(axis=3))).sum(axis=2)
     g["h"], g["value"] = pieces, kahan_rows(g["w"] * by_row(pieces.sum(axis=3)))
-    top, g["prev"] = np.maximum(change, g["prev"]), change
+    top = change + math.inf if first else change
     estimate = 2.0 * top + floor
     ok = estimate <= np.maximum(g["tol"], rel_tol * np.abs(g["value"]))
     return estimate, ok, ok | (top <= floor)

@@ -237,6 +237,18 @@ def test_binomial_rim_circle_work_stays_small():
         assert nodes[1] <= 2 * nodes[0]
 
 
+def test_binomial_rim_circle_stops_on_its_last_change():
+    # binom:0.9 at p = 2, q = 1, r = 1 - 2^-10: its mean and derivative take 512
+    # nodes and 3 doublings; an estimate of the larger of the last two changes
+    # took 1,024 and 4, a round that only confirmed the value it had
+    r, params = 1.0 - 2.0**-10, MeanParams(2, 1)
+    exact = binomial_mean_exact(0.9, 1.0, params, r)
+    batch = circle_integrals(Binomial(0.9), params, (r,), SPEC, ("W", "dW/dr"))
+    for res, value in zip(next(batch), exact):
+        assert res.converged and res.nodes <= 512
+        assert abs(res.value - value) <= max(res.error_estimate, SPEC.rel_tol * max(1.0, abs(value)))
+
+
 def record_arcs(monkeypatch):
     """(cells, arcs per cell) of each group of featured cells, at its first
     round: the cells are indices into the engine's batch."""
@@ -726,10 +738,9 @@ ZERO_CELLS = ((0.45, 0.55), (0.5 - 1e-4, 0.5 + 3e-4), (0.41, 0.45))
 )
 def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
     # a featured cell's value is the per-arc reference at its last step; its
-    # estimate is twice the larger of the last two changes, arc by arc and
-    # radial node by radial node, plus the rounding floor, in which a radial
-    # node s counts 1 / (1 - s) times; arcs start at 2 n0 steps, so level 0
-    # starts at 64 and level 1 at 128
+    # estimate is twice its last change, arc by arc and radial node by radial
+    # node, plus the rounding floor, in which a radial node s counts 1 / (1 - s)
+    # times; arcs start at 2 n0 steps, so level 0 starts at 64 and level 1 at 128
     params = MeanParams(p, q)
     n0 = N_THETA_INIT << level
 
@@ -748,14 +759,29 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
         assert doublings[0] >= 2
         fine, fine_nodes = tanh_sinh_reference(gfun, s, angles, n)
         mid, _ = tanh_sinh_reference(gfun, s, angles, n // 2)
-        coarse, _ = tanh_sinh_reference(gfun, s, angles, n // 4)
         assert nodes[0] == fine_nodes
         mass = float(np.sum(np.abs(weights[:, None] * fine)))
         assert abs(values[0, 0] - kahan_sum(weights * fine.sum(axis=1))) <= 1e-15 * mass
-        changes = [float(np.sum(np.abs(weights[:, None] * (hi - lo))))
-                   for hi, lo in ((mid, coarse), (fine, mid))]
+        change = float(np.sum(np.abs(weights[:, None] * (fine - mid))))
         floor = ARC_ROUNDING * float(np.sum(np.abs(weights[:, None] * fine).sum(axis=1) / (1 - s)))
-        assert abs(deltas[0, 0] - (2 * max(changes) + floor)) <= 1e-15 * mass
+        assert abs(deltas[0, 0] - (2 * change + floor)) <= 1e-15 * mass
+
+
+def test_featured_cell_does_not_stop_on_its_first_change():
+    # a constant over one arc: the tanh-sinh sums of 64 and 128 steps agree to
+    # the bit, so the first round's change is 0.  The first round's estimate
+    # is inf all the same, so the cell stops at round 2, on its second change,
+    # with 2 n0 << 2 = 256 steps of its one arc
+    s, one = np.array([0.5]), (lambda z: np.ones(z.shape))
+    first, mid = (tanh_sinh_reference(one, s, [1.0], n)[0] for n in (64, 128))
+    assert first.sum() == mid.sum() == TWO_PI
+    values, deltas, nodes, conv, doublings = _cells_theta(
+        on_circle(one), s[None], np.ones((1, 1, 1)), N_THETA_INIT, [1e-9], peaks=[[(0.5, 1.0)]]
+    )
+    assert conv.all() and doublings.tolist() == [2] and nodes.tolist() == [256]
+    assert values[0, 0] == TWO_PI
+    # the second change is 0 too: the estimate is the rounding floor alone
+    assert deltas[0, 0] == pytest.approx(ARC_ROUNDING * TWO_PI / (1 - 0.5), rel=1e-12)
 
 
 def test_banded_rule_non_finite_node_is_a_collision():
