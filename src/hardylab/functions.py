@@ -327,14 +327,11 @@ def _cluster_roots(roots: tuple[complex, ...]) -> tuple[Zero, ...]:
 
 
 @functools.lru_cache(maxsize=512)
-def _unit_disk_zeros(f: AnalyticFunction) -> tuple[Zero, ...]:
-    """Zeros of f with |location| < 1, with multiplicities."""
-    if isinstance(f, Polynomial):
-        allz = _cluster_roots(_polynomial_roots(f.coeffs))
-        return tuple(z for z in allz if abs(z.location) < 1.0)
-    if isinstance(f, Rational):
-        allz = _cluster_roots(_polynomial_roots(f.num.coeffs))
-        return tuple(z for z in allz if abs(z.location) < 1.0)
+def _zeros(f: AnalyticFunction) -> tuple[Zero, ...]:
+    """Every zero of f, each distinct one once with its order, by modulus."""
+    if isinstance(f, (Polynomial, Rational)):
+        num = f if isinstance(f, Polynomial) else f.num
+        return _cluster_roots(_polynomial_roots(num.coeffs))
     if isinstance(f, BlaschkeProduct):
         orders = collections.Counter(f.zeros)
         return tuple(
@@ -344,8 +341,13 @@ def _unit_disk_zeros(f: AnalyticFunction) -> tuple[Zero, ...]:
         return ()
     if isinstance(f, ScaledRotation):
         phase = cmath.exp(-1j * f.rotation)
-        return tuple(Zero(phase * z.location, z.order) for z in _unit_disk_zeros(f.inner))
+        return tuple(Zero(phase * z.location, z.order) for z in _zeros(f.inner))
     raise FunctionModelError(f"unknown function variant {type(f).__name__}")
+
+
+def _unit_disk_zeros(f: AnalyticFunction) -> tuple[Zero, ...]:
+    """Zeros of f with |location| < 1, with multiplicities."""
+    return tuple(z for z in _zeros(f) if abs(z.location) < 1.0)
 
 
 def zeros_in_disk(f: AnalyticFunction, r: float) -> list[Zero]:
@@ -385,27 +387,26 @@ def nearest_zero(f: AnalyticFunction, z: complex) -> tuple[float, Zero | None]:
 @functools.lru_cache(maxsize=512)
 def feature_moduli(f: AnalyticFunction, p: float = 1.0) -> tuple[tuple[float, float], ...]:
     """(modulus, angle) of every off-origin point where W = |f|^p (1 -
-    |z|^2)^q is not real-analytic at exponent p: the poles of a rational, the
-    poles 1/conj(a) of a Blaschke product, the binomial's point z = 1 and,
-    unless p is even, the zeros of f.  At even p, W = (f conj f)^{p/2} (1 -
-    |z|^2)^q is real-analytic at a zero, and so are G, dW/dr and grad W; the
-    zeros count toward fourier_band instead.  The angle is that of the point
-    itself, so under c * f(e^{i phi} z) a feature w of f moves to e^{-i phi}
-    w.  Disk cells and circle means within 0.2 |w| of a feature split the
-    circle at its angle, and every modulus bounds the annulus where W and G
-    are analytic, which sets a periodic cell's fewest trapezoid steps.
-    Memoised, as f is immutable.
+    |z|^2)^q is not real-analytic at exponent p: unless p is even, each
+    distinct zero of f once, in the disk and out, clustered as zeros_in_disk
+    lists it; then the poles of a rational, the pole 1/conj(a) of each
+    Blaschke zero a and the binomial's point z = 1.  At even p, W =
+    (f conj f)^{p/2} (1 - |z|^2)^q is real-analytic at a zero, and so are
+    G, dW/dr and grad W; the zeros count toward fourier_band instead.  The
+    angle is that of the point itself, so under c * f(e^{i phi} z) a feature
+    w of f moves to e^{-i phi} w.  This is the one list of arc peaks: every
+    circle and disk cell within 0.2 |w| of a feature splits at its angle,
+    and every modulus bounds the annulus where W and G are analytic, which
+    sets a periodic cell's fewest steps.  Memoised, as f is immutable.
     """
     if isinstance(f, ScaledRotation):
         return tuple((m, a - f.rotation) for m, a in feature_moduli(f.inner, p))
     if isinstance(f, Binomial):
         return ((1.0, 0.0),)
+    zeros = [(abs(z.location), cmath.phase(z.location)) for z in _zeros(f) if z.location != 0]
     if isinstance(f, BlaschkeProduct):
-        zeros = [(abs(a), cmath.phase(a)) for a in f.zeros if a != 0]
         poles = [(1.0 / m, angle) for m, angle in zeros]
     else:
-        roots = _polynomial_roots(f.coeffs if isinstance(f, Polynomial) else f.num.coeffs)
-        zeros = [(abs(w), cmath.phase(w)) for w in roots if w != 0]
         poles = [(abs(w), cmath.phase(w))
                  for w in (_polynomial_roots(f.den.coeffs) if isinstance(f, Rational) else ())]
     return tuple(poles if p % 2 == 0 else zeros + poles)
@@ -413,15 +414,14 @@ def feature_moduli(f: AnalyticFunction, p: float = 1.0) -> tuple[tuple[float, fl
 
 def fourier_band(f: AnalyticFunction, p: float) -> int:
     """At even p, the degree in theta of prod |z - a|^p over the off-origin
-    zeros a of f, with orders, inside the unit disk and out: (p/2) times
-    their number.  On every circle |z| = s that product is a trigonometric
+    zeros a of f, inside the unit disk and out: (p/2) times the sum of their
+    orders.  On every circle |z| = s that product is a trigonometric
     polynomial of this degree, so the modes of W beyond it decay as fast as
     the features of feature_moduli(f, p) allow.  0 at any other p.
     """
     if p % 2:
         return 0
-    # the zeros are the features an even exponent drops
-    return int(p) // 2 * (len(feature_moduli(f)) - len(feature_moduli(f, p)))
+    return int(p) // 2 * sum(z.order for z in _zeros(f) if z.location != 0)
 
 
 # --------------------------------------------------------------------------

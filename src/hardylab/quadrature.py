@@ -17,16 +17,15 @@ onto the mean.  At even p, |f|^p = (f conj f)^{p/2} is real-analytic at a
 zero, and on |z| = s the product of |z - a|^p over the off-origin zeros a is
 a trigonometric polynomial of degree band = (p/2) * their number with
 orders (fourier_band), which n steps integrate exactly only for n > band:
-n_min gains band + 1.  A cell within 0.2 |w| of a feature w of known angle
-(disk cells: off-origin zeros with kp < 2 for G, and features on or outside
-the rim; circle means: any feature; rings: none) splits the circle at the
-features' angles into tanh-sinh arcs, which converge double-exponentially
-where the periodic rule would need O(s/dist) nodes.  The cells of a batch
-refine in the same rounds, the cells of one arc count and start sharing
-their field calls, and stop one by one with the bits of lone runs.  A
-circle's rows read W, dW/dr or both, one wd_values stack.  Node
-contributions are combined by compensated summation and cells by a fixed
-binary tree, so results are bit-identical between runs.
+n_min gains band + 1.  Every circle and disk cell within 0.2 |w| of a
+feature w (rings take none) splits the circle at the features' angles into
+tanh-sinh arcs, which converge double-exponentially where the periodic rule
+would need O(s/dist) nodes.  The cells of a batch refine in the same
+rounds, the cells of one arc count and start sharing their field calls, and
+stop one by one with the bits of lone runs.  A circle's rows read W, dW/dr
+or both, one wd_values stack.  Node contributions are combined by
+compensated summation and cells by a fixed binary tree, so results are
+bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
 Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A cell's
@@ -45,7 +44,7 @@ is graded toward), and toward the rim when the weight (1-|z|^2)^q, or a
 feature of f, lies just outside.
 The pieces of a radius list, the disk of its first radius and the annuli
 between consecutive radii, refine in one engine batch per round, each with
-its own mesh, peaks, tolerances and stop, so with the bits of a lone piece.
+its own mesh, tolerances and stop, so with the bits of a lone piece.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def _cells_theta(
     n0: int,
     tol_abs: Sequence[float] | np.ndarray,
     rel_tol: float = 0.0,
-    peaks: Sequence[Sequence[tuple[float, float]]] = (),
+    peaks: Sequence[tuple[float, float]] = (),
     fields: Sequence[int] | None = None,
     starts: Sequence[int] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -198,12 +197,12 @@ def _cells_theta(
     sums the other fields under zero weights: a zero term in kahan_rows can
     apply a pending carry).
 
-    A cell with a radial node within 0.2 |w| of its peaks[c] (|w|, angle) takes
-    tanh-sinh arcs between those angles, t in [-ARC_T, ARC_T], from 2 n0
-    steps; the others are periodic, from starts[c] steps (n0 without starts;
-    all powers of two; _starts makes them from the moduli of f's features
-    and, at even p, the band of its zeros), and a cell joins the round that
-    reaches its start.
+    A cell with a radial node within 0.2 |w| of a peak (|w|, angle), one list
+    for the whole batch, takes tanh-sinh arcs between those peaks' angles, t
+    in [-ARC_T, ARC_T], from 2 n0 steps; the others are periodic, from
+    starts[c] steps (n0 without starts; all powers of two; _starts makes
+    them from the moduli of f's features and, at even p, the band of its
+    zeros), and a cell joins the round that reaches its start.
     Each round adds the midpoints, a group (the cells of one arc count and
     start) in field calls of whole cells up to BATCH_POINTS points, or of one
     periodic cell over it; a featured cell over it takes slices of its steps.
@@ -228,9 +227,8 @@ def _cells_theta(
     conv, (nodes, doublings) = np.zeros((n_cells, n_k), bool), np.zeros((2, n_cells), np.int64)
     tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (n_cells, n_k))
     feats: list[set[float]] = [set() for _ in range(n_cells)]
-    for s0, theta0 in set().union(*peaks):  # each peak once, over the cells it is theirs
-        idx = np.array([c for c, own in enumerate(peaks) if (s0, theta0) in own])
-        for c in idx[np.abs(s_nodes[idx] - s0).min(axis=1) < 0.2 * s0].tolist():
+    for s0, theta0 in peaks:
+        for c in np.flatnonzero(np.abs(s_nodes - s0).min(axis=1) < 0.2 * s0).tolist():
             feats[c].add(theta0 % TWO_PI)
     # the cells still refining, with their running sums: a group per arc count and start
     arcs, groups = [sorted(angles) for angles in feats], []
@@ -336,16 +334,18 @@ def _arc_round(g, sums, _abs_sums, step, first, rel_tol, by_row):
     return estimate, ok, ok | (top <= floor)
 
 
-def _starts(s: np.ndarray, moduli: Sequence[float], band: int, spec: QuadratureSpec,
-            floor: int) -> np.ndarray:
+def _starts(s: np.ndarray, features: Sequence[tuple[float, float]], band: int,
+            spec: QuadratureSpec, floor: int) -> np.ndarray:
     """The first step count of each periodic cell with radial nodes s[c]:
     the power of two >= n_min / 2, at least floor.  n_min = ln(1e3 /
-    rel_tol) / eta, eta = min |ln(s / m)| over the moduli m, taken as at
-    most 4 N_THETA_INIT, plus band + 1 for a Fourier band > 0: the modes
+    rel_tol) / eta, eta = min |ln(s / m)| over the moduli m of the features
+    (m, angle), taken as at most 4 N_THETA_INIT, plus band + 1 for a Fourier
+    band > 0: the modes
     above it decay like exp(-(mode - band) eta), and n steps are exact on
     the modes up to band only for n > band."""
     ln = math.log(1e3 / spec.rel_tol)
-    eta = np.abs(np.log(np.divide.outer(s, moduli))).min(axis=(1, 2), initial=math.inf)
+    eta = np.abs(np.log(np.divide.outer(s, [m for m, _ in features]))).min(
+        axis=(1, 2), initial=math.inf)
     n_min = ln / np.maximum(eta, ln / (4 * N_THETA_INIT)) + (band + (band > 0))
     return np.maximum(floor, 2 ** np.ceil(np.log2(np.maximum(n_min, 2) / 2))).astype(int)
 
@@ -396,10 +396,10 @@ def circle_integrals(
     tol, features = 0.5 * spec.rel_tol, feature_moduli(f, params.p) if radii else ()
     s_nodes = np.array(radii).reshape(-1, 1)
     band = fourier_band(f, params.p)
-    starts = _starts(s_nodes, [m for m, _ in features], band, spec, N_THETA_INIT)
+    starts = _starts(s_nodes, features, band, spec, N_THETA_INIT)
     batch = _cells_theta(
         lambda s, u: field(f, params, s * u), s_nodes, np.ones((len(radii), len(index), 1)),
-        N_THETA_INIT, [tol] * len(index), tol, [features] * len(radii),
+        N_THETA_INIT, [tol] * len(index), tol, features,
         index if len(index) > 1 else None, starts.tolist(),
     )
     for totals, deltas, nodes, convs, doublings in zip(*(a.tolist() for a in batch)):
@@ -508,11 +508,12 @@ def _radial_partition(lo: float, hi: float, sings: Sequence[tuple[float, float, 
 # --------------------------------------------------------------------------
 
 def _disk_once(gfun: Callable[[np.ndarray, np.ndarray], np.ndarray], kernels: Sequence[Kernel],
-               pieces: Sequence[list], cells: Sequence[tuple[int, float, float, int]],
-               moduli: Sequence[float], band: int, spec: QuadratureSpec,
+               theta_tols: Sequence[list[float]], cells: Sequence[tuple[int, float, float, int]],
+               features: Sequence[tuple[float, float]], band: int, spec: QuadratureSpec,
                fields: Sequence[int] | None) -> list[tuple]:
-    """One engine batch of radial cells (piece, a, b, depth) of pieces
-    (peaks, theta_tol), started by _starts: the leaves the cells end as, in
+    """One engine batch of radial cells (piece, a, b, depth), with the
+    angular tolerances theta_tols[piece] per kernel, arcs at the features
+    (|w|, angle) of f and starts by _starts: the leaves the cells end as, in
     order, each the cell followed by (values, changes, nodes, conv) per row,
     kernel k on field fields[k] of gfun.  Each radial cell carries the
     Kronrod nodes; its Gauss weights are extra rows, n_k..2 n_k - 1."""
@@ -524,14 +525,14 @@ def _disk_once(gfun: Callable[[np.ndarray, np.ndarray], np.ndarray], kernels: Se
     # rows 0..n_k-1 are the kernels' Kronrod rows, n_k..2n_k-1 their Gauss rows
     weights = np.concatenate([radial * kron_w, radial * gauss_w], axis=1)
     batch = _cells_theta(
-        gfun, s, weights, N_THETA_INIT, [pieces[i][1] * 2 for i, *_ in cells], 0.0,
-        [pieces[i][0] for i, *_ in cells], None if fields is None else list(fields) * 2,
-        _starts(s, moduli, band, spec, 4).tolist())
+        gfun, s, weights, N_THETA_INIT, [theta_tols[i] * 2 for i, *_ in cells], 0.0,
+        features, None if fields is None else list(fields) * 2,
+        _starts(s, features, band, spec, 4).tolist())
     leaves = []
     for cell, leaf in zip(cells, zip(*(arr.tolist() for arr in batch))):
         # a node landed on a singular point: the cell's halves take its place
         leaves += [(*cell, *leaf[:4])] if leaf[2] else _disk_once(
-            gfun, kernels, pieces, _halves(*cell), moduli, band, spec, fields)
+            gfun, kernels, theta_tols, _halves(*cell), features, band, spec, fields)
     return leaves
 
 
@@ -575,12 +576,6 @@ def _boundary_scale(
     return min(scales, default=None)
 
 
-def _sharp_zero_angles(zeros: Sequence[Zero], p: float) -> tuple[tuple[float, float], ...]:
-    """Off-origin zeros, where the fields are not smooth unless p is even."""
-    return tuple((abs(z.location), math.atan2(z.location.imag, z.location.real))
-                 for z in zeros if abs(z.location) > 0 and p % 2)
-
-
 def _worst_cells(est: np.ndarray, free: np.ndarray, err: Sequence[float],
                  tols: Sequence[float]) -> set[int]:
     """The cells to bisect: per row k whose estimate err[k] exceeds tols[k],
@@ -619,9 +614,8 @@ def disk_integrals(
     value sets).  Each round bisects _worst_cells, whose halves take their
     place, until every row meets its tolerance, or unconverged when none is
     left, after MAX_LEVELS rounds, or once a round lowers no estimate still
-    above it.  Cells near a feature of f on or outside the piece's rim, or
-    near an off-origin zero inside it (feature_moduli: a zero is one unless
-    p is even), split into tanh-sinh arcs there.
+    above it.  Cells within 0.2 |w| of a feature w of f (feature_moduli, the
+    same list for every piece) split into tanh-sinh arcs at its angle.
     """
     if not g_kernels and not w_weights:
         raise ValueError("disk_integrals needs at least one G kernel or W weight")
@@ -642,20 +636,18 @@ def disk_integrals(
     log_origin = any(kernel.singular_at_origin for kernel in kernels)
     features, band = feature_moduli(f, params.p), fourier_band(f, params.p)
     tol = 0.125 * 0.25 * spec.rel_tol  # a kernel's angular tolerance per max(1, |value|)
-    pieces, batch = [], []  # per piece (peaks, angular tolerance per kernel); its cells
+    theta_tols, batch = [], []  # per piece its angular tolerance per kernel; its cells
     for i, (lo, r) in enumerate(zip([0.0, *radii], radii)):
-        zeros = zeros_in_disk(f, r)
-        sings = _zero_singularities(zeros, params.p, mass_shift, log_origin)
+        sings = _zero_singularities(zeros_in_disk(f, r), params.p, mass_shift, log_origin)
         below = [lo - s0 for s0, _, _ in sings if s0 < lo]
         ends = (min(below, default=None), _boundary_scale(params, r, features))
         batch += [(i, a, b, 0) for a, b in _radial_partition(lo, r, sings, ends, spec)]
-        peaks = tuple((m, a) for m, a in features if m >= r)
-        pieces.append([peaks + _sharp_zero_angles(zeros, params.p), [tol] * len(kernels)])
-    n_k, leaves, spent = len(kernels), [[] for _ in pieces], [0] * len(pieces)
-    results, last_errs = [None] * len(pieces), [[math.inf] * n_k] * len(pieces)
+        theta_tols.append([tol] * len(kernels))
+    n_k, leaves, spent = len(kernels), [[] for _ in radii], [0] * len(radii)
+    results, last_errs = [None] * len(radii), [[math.inf] * n_k] * len(radii)
     for rounds in range(MAX_LEVELS):
-        for leaf in _disk_once(lambda s, u: field(f, params, s * u), kernels, pieces, batch,
-                               [m for m, _ in features], band, spec, fields):
+        for leaf in _disk_once(lambda s, u: field(f, params, s * u), kernels, theta_tols, batch,
+                               features, band, spec, fields):
             leaves[leaf[0]].append(leaf)
             spent[leaf[0]] += leaf[6]
         batch = []
@@ -669,10 +661,10 @@ def disk_integrals(
                    + KRONROD_ROUNDING * size.sum(axis=0)).tolist()
             value = [tree_sum(col) for col in kronrod.T.tolist()]
             tols = [spec.rel_tol * max(1.0, abs(v)) for v in value]
-            pieces[i][1], free = [tol * max(1.0, abs(v)) for v in value], convs.all(axis=1)
+            theta_tols[i], free = [tol * max(1.0, abs(v)) for v in value], convs.all(axis=1)
             # an angular row whose change is within the tolerance the piece's
             # value now sets is converged (round 0 ran before that value)
-            convs |= changes <= pieces[i][1] * 2
+            convs |= changes <= theta_tols[i] * 2
             conv = [e <= t and c for e, t, c in zip(
                 err, tols, (convs[:, :n_k] & convs[:, n_k:]).all(axis=0).tolist())]
             split = _worst_cells(radial + angular + KRONROD_ROUNDING * size, free, err, tols)

@@ -4,11 +4,12 @@ error bar, and the binomial family's pointwise values match mpmath.
 Each disk case integrates G = Laplacian of W against the kernel 1 over
 |z| < r and compares it with 2 pi r M'(r), where M is the circle mean of W,
 taken from a closed form and differentiated analytically; the shifted zero
-z - a is also taken at angles off the real axis, and a Blaschke zero there
-through check_growth_identity, whose two routes must agree.  The circle cases
-compare circle means M(r) and their derivatives M'(r) with closed forms: at
-p = 2 for rationals and Blaschke products, and for binomials and 1 + z^64
-through 2F1 at every p; those of f(z^m) are compared with those of f at r^m.  A
+z - a is also taken at angles off the real axis, expanded and as a rotation
+of z - |a|, and a Blaschke zero there through check_growth_identity, whose
+two routes must agree.  The circle cases compare circle means M(r) and their
+derivatives M'(r) with closed forms: at p = 2 for rationals and Blaschke
+products, and for binomials, expanded (z - a)^k and 1 + z^64 through 2F1 at
+every p; those of f(z^m) are compared with those of f at r^m.  A
 converged result must satisfy
 |value - exact| <= max(error_estimate, rel_tol * max(1, |exact|));
 unconverged results and typed errors are allowed.
@@ -208,11 +209,14 @@ def test_rotated_shifted_zero_disk_g_within_its_error_bar(p, phi, r, ratio):
     # G of z - a e^{i phi} is G of z - a rotated, so the integral is the
     # closed form's; off the real axis the zero's angle can fall between the
     # nodes of a periodic cell, so at p not even every cell next to it takes
-    # arcs, also where kp >= 2 and G is bounded
+    # arcs, also where kp >= 2 and G is bounded.  The same zero comes in two
+    # forms: expanded, and as z - a under the rotation e^{-i phi}, whose arc
+    # angle feature_moduli gives as 0 - (-phi)
     a = ratio * r
-    f = Polynomial((-a * complex(math.cos(phi), math.sin(phi)), 1))
-    res = disk_integral_G(f, MeanParams(p, 0), r, KERNEL_ONE, SPEC)
-    assert_within_error_bar(res, shifted_zero_disk_g(a, p, r))
+    for f in (Polynomial((-a * complex(math.cos(phi), math.sin(phi)), 1)),
+              ScaledRotation(Polynomial((-a, 1)), 1, -phi)):
+        res = disk_integral_G(f, MeanParams(p, 0), r, KERNEL_ONE, SPEC)
+        assert_within_error_bar(res, shifted_zero_disk_g(a, p, r))
 
 
 def test_growth_identity_next_to_an_off_axis_zero_at_p3():
@@ -265,6 +269,46 @@ def test_binomial_circle_means_and_derivatives_within_their_error_bars(alpha, p,
         for res, value in zip(results, exact):
             assert res.converged, (r, res)
             assert_within_error_bar(res, value)
+
+
+def shifted_power(k, phi):
+    """(z - a)^k expanded, a = 0.5 e^{i phi}: ascending coefficients."""
+    a = 0.5 * complex(math.cos(phi), math.sin(phi))
+    return Polynomial(tuple(math.comb(k, j) * (-a) ** (k - j) for j in range(k + 1)))
+
+
+def shifted_power_circle_mean(k, p, q, r):
+    """(z - a)^k with |a| = 0.5: the mean of |z - a|^{kp} on |z| = r is
+    max(r, |a|)^{kp} 2F1(-kp/2, -kp/2; 1; (min / max)^2)."""
+    with mpmath.workdps(30):
+        lo, hi = sorted((mpmath.mpf(r), mpmath.mpf(0.5)))
+        s = k * mpmath.mpf(p)
+        mean = hi**s * mpmath.hyp2f1(-s / 2, -s / 2, 1, (lo / hi) ** 2)
+        return float((1 - mpmath.mpf(r) ** 2) ** q * mean)
+
+
+SHIFTED_POWER_RADII = (0.3, 0.45, 0.49, 0.499, 0.501, 0.51, 0.55, 0.7)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("p", [0.5, 1, 1.5, 3])
+@pytest.mark.parametrize("phi", [0, 0.172, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shifted_power_circle_means_within_their_error_bars(k, phi, p, q):
+    # a zero of order k at 0.5 e^{i phi}, its roots computed from the expanded
+    # polynomial: the circles next to it take arcs at its angle
+    batch = circle_integrals(shifted_power(k, phi), MeanParams(p, q), SHIFTED_POWER_RADII, SPEC)
+    for r, (res,) in zip(SHIFTED_POWER_RADII, batch):
+        assert_within_error_bar(res, shifted_power_circle_mean(k, p, q, r))
+
+
+def test_double_root_is_one_arc_peak():
+    # the two computed roots of expanded (z - 0.5)^2 cluster into one zero,
+    # so the circle next to it splits at one angle: one arc of 256 steps,
+    # not two arcs between the roots' nearby angles (512 nodes)
+    res = circle_mean(shifted_power(2, 0), MeanParams(1, 0), 0.45, SPEC)
+    assert res.converged and res.nodes == 256
+    assert_within_error_bar(res, shifted_power_circle_mean(2, 1, 0, 0.45))
 
 
 P2_RADII = (0.3, 0.7) + tuple(1.0 - 2.0**-j for j in (1, 4, 8, 12, 16, 20))

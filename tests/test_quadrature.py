@@ -751,7 +751,7 @@ def test_banded_rule_matches_per_arc_reference(f, points, p, q, cells, level):
         s, weights, peaks = banded_cell(points, a, b)
         angles = [angle for _, angle in peaks]
         values, deltas, nodes, conv, doublings = _cells_theta(
-            on_circle(gfun), s[None], weights[None, None], n0, [1e-9], peaks=[peaks]
+            on_circle(gfun), s[None], weights[None, None], n0, [1e-9], peaks=peaks
         )
         assert conv[0, 0]
         # the last step count per arc, n = 2 n0 * 2^doublings
@@ -776,7 +776,7 @@ def test_featured_cell_does_not_stop_on_its_first_change():
     first, mid = (tanh_sinh_reference(one, s, [1.0], n)[0] for n in (64, 128))
     assert first.sum() == mid.sum() == TWO_PI
     values, deltas, nodes, conv, doublings = _cells_theta(
-        on_circle(one), s[None], np.ones((1, 1, 1)), N_THETA_INIT, [1e-9], peaks=[[(0.5, 1.0)]]
+        on_circle(one), s[None], np.ones((1, 1, 1)), N_THETA_INIT, [1e-9], peaks=[(0.5, 1.0)]
     )
     assert conv.all() and doublings.tolist() == [2] and nodes.tolist() == [256]
     assert values[0, 0] == TWO_PI
@@ -793,7 +793,7 @@ def test_banded_rule_non_finite_node_is_a_collision():
         return g
 
     _, _, nodes, _, _ = _cells_theta(
-        on_circle(gfun), s[None], weights[None, None], N_THETA_INIT, [math.inf], peaks=[peaks]
+        on_circle(gfun), s[None], weights[None, None], N_THETA_INIT, [math.inf], peaks=peaks
     )
     assert nodes.tolist() == [0]
     with pytest.raises(_CellCollision):
@@ -815,7 +815,7 @@ def test_featured_round_over_the_cap_is_sliced():
         return g_values(f, params, z)
 
     values, _, nodes, conv, doublings = _cells_theta(
-        on_circle(gfun), s, weights, 256, [math.inf] * 2, peaks=[peaks]
+        on_circle(gfun), s, weights, 256, [math.inf] * 2, peaks=peaks
     )
     assert conv.all() and doublings.tolist() == [1] and nodes.tolist() == [43_008]
     assert [math.prod(shape) for shape in shapes] == [10_752] * 4
@@ -923,7 +923,7 @@ def test_cells_join_the_round_that_reaches_their_start():
     # and doublings of a lone run
     f, params = monomial(1), MeanParams(2, 0)
     s, weights = periodic_cells([(0.1, 0.2), (0.2, 0.3), (0.45, 0.55)], (KERNEL_ONE,))
-    peaks, starts, tol = [((0.5, 0.0),)] * 3, [4, 8, 4], [1e-12] * 2
+    peaks, starts, tol = ((0.5, 0.0),), [4, 8, 4], [1e-12] * 2
     calls = []
 
     def gfun(z):
@@ -935,7 +935,7 @@ def test_cells_join_the_round_that_reaches_their_start():
     for c in range(3):
         one = slice(c, c + 1)
         alone = _cells_theta(
-            on_circle(gfun), s[one], weights[one], 32, tol, 0.0, peaks[one], None, starts[one])
+            on_circle(gfun), s[one], weights[one], 32, tol, 0.0, peaks, None, starts[one])
         assert all(a.tobytes() == b[one].tobytes() for a, b in zip(alone, batch))
     assert batch[2].tolist() == [21 * 8, 21 * 16, 21 * 2 * 2 * 64]
     assert batch[4].tolist() == [1, 1, 2]
@@ -954,10 +954,10 @@ def test_rows_of_a_field_stack_match_one_field_runs(peaks):
     stack = np.concatenate([weights, weights], axis=1)
     for k, field in enumerate((g_values, w_values)):
         alone = _cells_theta(
-            on_circle(lambda z: field(f, params, z)), s, weights, 32, tol, peaks=[peaks] * 3)
+            on_circle(lambda z: field(f, params, z)), s, weights, 32, tol, peaks=peaks)
         both = _cells_theta(
             on_circle(lambda z: gw_values(f, params, z)), s, stack, 32,
-            (free + tol) if k else (tol + free), peaks=[peaks] * 3, fields=[0] * 4 + [1] * 4)
+            (free + tol) if k else (tol + free), peaks=peaks, fields=[0] * 4 + [1] * 4)
         rows = slice(4 * k, 4 * k + 4)
         assert alone[0].tobytes() == both[0][:, rows].tobytes()
         assert alone[1].tobytes() == both[1][:, rows].tobytes()
