@@ -340,9 +340,8 @@ def _starts(s: np.ndarray, features: Sequence[tuple[float, float]], band: int,
     the power of two >= n_min / 2, at least floor.  n_min = ln(1e3 /
     rel_tol) / eta, eta = min |ln(s / m)| over the moduli m of the features
     (m, angle), taken as at most 4 N_THETA_INIT, plus band + 1 for a Fourier
-    band > 0: the modes
-    above it decay like exp(-(mode - band) eta), and n steps are exact on
-    the modes up to band only for n > band."""
+    band > 0: the modes above it decay like exp(-(mode - band) eta), and n
+    steps are exact on the modes up to band only for n > band."""
     ln = math.log(1e3 / spec.rel_tol)
     eta = np.abs(np.log(np.divide.outer(s, [m for m, _ in features]))).min(
         axis=(1, 2), initial=math.inf)

@@ -1185,8 +1185,8 @@ def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monke
 
 def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
     # a node of the second piece's first cell is singular: that cell alone
-    # splits, in a second batch of its two halves, which keep their piece's
-    # peaks (the zero at 0.85, which cells below 0.68 are too far from to take
+    # splits, in a second batch of its two halves, which keep f's peaks
+    # (the zero at 0.85, which cells below 0.68 are too far from to take
     # arcs, so the planted node is sampled), and every piece keeps the bits
     # of a lone call under the same field
     f, params, radii = parse_function("poly:-0.85,1"), MeanParams(3.0, 0.0), (0.5, 0.8, 0.9)
