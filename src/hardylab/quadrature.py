@@ -28,23 +28,23 @@ compensated summation and cells by a fixed binary tree, so results are
 bit-identical between runs.
 
 A disk integral is a polar product mesh of radial cells with the 21
-Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A cell's
+Gauss-Kronrod nodes that embed the 10 Gauss-Legendre ones.  A piece starts as
+its singular structure alone, or as one cell: geometric ladders toward the
+origin for log kernels and toward the modulus of every zero of f where the
+integrand is not smooth (G scales like |z-z0|^{kp-2} at a zero of order k;
+none at even p, where the fields are smooth at a zero), and toward the rim
+when the weight (1-|z|^2)^q, or a feature of f, lies just outside.  A cell's
 estimate is |K21 - G10| plus its angular estimate plus the rounding floor
 KRONROD_ROUNDING |K21|, and a kernel's is the sum over cells.  Within
 rel_tol * max(1, |value|) it is the result; else each round bisects the
 cells that carry the excess, worst first (QUADPACK's QAG, Piessens et al.
-1983), but none whose angular rule ended unconverged, for MAX_LEVELS
-rounds or until a round lowers no unconverged kernel's estimate.  A stack
-of kernels shares one mesh as weight rows, of G, of W, or of both from one
-gw_values call per batch.  Radial
-cells are graded geometrically toward the origin for log kernels, toward
-the modulus of every zero of f where the integrand is not smooth (G scales
-like |z-z0|^{kp-2} at a zero of order k; at even p only a zero at the origin
-is graded toward), and toward the rim when the weight (1-|z|^2)^q, or a
-feature of f, lies just outside.
-The pieces of a radius list, the disk of its first radius and the annuli
-between consecutive radii, refine in one engine batch per round, each with
-its own mesh, tolerances and stop, so with the bits of a lone piece.
+1983), but none whose angular rule ended unconverged, for MAX_LEVELS rounds
+or until a round lowers no unconverged kernel's estimate.  A stack of kernels
+shares one mesh as weight rows, of G, of W, or of both from one gw_values
+call per batch.  The pieces of a radius list, the disk of its first radius
+and the annuli between consecutive radii, refine in one engine batch per
+round, each with its own mesh, tolerances and stop, so with the bits of a
+lone piece.
 """
 
 from __future__ import annotations
@@ -66,13 +66,12 @@ from .functions import (
 
 TWO_PI = 2.0 * math.pi
 
-# fixed mesh policy: initial angular steps and doubling cap (per arc), uniform
-# radial cells, disk refinement rounds, and the depth cap of geometric radial
-# grading and cell splitting
+# fixed mesh policy: initial angular steps and doubling cap (per arc), disk
+# refinement rounds, and the depth cap of geometric radial grading and cell
+# splitting
 N_THETA_INIT = 32
 N_THETA_MAX = 1 << 20
-N_RADIAL_BASE = 8
-MAX_LEVELS = 5  # disk rounds: the partition, then up to 4 of bisection
+MAX_LEVELS = 8  # disk rounds: the partition, then up to 7 of bisection (one cell to 128)
 MAX_GRADE_DEPTH = 40
 # tanh-sinh arcs: t in [-ARC_T, ARC_T], where the end weights are below 1e-35,
 # and the rounding floor of an arc estimate per unit of sum |pieces| / (1 - s)
@@ -305,10 +304,12 @@ def _periodic_round(g, sums, abs_sums, step, first, rel_tol, by_row):
     w, sums, abs_sums = g["w"], sums[:, :, :, 0], abs_sums[:, :, :, 0]
     if first:
         g["h"], g["l1"] = step * sums[..., 0], step * abs_sums[..., 0]
-        g["value"] = kahan_rows(w * by_row(g["h"]))
-    g["h"] = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
-    new = kahan_rows(w * by_row(g["h"]))
-    delta, g["value"] = np.abs(new - g["value"]), new
+    h = 0.5 * g["h"] + (0.5 * step) * sums[..., -1]
+    fine = w * by_row(h)
+    # a first round sums its coarse and fine rows in one kahan_rows call
+    rows = kahan_rows(np.concatenate([w * by_row(g["h"]), fine]) if first else fine)
+    old, new = (rows[:len(w)], rows[len(w):]) if first else (g["value"], rows)
+    delta, g["value"], g["h"] = np.abs(new - old), new, h
     bound = g["tol"]
     if rel_tol:
         g["l1"] = 0.5 * g["l1"] + (0.5 * step) * abs_sums[..., -1]
@@ -467,12 +468,10 @@ def _grade_policy(mass_exp: float, tol: float, log_bump: bool) -> tuple[float, i
 def _radial_partition(lo: float, hi: float, sings: Sequence[tuple[float, float, bool]],
                       end_scales: tuple[float | None, float | None],
                       spec: QuadratureSpec) -> list[tuple[float, float]]:
-    """Radial cells of [lo, hi]: uniform base cells, geometric ladders toward
-    each singular radius, geometric approach to an endpoint whose nearest
-    singularity sits just outside."""
+    """Radial cells of [lo, hi]: geometric ladders toward each singular
+    radius and a geometric approach to an endpoint whose nearest singularity
+    sits just outside, else the one cell [lo, hi]; bisection adds the rest."""
     pts = {lo, hi}
-    for k in range(1, N_RADIAL_BASE):
-        pts.add(lo + (hi - lo) * k / N_RADIAL_BASE)
     for s0, mass_exp, log_bump in sings:
         if not lo <= s0 <= hi:
             continue
@@ -551,13 +550,14 @@ def _zero_singularities(
     The 2D mass of G within distance d of a zero of order k scales like
     d^{kp} (for W like d^{kp+2}); a kernel with a log singularity at the
     origin (log_origin) adds one level there.  At even p the fields are
-    real-analytic at a zero, so only a zero at the origin, whose mass
-    exponent shortens the log kernel's ladder, is graded toward.
+    real-analytic at a zero (|z|^{kp} is a polynomial in x and y), so only
+    a zero at the origin under a log kernel, whose mass exponent shortens
+    that kernel's ladder, is graded toward.
     """
     sings = []
     for z in zeros:
         s0 = abs(z.location)
-        if s0 == 0.0 or p % 2:
+        if p % 2 or (s0 == 0.0 and log_origin):
             sings.append((s0, z.order * p + mass_shift, log_origin and s0 == 0.0))
     if log_origin and all(abs(z.location) > 0 for z in zeros):
         # pure log singularity over a smooth field: mass ~ d^2 log(1/d)

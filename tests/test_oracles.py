@@ -6,7 +6,9 @@ Each disk case integrates G = Laplacian of W against the kernel 1 over
 taken from a closed form and differentiated analytically; the shifted zero
 z - a is also taken at angles off the real axis, expanded and as a rotation
 of z - |a|, and a Blaschke zero there through check_growth_identity, whose
-two routes must agree.  The circle cases compare circle means M(r) and their
+two routes must agree.  The disk cases of W, against the weights 1 and
+1 - |z|^2, compare with the integral of 2 pi s weight(s) M(s) over s < r,
+in mpmath.  The circle cases compare circle means M(r) and their
 derivatives M'(r) with closed forms: at p = 2 for rationals and Blaschke
 products, and for binomials, expanded (z - a)^k and 1 + z^64 through 2F1 at
 every p; those of f(z^m) are compared with those of f at r^m.  A
@@ -27,6 +29,7 @@ from hardylab.identities import check_growth_identity
 from hardylab.parsing import parse_function
 from hardylab.quadrature import (
     KERNEL_ONE,
+    KERNEL_ONE_MINUS_ABS_SQ,
     TWO_PI,
     QuadratureError,
     QuadratureSpec,
@@ -34,6 +37,7 @@ from hardylab.quadrature import (
     circle_mean,
     circle_mean_deriv,
     disk_integral_G,
+    disk_integral_W,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -250,6 +254,73 @@ def test_sharp_zero_estimate_bounds_its_error():
     exact = shifted_zero_disk_g(0.5, params.p, r)
     assert res.converged
     assert abs(res.value - exact) <= res.error_estimate, (res.value, exact, res.error_estimate)
+
+
+def sparse_power_disk_g(c, m, p, r):
+    """2 pi r M'(r) for 1 + c z^m: M = 2F1(b, b; 1; x) with b = -p/2 and
+    x = c^2 r^{2m}, so M' = b^2 2F1(b + 1, b + 1; 2; x) 2 m x / r."""
+    with mpmath.workdps(30):
+        b, x = -mpmath.mpf(p) / 2, mpmath.mpf(c) ** 2 * mpmath.mpf(r) ** (2 * m)
+        return float(2 * mpmath.pi * 2 * m * x * b * b * mpmath.hyp2f1(b + 1, b + 1, 2, x))
+
+
+@pytest.mark.parametrize("r", [0.97, 0.99])
+@pytest.mark.parametrize("p", [8, 16])
+@pytest.mark.parametrize("c,m", [(1.0, 64), (0.7, 41)])
+def test_sparse_power_disk_g_converges_within_its_error_bar(c, m, p, r):
+    # G of 1 + c z^m oscillates m-fold toward the zeros on |z| = c^{-1/m},
+    # and no piece of this disk has a singular radius or a rim scale: from
+    # one radial cell, 4 or 5 bisection rounds must reach the tolerance
+    f = Polynomial((1,) + (0,) * (m - 1) + (c,))
+    res = disk_integral_G(f, MeanParams(p, 0), r, KERNEL_ONE, SPEC)
+    assert res.converged
+    assert_within_error_bar(res, sparse_power_disk_g(c, m, p, r))
+
+
+def disk_w(mean, weight, r, breaks=()):
+    """Integral of weight(|z|) W over |z| < r, from the circle mean M of W:
+    the integral of 2 pi s weight(s) M(s) over s < r, split at breaks."""
+    with mpmath.workdps(20):
+        w = (lambda s: 1) if weight is KERNEL_ONE else (lambda s: 1 - s * s)
+        return float(mpmath.quad(lambda s: 2 * mpmath.pi * s * w(s) * mean(s),
+                                 [0, *breaks, mpmath.mpf(r)]))
+
+
+# per case f, params, r, the circle mean of W as mean(params, s), and breaks
+W_CASES = (
+    [
+        pytest.param(Binomial(alpha), MeanParams(p, q), r,
+                     lambda params, s, alpha=alpha: binomial_circle_mean(alpha, params, s)[0], (),
+                     id=f"binom:{alpha}-p{p}-q{q}-r{r}")
+        for alpha, p, q in ((0.9, 2, 0), (0.9, 2, 1), (0.5, 1.5, 0.5), (2, 1, 0))
+        for r in (0.5, 0.9, 0.99)
+    ]
+    + [
+        pytest.param(Polynomial((0,) * n + (1,)), MeanParams(p, q), r,
+                     lambda params, s, n=n: s ** (n * params.p) * (1 - s * s) ** params.q, (),
+                     id=f"z^{n}-p{p}-q{q}-r{r}")
+        for n, p, q in ((1, 2, 0), (1, 0.5, 0), (2, 1.5, 1), (3, 0.5, 0.5))
+        for r in (0.5, 0.9, 0.99)
+    ]
+    + [
+        pytest.param(Polynomial((-0.5, 1)), MeanParams(p, 0), r,
+                     lambda params, s: shifted_power_circle_mean(1, params.p, 0, s),
+                     (mpmath.mpf(0.5),), id=f"z-0.5-p{p}-r{r}")
+        for p, r in ((1.5, 0.7), (3, 0.9), (0.5, 0.9))
+    ]
+)
+
+
+@pytest.mark.parametrize("weight", [KERNEL_ONE, KERNEL_ONE_MINUS_ABS_SQ], ids=lambda k: k.name)
+@pytest.mark.parametrize("f,params,r,mean,breaks", W_CASES)
+def test_converged_disk_w_within_its_error_bar(f, params, r, mean, breaks, weight):
+    # a piece with no singular structure is one radial cell, which must
+    # still bound its W error
+    try:
+        res = disk_integral_W(f, params, r, weight, SPEC)
+    except QuadratureError:
+        return
+    assert_within_error_bar(res, disk_w(lambda s: mean(params, s), weight, r, breaks))
 
 
 BINOMIAL_CIRCLE_RADII = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)

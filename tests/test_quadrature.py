@@ -22,6 +22,7 @@ from hardylab.functions import (
     Polynomial,
     Rational,
     ScaledRotation,
+    feature_moduli,
     zeros_in_disk,
 )
 from hardylab.golden import seeded_poly5
@@ -577,7 +578,8 @@ def scripted_disk_once(calls, leaf):
         # a flat estimate is no progress either
         ([(1e-6,), (1e-6,), (1e-9,)], 1, (False,)),
         # a steady fall runs to MAX_LEVELS rounds, and one that reaches tol converges
-        ([(5e-6,), (4e-6,), (3e-6,), (2e-6,), (1e-6,)], 4, (False,)),
+        ([(k * 1e-6,) for k in range(quadrature.MAX_LEVELS, 0, -1)], quadrature.MAX_LEVELS - 1,
+         (False,)),
         ([(1e-5,), (1e-6,), (1e-7,)], 2, (True,)),
         # a converged kernel whose estimate rises does not stop the others
         ([(1e-9, 1e-5), (5e-8, 1e-6), (6e-8, 1e-7)], 2, (True, True)),
@@ -607,7 +609,8 @@ def test_disk_refinement_stops_once_no_estimate_falls(script, levels, converged,
 @pytest.mark.parametrize("stuck,levels", [(2e-6, 0), (5e-8, 1)])
 def test_disk_bisection_leaves_angularly_unconverged_cells(stuck, levels, monkeypatch):
     # the top cell's angular rule ends unconverged with a change of `stuck`,
-    # and the lowest cell carries 1e-6 of radial estimate, 1e-9 once split.
+    # and the lowest cell carries 1e-6 of radial estimate, 1e-9 once split
+    # (at odd p the origin zero's ladder gives round 0 both cells).
     # A radial split cannot lower an angular error: over the tolerance
     # (1e-7), the stuck cell stops its piece at once with round 0's nodes;
     # under it, the lowest cell alone is split and the stuck one never is
@@ -620,7 +623,7 @@ def test_disk_bisection_leaves_angularly_unconverged_cells(stuck, levels, monkey
         return ((1e-6, 1e-9)[depth] if a == 0.0 else 0.0,), (0.0,), True
 
     monkeypatch.setattr(quadrature, "_disk_once", scripted_disk_once(calls, leaf))
-    ((res,),) = disk_integrals(monomial(1), MeanParams(2, 0), (0.9,), (KERNEL_ONE,), (), SPEC)
+    ((res,),) = disk_integrals(monomial(1), MeanParams(3, 0), (0.9,), (KERNEL_ONE,), (), SPEC)
     assert len(calls) == levels + 1 and not res.converged and res.levels == levels
     assert res.nodes == 10 * sum(map(len, calls))
     if levels:
@@ -631,9 +634,9 @@ def test_disk_bisection_leaves_angularly_unconverged_cells(stuck, levels, monkey
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_disk_refinement_reaches_a_level_that_lowers_the_estimate(q, monkeypatch):
-    # at tol 1e-12 round 0 estimates 2.7e-12 over 48 cells, most of it on the
-    # cells next to the origin: round 1 bisects 1 (q = 0) or 2 of them, where
-    # splitting all 48 took 24,192 nodes
+    # at tol 1e-12 round 0 estimates 1.1e-12 over 41 cells, the origin's
+    # ladder and the cell above it: round 1 bisects 3 (q = 0) or 4 of them,
+    # where splitting all 41 takes 13,776 nodes
     batches = []
 
     def cells_theta(*args):
@@ -644,7 +647,7 @@ def test_disk_refinement_reaches_a_level_that_lowers_the_estimate(q, monkeypatch
     spec = QuadratureSpec(1e-12)
     res = disk_integral_G(monomial(1), MeanParams(0.7, q), 0.5, KERNEL_ONE, spec)
     assert res.converged and res.levels == 1
-    assert batches[0] == 48 and batches[1] <= 4 and res.nodes < 24192
+    assert batches[0] == 41 and batches[1] <= 2 * 4 and res.nodes < 13776
     if q == 0:
         # the integral of G over D_r is 2 pi r M'(r), and M(r) = r^p
         assert abs(res.value - TWO_PI * 0.7 * 0.5**0.7) <= spec.rel_tol * res.value
@@ -996,7 +999,8 @@ def disk_reference(gfun, cells, n0, tol, max_depth):
 
 
 def test_disk_collision_splits_one_cell_in_place(monkeypatch):
-    f, params, r = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0), 0.9
+    # at odd p the origin zero's ladder gives round 0 its cells
+    f, params, r = Polynomial((0.0, 1.0)), MeanParams(3.0, 0.0), 0.9
     sings = _zero_singularities(zeros_in_disk(f, r), params.p, 0.0, False)
     cells = _radial_partition(0.0, r, sings, (None, None), SPEC)
     s, _weights = periodic_cells(cells, (KERNEL_ONE,))
@@ -1124,7 +1128,8 @@ def test_disk_mesh_grades_toward_zeros_at_odd_p_only(p, monkeypatch):
 
 
 def test_disk_collision_depth_cap(monkeypatch):
-    f, params = Polynomial((0.0, 1.0)), MeanParams(2.0, 0.0)
+    # at odd p the origin zero's ladder puts nodes in the singular band
+    f, params = Polynomial((0.0, 1.0)), MeanParams(3.0, 0.0)
 
     def field(f, params, z):
         g = g_values(f, params, z)
@@ -1183,15 +1188,64 @@ def test_disk_pieces_of_a_batch_match_lone_calls(fn, p, q, radii, rel_tol, monke
         assert levels == [1, 0, 0] and together[0][0].value > 1 > together[1][0].value
 
 
+def test_radial_partition_without_singular_structure_is_one_cell():
+    # no singular radius and no rim scale: the piece starts as one cell, and
+    # bisection alone refines it
+    for lo, hi in ((0.0, 0.8), (0.5, 0.8), (0.9, 0.99)):
+        assert _radial_partition(lo, hi, [], (None, None), SPEC) == [(lo, lo + (hi - lo))]
+
+
+@pytest.mark.parametrize("kernel", [KERNEL_ONE, KERNEL_LOG_ONE_OVER_ABS])
+def test_even_p_origin_zero_is_graded_only_under_a_log_kernel(kernel, monkeypatch):
+    # |z|^{kp} is a polynomial in x and y at even p: disk G of z at p = 2,
+    # q = 1, r = 0.8 under the kernel one is the rim grading's 3 cells (24
+    # with the origin ladder and the base cells), and a log kernel keeps
+    # that ladder
+    f, params = monomial(1), MeanParams(2, 1)
+    sings = _zero_singularities(zeros_in_disk(f, 0.8), params.p, 0.0, kernel.singular_at_origin)
+    assert [s0 for s0, *_ in sings] == ([0.0] if kernel.singular_at_origin else [])
+    batches = []
+
+    def cells_theta(*args):
+        batches.append(len(args[1]))
+        return _cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    res = disk_integral_G(f, params, 0.8, kernel, SPEC)
+    assert res.converged and res.levels == 0
+    assert batches[0] > 3 if kernel.singular_at_origin else batches == [3]
+
+
+def test_golden_binomial_area_limit_pieces_are_one_cell_each(monkeypatch):
+    # binom:0.9 at p = 2, q = 1 over golden's area-limit schedule: no piece
+    # has a singular radius or a rim scale past its width, so each is one
+    # cell and converges at round 0, 71,232 nodes in all (80 cells and
+    # 497,616 nodes with eight uniform base cells per piece)
+    radii, batches = tuple(1.0 - 2.0**-j for j in range(1, 11)), []
+
+    def cells_theta(*args):
+        batches.append(len(args[1]))
+        return _cells_theta(*args)
+
+    monkeypatch.setattr(quadrature, "_cells_theta", cells_theta)
+    pieces = disk_integrals(Binomial(0.9), MeanParams(2, 1), radii,
+                            (KERNEL_ONE_MINUS_ABS_SQ,), (KERNEL_ONE,), SPEC)
+    assert batches == [len(radii)]
+    assert all(res.converged and res.levels == 0 for piece in pieces for res in piece)
+    assert sum(piece[0].nodes for piece in pieces) <= 71232
+
+
 def test_disk_collision_in_a_batch_splits_its_cell_in_its_piece(monkeypatch):
-    # a node of the second piece's first cell is singular: that cell alone
-    # splits, in a second batch of its two halves, which keep f's peaks
-    # (the zero at 0.85, which cells below 0.68 are too far from to take
-    # arcs, so the planted node is sampled), and every piece keeps the bits
-    # of a lone call under the same field
+    # a node of the second piece's first cell, below the grading toward the
+    # zero at 0.85 just outside, is singular: that cell alone splits, in a
+    # second batch of its two halves, which keep f's peaks (the zero at
+    # 0.85, which cells below 0.68 are too far from to take arcs, so the
+    # planted node is sampled), and every piece keeps the bits of a lone
+    # call under the same field
     f, params, radii = parse_function("poly:-0.85,1"), MeanParams(3.0, 0.0), (0.5, 0.8, 0.9)
     sings = _zero_singularities(zeros_in_disk(f, 0.8), params.p, 0.0, False)
-    cells = _radial_partition(0.5, 0.8, sings, (None, None), SPEC)
+    ends = (None, quadrature._boundary_scale(params, 0.8, feature_moduli(f, params.p)))
+    cells = _radial_partition(0.5, 0.8, sings, ends, SPEC)
     s_star = periodic_cells(cells, (KERNEL_ONE,))[0][0, 10]
     assert cells[0][1] < 0.68
 
